@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import InvalidMarginError, InvalidParamsError, NonStationaryError
 from .strategies import LinearStrategyL2, MarketParamsL2
@@ -121,6 +121,13 @@ def mixture_component_moments(
     return mean, var
 
 
+def _normal_sf(M: float, mean: float, var: float) -> float:
+    """Pr(N(mean, var) > M) as scipy.stats.norm.sf computes it, NaN for var <= 0."""
+    if not var > 0.0:
+        return math.nan
+    return float(ndtr((mean - M) / math.sqrt(var)))
+
+
 def mixture_tail_probability(
     s: LinearStrategyL2,
     p: MarketParamsL2,
@@ -138,7 +145,7 @@ def mixture_tail_probability(
     q = p.q2
     if q == 0.0:
         mean, var = mixture_component_moments(s, p, 0)
-        return float(norm.sf(M, loc=mean, scale=math.sqrt(var)))
+        return _normal_sf(M, mean, var)
     limit = max(k_max, 1)
     if q < 1.0:
         limit = max(limit, int(math.ceil(math.log(mass_tol) / math.log(q))) + 1)
@@ -146,7 +153,7 @@ def mixture_tail_probability(
     k = 0
     while k < limit:
         mean, var = mixture_component_moments(s, p, k)
-        total += (q ** k) * (1.0 - q) * norm.sf(M, loc=mean, scale=math.sqrt(var))
+        total += (q ** k) * (1.0 - q) * _normal_sf(M, mean, var)
         if q ** (k + 1) <= mass_tol:
             break
         k += 1
@@ -154,7 +161,7 @@ def mixture_tail_probability(
     a, b, g = s.a, s.b, s.g
     mean_inf = (p.mu1 + (1.0 - b) * p.mu2 - g) / (1.0 - a)
     var_inf = (p.sigma1 ** 2 + (1.0 - b) ** 2 * p.sigma2 ** 2) / (1.0 - a * a)
-    total += (q ** (k + 1)) * norm.sf(M, loc=mean_inf, scale=math.sqrt(var_inf))
+    total += (q ** (k + 1)) * _normal_sf(M, mean_inf, var_inf)
     return float(total)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rngstreams
-from .errors import InvalidParamsError, NoStableInitError, UnstableError
+from .errors import InvalidParamsError, NoStableInitError, OligoschedError, UnstableError
 from .fixed_point import even_split_gain
 from .statespace import (
     FeedbackGain,
@@ -72,20 +72,19 @@ def _plant_outputs(weights: OutputWeights, ss: StateSpace):
     return C1, D12
 
 
-def objective_and_gradient(F, weights: OutputWeights, ss: StateSpace):
+def objective_and_gradient(F, weights: OutputWeights, ss: StateSpace, margin: float = 1e-9):
     """Scalarized H2 objective and its exact gradient in F.
 
     J = trace((C1 + D12 F) Q (C1 + D12 F)') with Q the closed-loop
     controllability Gramian; the gradient uses the adjoint Gramian P of the
     observability equation and reads 2 (D12'(C1 + D12 F) + B2' P M) Q with
-    M = R1(I - F) and B2 = -R1.
+    M = R1(I - F) and B2 = -R1.  Raises UnstableError when the closed-loop
+    spectral radius exceeds 1 - ``margin`` or either Gramian fails its
+    residual certificate.
     """
     Fm = _as_matrix(F)
-    D = ss.D_c
-    M = ss.R1 @ (np.eye(D) - Fm)
-    if _spectral_radius(M) >= 1.0:
-        raise UnstableError("gain does not stabilize the closed loop")
-    Q = solve_lyapunov(Fm, ss)
+    Q = solve_lyapunov(Fm, ss, margin)
+    M = ss.R1 @ (np.eye(ss.D_c) - Fm)
     C1, D12 = _plant_outputs(weights, ss)
     C = C1 + D12 @ Fm
     J = float(np.trace(C @ Q @ C.T))
@@ -101,7 +100,7 @@ def _stable_enough(F, ss, margin):
 
 def _descend(F0, weights, ss, cfg):
     F = F0.copy()
-    J, G = objective_and_gradient(F, weights, ss)
+    J, G = objective_and_gradient(F, weights, ss, cfg.stability_margin)
     objectives = [J]
     t = 1.0 / (1.0 + float(np.linalg.norm(G)))
     for _ in range(cfg.max_iter):
@@ -112,22 +111,22 @@ def _descend(F0, weights, ss, cfg):
         accepted = False
         while t >= 1e-18:
             Fn = F - t * G
-            if _stable_enough(Fn, ss, cfg.stability_margin):
-                try:
-                    Jn, Gn = objective_and_gradient(Fn, weights, ss)
-                except UnstableError:
-                    Jn = np.inf
-                if Jn <= J - 1e-4 * t * gsq:
-                    # Barzilai-Borwein trial step for the next iteration
-                    sF = Fn - F
-                    sG = Gn - G
-                    denom = float(np.sum(sF * sG))
-                    t_next = float(np.sum(sF * sF)) / denom if denom > 0 else t * 2.0
-                    F, J, G = Fn, Jn, Gn
-                    t = min(max(t_next, 1e-12), 1e3)
-                    accepted = True
-                    objectives.append(J)
-                    break
+            try:
+                # one spectral-radius check per trial gain, inside the call
+                Jn, Gn = objective_and_gradient(Fn, weights, ss, cfg.stability_margin)
+            except UnstableError:
+                Jn = np.inf
+            if Jn <= J - 1e-4 * t * gsq:
+                # Barzilai-Borwein trial step for the next iteration
+                sF = Fn - F
+                sG = Gn - G
+                denom = float(np.sum(sF * sG))
+                t_next = float(np.sum(sF * sF)) / denom if denom > 0 else t * 2.0
+                F, J, G = Fn, Jn, Gn
+                t = min(max(t_next, 1e-12), 1e3)
+                accepted = True
+                objectives.append(J)
+                break
             t *= cfg.shrink
         if not accepted:
             break
@@ -142,7 +141,7 @@ def synthesize(weights: OutputWeights, ss: StateSpace, cfg: SynthesisConfig | No
     """
     cfg = cfg or SynthesisConfig()
     base = even_split_gain(ss)
-    inits = [base]
+    inits = [base] if _stable_enough(base, ss, cfg.stability_margin) else []
     for r in range(cfg.restarts):
         gen = rngstreams.stream(cfg.seed, r + 1)
         scale = 0.1
@@ -152,7 +151,6 @@ def synthesize(weights: OutputWeights, ss: StateSpace, cfg: SynthesisConfig | No
                 inits.append(cand)
                 break
             scale *= 0.5
-    inits = [F0 for F0 in inits if _stable_enough(F0, ss, cfg.stability_margin)]
     if not inits:
         raise NoStableInitError("no stabilizing initial gain found")
     best = None
@@ -193,8 +191,9 @@ def trace_front(
 ) -> list[ParetoPoint]:
     """Synthesize each weight, filter dominated points, sort by (z3sq, z2sq).
 
-    Individual synthesis failures are reported as warnings and skipped, so
-    a partial front can still be returned.
+    A weight whose synthesis fails with a library error (OligoschedError)
+    is reported as a warning and skipped, so a partial front can still be
+    returned; any other exception propagates.
     """
     if not weights_list:
         raise InvalidParamsError("weight grid must be nonempty")
@@ -202,7 +201,7 @@ def trace_front(
     for w in weights_list:
         try:
             points.append(synthesize(w, ss, cfg))
-        except Exception as exc:  # noqa: BLE001 - partial fronts are allowed
+        except OligoschedError as exc:
             warnings.warn(f"synthesis failed for weights {w}: {exc}", stacklevel=2)
     points = pareto_filter(points)
     points.sort(key=lambda p: (p.report.z3sq, p.report.z2sq))

@@ -4,6 +4,7 @@ import pytest
 
 import oligosched as og
 from conftest import random_stable_gain
+from oligosched import pareto
 from oligosched.pareto import SynthesisConfig, _descend
 from oligosched.fixed_point import even_split_gain
 
@@ -108,6 +109,29 @@ class TestSynthesize:
     def test_empty_grid_rejected(self, ss2):
         with pytest.raises(og.InvalidParamsError):
             og.trace_front([], ss2)
+
+    def test_library_failures_skipped_other_errors_propagate(self, ss2, monkeypatch):
+        grid = [og.OutputWeights.normalized(m, 1.0 - m, 2.0) for m in (0.2, 0.5, 0.8)]
+        real = pareto.synthesize
+
+        def unstable_at_middle(w, ss, cfg=None):
+            if w is grid[1]:
+                raise og.UnstableError("closed loop lost stability")
+            return real(w, ss, cfg)
+
+        monkeypatch.setattr(pareto, "synthesize", unstable_at_middle)
+        with pytest.warns(UserWarning, match="synthesis failed for weights") as rec:
+            front = og.trace_front(grid, ss2, SynthesisConfig())
+        assert len(rec) == 1
+        assert 1 <= len(front) <= 2
+        assert all(p.weights is not grid[1] for p in front)
+
+        def broken(w, ss, cfg=None):
+            raise ZeroDivisionError("not a library failure")
+
+        monkeypatch.setattr(pareto, "synthesize", broken)
+        with pytest.raises(ZeroDivisionError):
+            og.trace_front(grid, ss2, SynthesisConfig())
 
 
 class TestLmiAudit:

@@ -4,6 +4,7 @@ import pytest
 
 import oligosched as og
 from conftest import random_stable_gain
+from oligosched.statespace import _solve_dlyap
 
 # six-slot system matrices for L=3, checked bit for bit
 R1_L3 = np.array(
@@ -28,6 +29,37 @@ R2_L3 = np.array(
     ],
     dtype=float,
 )
+
+
+def kronecker_dlyap(M, W):
+    """Oracle: solve M X M' - X + W = 0 as the vectorized D^2 x D^2 system."""
+    n = M.shape[0]
+    A = np.eye(n * n) - np.kron(M, M)
+    return np.linalg.solve(A, W.reshape(-1)).reshape(n, n)
+
+
+def closed_loop(F, ss):
+    return ss.R1 @ (np.eye(ss.D_c) - np.asarray(F))
+
+
+def gain_near_margin(ss, target=1.0 - 1.5e-6):
+    """Dense gain -t*11' whose closed-loop spectral radius is just below ``target``.
+
+    The radius is 0 at t = 0 and above one at t = 5; bisection on t lands
+    just inside the 1e-6 stability margin of the synthesis.
+    """
+    ones = np.ones((ss.D_c, ss.D_c))
+    lo, hi = 0.0, 5.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        rho = og.FeedbackGain(-mid * ones, ss).spectral_radius
+        if rho < target:
+            lo = mid
+        else:
+            hi = mid
+        if abs(rho - target) <= 1e-9:
+            break
+    return -lo * ones
 
 
 def paper_index_matrices(L):
@@ -125,16 +157,43 @@ class TestLyapunov:
                 assert np.min(np.linalg.eigvalsh(Q)) >= -1e-10 * np.linalg.norm(Q)
 
     def test_large_dimension_path_agrees_with_kronecker(self):
-        # L=11 exceeds the vectorization threshold; cross-check both routes
+        # L=11 (D_c=66): the doubling solve against the vectorized system
         ss = og.build_state_space(11)
         br = og.make_f_br(0.25, ss)
         Q_series = og.solve_lyapunov(br, ss)
-        M = ss.R1 @ (np.eye(ss.D_c) - br.F)
-        A = np.eye(ss.D_c ** 2) - np.kron(M, M)
-        Q_kron = np.linalg.solve(A, (ss.R2 @ ss.R2.T).reshape(-1)).reshape(
-            ss.D_c, ss.D_c
-        )
+        Q_kron = kronecker_dlyap(closed_loop(br.F, ss), ss.R2 @ ss.R2.T)
         assert np.max(np.abs(Q_series - Q_kron)) <= 1e-9
+
+    @pytest.mark.parametrize("L", [2, 3, 5, 6, 11])
+    def test_doubling_matches_kronecker_oracle(self, L):
+        ss = og.build_state_space(L)
+        rng = np.random.default_rng(100 + L)
+        W = ss.R2 @ ss.R2.T
+        near = gain_near_margin(ss)
+        rho = og.FeedbackGain(near, ss).spectral_radius
+        assert 1.0 - 2e-6 < rho <= 1.0 - 1e-6
+        for F in (random_stable_gain(ss, rng), og.make_f_br(0.4, ss).F, near):
+            M = closed_loop(F, ss)
+            X = _solve_dlyap(M, W)
+            X_kron = kronecker_dlyap(M, W)
+            assert np.max(np.abs(X - X_kron)) <= 1e-9 * max(1.0, np.max(np.abs(X_kron)))
+        # the adjoint (observability) equation at the near-margin gain
+        M = closed_loop(near, ss)
+        C = rng.standard_normal((3, ss.D_c))
+        P = _solve_dlyap(M.T, C.T @ C)
+        P_kron = kronecker_dlyap(M.T, C.T @ C)
+        assert np.max(np.abs(P - P_kron)) <= 1e-9 * max(1.0, np.max(np.abs(P_kron)))
+
+    @pytest.mark.parametrize(
+        "radius, failure",
+        [(1.0, "not converged"), (1.0 + 1e-6, "diverged"), (1.5, "diverged")],
+    )
+    def test_doubling_rejects_unstable_closed_loop(self, ss3, radius, failure):
+        # at radius 1 the partial sums stay finite but never settle, so the
+        # step cap ends the loop; above 1 they overflow
+        M = radius * np.eye(6) + np.triu(np.ones((6, 6)), 1) * 0.1
+        with pytest.raises(og.UnstableError, match=failure):
+            _solve_dlyap(M, ss3.R2 @ ss3.R2.T)
 
     def test_unstable_rejected(self, ss2):
         # the surviving flexible slot amplifies itself through the shift
@@ -178,10 +237,11 @@ class TestH2Norms:
         assert a.z2sq == pytest.approx(b.z2sq, rel=1e-12)
 
     def test_large_dimension_series_path(self):
+        # L=11 (D_c=66): quadratic forms of an independently solved Gramian
         ss = og.build_state_space(11)
         br = og.make_f_br(0.2, ss)
         rep = og.h2_norms(br, ss)
-        Q = og.solve_lyapunov(br, ss)
+        Q = kronecker_dlyap(closed_loop(br.F, ss), ss.R2 @ ss.R2.T)
         assert rep.z1sq == pytest.approx(float(ss.e @ br.F @ Q @ br.F.T @ ss.e), rel=1e-9)
         assert rep.z2sq == pytest.approx(float(ss.e @ Q @ ss.e), rel=1e-9)
 
