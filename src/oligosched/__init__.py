@@ -26,7 +26,6 @@ from .errors import (
     MultipleStableRootsWarning,
     NonStationaryError,
     NoSolutionError,
-    NoStableInitError,
     NoStableRootError,
     NotConvergedError,
     OligoschedError,

@@ -328,10 +328,7 @@ def _cmd_lti_pareto(ns, argv):
     else:
         data = _load_json(ns.grid)
         grid = [OutputWeights.normalized(*map(float, triple)) for triple in data]
-    cfg = SynthesisConfig(
-        tol_grad=ns.tol_grad, max_iter=ns.max_iter, restarts=ns.restarts, seed=ns.seed
-    )
-    points = trace_front(grid, ss, cfg)
+    points = trace_front(grid, ss, SynthesisConfig(tol_grad=ns.tol_grad))
     rows = [
         (
             p.weights.alpha1,
@@ -355,10 +352,10 @@ def _cmd_lti_pareto(ns, argv):
             "L": ns.L,
             "grid": [[p.weights.alpha1, p.weights.alpha2, p.weights.alpha3] for p in points],
             "tol_grad": ns.tol_grad,
-            "max_iter": ns.max_iter,
-            "restarts": ns.restarts,
+            "certificates": [
+                {"grad_inf": p.grad_inf, "epsilon": p.epsilon} for p in points
+            ],
         },
-        seed=ns.seed,
     )
     gains_path = ns.out + ".gains.json"
     _textio.atomic_write_text(gains_path, _textio.dumps(gains) + "\n")
@@ -444,9 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", default=None, help="JSON list of weight triples")
     sp.add_argument("--out", required=True)
     sp.add_argument("--tol-grad", type=float, default=1e-6)
-    sp.add_argument("--max-iter", type=int, default=5000)
-    sp.add_argument("--restarts", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = lti.add_parser("operator")
     sp.add_argument("--L", type=int, required=True)

@@ -65,9 +65,5 @@ class InsufficientSamplesError(OligoschedError):
     """A conditioning cell holds too few samples for a tail estimate."""
 
 
-class NoStableInitError(OligoschedError):
-    """No stabilizing initial gain could be constructed."""
-
-
 class MultipleStableRootsWarning(UserWarning):
     """More than one cubic root qualified; the smallest was selected."""

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import rngstreams
 from .errors import (
@@ -29,6 +28,17 @@ from .statespace import FeedbackGain, StateSpace, solve_lyapunov
 log = logging.getLogger(__name__)
 
 _PENALTY = 1e12
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use.
+
+    Loading scipy.optimize costs about 0.3 s, which every CLI command
+    would otherwise pay at import time.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 @dataclass(frozen=True)

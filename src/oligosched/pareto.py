@@ -7,22 +7,24 @@ of the weighted output of the plant
     C1  = [0; a2*e'; a3*e_L'],   D12 = [a1*e'; 0; -a3*e_L'],
 
 under static feedback u = F x; equivalently J(F) = a1^2 z1sq + a2^2 z2sq +
-a3^2 z3sq.  The optimum admits a convex (LMI) characterization; here the
-equivalent smooth problem is solved by gradient descent on F with exact
-gradients from the paired Lyapunov equations, with Armijo backtracking and
-a hard spectral-radius guard.  The LMIs are kept as a feasibility audit.
+a3^2 z3sq.  With the full state measured this is an LQR problem with the
+cross term C1'D12, so the optimal gain is F = -(R + B2'X B2)^{-1}(B2'X A +
+S') from the stabilizing solution X of the discrete algebraic Riccati
+equation with Q = C1'C1, R = D12'D12 and S = C1'D12 (Anderson & Moore,
+Optimal Control, 1990, ch. 2-3).  D12'D12 is singular, so R is inflated by
+eps I on a ladder of rungs, and a rung's gain is accepted only when the
+exact gradient of J from the paired Lyapunov equations certifies it
+stationary.  The equivalent LMIs are kept as a feasibility audit.
 """
 from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import rngstreams
-from .errors import InvalidParamsError, NoStableInitError, OligoschedError, UnstableError
-from .fixed_point import even_split_gain
+from .errors import InvalidParamsError, NotConvergedError, OligoschedError, UnstableError
 from .statespace import (
     FeedbackGain,
     H2Report,
@@ -37,29 +39,35 @@ from .statespace import (
 
 log = logging.getLogger(__name__)
 
+# Regularizations eps of the singular control weight D12'D12, smallest
+# first; at L = 5 some weights need 1e-8 because ordqz rejects 1e-9.
+_EPS_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)
+
 
 @dataclass(frozen=True)
 class SynthesisConfig:
     tol_grad: float = 1e-6
-    max_iter: int = 5000
-    shrink: float = 0.5
     stability_margin: float = 1e-6
-    restarts: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.tol_grad <= 0.0:
             raise InvalidParamsError("tol_grad must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise InvalidParamsError("shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class ParetoPoint:
+    """A synthesized gain with its H2 report and optimality certificate.
+
+    ``grad_inf`` is |G|inf of the exact gradient at the gain and
+    ``epsilon`` the Riccati regularization rung that produced it.
+    """
+
     weights: OutputWeights
     gain: FeedbackGain
     report: H2Report
     objective: float
+    grad_inf: float
+    epsilon: float
 
 
 def _plant_outputs(weights: OutputWeights, ss: StateSpace):
@@ -94,80 +102,51 @@ def objective_and_gradient(F, weights: OutputWeights, ss: StateSpace, margin: fl
     return J, G
 
 
-def _stable_enough(F, ss, margin):
-    return _spectral_radius(ss.R1 @ (np.eye(ss.D_c) - F)) <= 1.0 - margin
-
-
-def _descend(F0, weights, ss, cfg):
-    F = F0.copy()
-    J, G = objective_and_gradient(F, weights, ss, cfg.stability_margin)
-    objectives = [J]
-    t = 1.0 / (1.0 + float(np.linalg.norm(G)))
-    for _ in range(cfg.max_iter):
-        gnorm_inf = float(np.max(np.abs(G)))
-        if gnorm_inf <= cfg.tol_grad:
-            break
-        gsq = float(np.sum(G * G))
-        accepted = False
-        while t >= 1e-18:
-            Fn = F - t * G
-            try:
-                # one spectral-radius check per trial gain, inside the call
-                Jn, Gn = objective_and_gradient(Fn, weights, ss, cfg.stability_margin)
-            except UnstableError:
-                Jn = np.inf
-            if Jn <= J - 1e-4 * t * gsq:
-                # Barzilai-Borwein trial step for the next iteration
-                sF = Fn - F
-                sG = Gn - G
-                denom = float(np.sum(sF * sG))
-                t_next = float(np.sum(sF * sF)) / denom if denom > 0 else t * 2.0
-                F, J, G = Fn, Jn, Gn
-                t = min(max(t_next, 1e-12), 1e3)
-                accepted = True
-                objectives.append(J)
-                break
-            t *= cfg.shrink
-        if not accepted:
-            break
-    return F, J, G, objectives
-
-
 def synthesize(weights: OutputWeights, ss: StateSpace, cfg: SynthesisConfig | None = None) -> ParetoPoint:
-    """Minimize the scalarized H2 objective over static gains.
+    """Minimize the scalarized H2 objective over static gains by one DARE.
 
-    Starts from the even-split gain plus ``cfg.restarts`` perturbed
-    restarts (seeded deterministically) and keeps the best objective.
+    Tries each rung of ``_EPS_LADDER`` in turn and returns the first gain
+    whose exact gradient certifies |G|inf <= ``cfg.tol_grad``.  Raises
+    NotConvergedError, carrying the per-rung |G|inf (inf where the solve
+    failed or the gain missed the stability margin), when no rung does.
     """
+    from scipy.linalg import solve_discrete_are
+
     cfg = cfg or SynthesisConfig()
-    base = even_split_gain(ss)
-    inits = [base] if _stable_enough(base, ss, cfg.stability_margin) else []
-    for r in range(cfg.restarts):
-        gen = rngstreams.stream(cfg.seed, r + 1)
-        scale = 0.1
-        for _ in range(30):
-            cand = base + scale * gen.standard_normal(base.shape)
-            if _stable_enough(cand, ss, cfg.stability_margin):
-                inits.append(cand)
-                break
-            scale *= 0.5
-    if not inits:
-        raise NoStableInitError("no stabilizing initial gain found")
-    best = None
-    for F0 in inits:
-        F, J, _, objectives = _descend(F0, weights, ss, cfg)
-        if np.any(np.diff(objectives) > 0):
-            raise AssertionError("line search accepted an increasing step")
-        if best is None or J < best[1]:
-            best = (F, J)
-    F, _ = best
+    C1, D12 = _plant_outputs(weights, ss)
+    A, B = ss.R1, -ss.R1
+    S = C1.T @ D12
+    certificates = []
+    for eps in _EPS_LADDER:
+        R = D12.T @ D12 + eps * np.eye(ss.D_c)
+        try:
+            X = solve_discrete_are(A, B, C1.T @ C1, R, s=S)
+            F = -np.linalg.solve(R + B.T @ X @ B, B.T @ X @ A + S.T)
+            _, G = objective_and_gradient(F, weights, ss, cfg.stability_margin)
+        except (ValueError, UnstableError) as exc:
+            # scipy reports a failed ordqz reordering or a singular pencil
+            # as ValueError (LinAlgError is a subclass)
+            log.debug("Riccati rung eps=%g failed: %s", eps, exc)
+            certificates.append(np.inf)
+            continue
+        grad_inf = float(np.max(np.abs(G)))
+        certificates.append(grad_inf)
+        log.debug("Riccati rung eps=%g: |G|inf = %.3e", eps, grad_inf)
+        if grad_inf <= cfg.tol_grad:
+            break
+    else:
+        raise NotConvergedError(
+            f"no Riccati rung certified |G|inf <= {cfg.tol_grad:g}", certificates
+        )
     report = h2_norms(F, ss)
     objective = (
         weights.alpha1 ** 2 * report.z1sq
         + weights.alpha2 ** 2 * report.z2sq
         + weights.alpha3 ** 2 * report.z3sq
     )
-    return ParetoPoint(weights, FeedbackGain(F, ss), report, float(objective))
+    return ParetoPoint(
+        weights, FeedbackGain(F, ss), report, float(objective), grad_inf, eps
+    )
 
 
 def pareto_filter(points: list[ParetoPoint]) -> list[ParetoPoint]:

@@ -254,7 +254,7 @@ def test_criterion_10_gradient_correctness(ss3):
 def test_criterion_11_pareto_structure(ss5):
     """25-weight front: non-dominated, deadline slice, outward shift."""
     with criterion(11, "three-way Pareto structure", 300.0):
-        cfg = SynthesisConfig(tol_grad=1e-5, restarts=1)
+        cfg = SynthesisConfig(tol_grad=1e-5)
         mixes = (0.1, 0.3, 0.5, 0.7, 0.9)
         ratios = (0.3, 1.0, 3.0, 10.0, 100.0)
         by_ratio = {}

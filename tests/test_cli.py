@@ -133,7 +133,7 @@ class TestLtiCommands:
         grid = json.dumps([[1, 1, 1], [1, 1, 10], [5, 1, 1]])
         code = main(
             ["lti", "pareto", "--L", "2", "--grid", grid, "--out", str(out),
-             "--tol-grad", "1e-5", "--restarts", "1"]
+             "--tol-grad", "1e-5"]
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
@@ -143,6 +143,16 @@ class TestLtiCommands:
         assert len(gains) == len(lines) - 1
         manifest = json.loads((tmp_path / "front.csv.manifest.json").read_text())
         assert str(out) in manifest["outputs"]
+
+    def test_pareto_manifest_records_certificates(self, tmp_path):
+        out = tmp_path / "front.csv"
+        grid = json.dumps([[1, 1, 1], [1, 1, 10]])
+        assert main(["lti", "pareto", "--L", "3", "--grid", grid, "--out", str(out)]) == 0
+        config = json.loads((tmp_path / "front.csv.manifest.json").read_text())["config"]
+        assert len(config["certificates"]) == len(config["grid"]) == 2
+        for cert in config["certificates"]:
+            assert 0.0 <= cert["grad_inf"] <= config["tol_grad"]
+            assert 1e-9 <= cert["epsilon"] <= 1e-5
 
     def test_operator_command(self, capsys):
         code = main(

@@ -5,8 +5,49 @@ import pytest
 import oligosched as og
 from conftest import random_stable_gain
 from oligosched import pareto
-from oligosched.pareto import SynthesisConfig, _descend
+from oligosched.pareto import SynthesisConfig
 from oligosched.fixed_point import even_split_gain
+
+
+def descend_oracle(F0, weights, ss, tol_grad=1e-6, max_iter=5000, shrink=0.5,
+                   margin=1e-6):
+    """Independent oracle: exact-gradient descent on J(F) from a stable F0.
+
+    Barzilai-Borwein trial steps with Armijo backtracking; every trial gain
+    passes the spectral-radius guard inside objective_and_gradient.  Stops
+    at |G|inf <= tol_grad, after max_iter steps or when no step is
+    accepted.  Returns the final gain, objective, gradient and the
+    objective after each accepted step.
+    """
+    F = F0.copy()
+    J, G = og.objective_and_gradient(F, weights, ss, margin)
+    objectives = [J]
+    t = 1.0 / (1.0 + float(np.linalg.norm(G)))
+    for _ in range(max_iter):
+        if float(np.max(np.abs(G))) <= tol_grad:
+            break
+        gsq = float(np.sum(G * G))
+        accepted = False
+        while t >= 1e-18:
+            Fn = F - t * G
+            try:
+                Jn, Gn = og.objective_and_gradient(Fn, weights, ss, margin)
+            except og.UnstableError:
+                Jn = np.inf
+            if Jn <= J - 1e-4 * t * gsq:
+                sF = Fn - F
+                sG = Gn - G
+                denom = float(np.sum(sF * sG))
+                t_next = float(np.sum(sF * sF)) / denom if denom > 0 else t * 2.0
+                F, J, G = Fn, Jn, Gn
+                t = min(max(t_next, 1e-12), 1e3)
+                accepted = True
+                objectives.append(J)
+                break
+            t *= shrink
+        if not accepted:
+            break
+    return F, J, G, objectives
 
 
 class TestObjectiveAndGradient:
@@ -59,10 +100,57 @@ class TestObjectiveAndGradient:
 class TestSynthesize:
     def test_descent_is_monotone(self, ss3):
         w = og.OutputWeights.normalized(1.0, 1.0, 3.0)
-        _, _, _, objectives = _descend(
-            even_split_gain(ss3), w, ss3, SynthesisConfig()
-        )
+        _, _, _, objectives = descend_oracle(even_split_gain(ss3), w, ss3)
         assert np.all(np.diff(objectives) <= 0)
+
+    @pytest.mark.parametrize("L", [2, 3, 5])
+    def test_riccati_matches_descent_oracle(self, L):
+        # one weight from each corner of the default grid plus its centre
+        ss = og.build_state_space(L)
+        cfg = SynthesisConfig()
+        for m, r in ((0.1, 0.3), (0.9, 0.3), (0.5, 3.0), (0.1, 100.0), (0.9, 100.0)):
+            w = og.OutputWeights.normalized(m, 1.0 - m, r)
+            pt = og.synthesize(w, ss, cfg)
+            _, J_oracle, _, _ = descend_oracle(even_split_gain(ss), w, ss)
+            J, G = og.objective_and_gradient(pt.gain, w, ss, cfg.stability_margin)
+            assert np.max(np.abs(G)) <= cfg.tol_grad
+            assert pt.grad_inf == pytest.approx(np.max(np.abs(G)), rel=1e-12)
+            assert pt.epsilon in pareto._EPS_LADDER
+            assert J <= J_oracle * (1 + 1e-9)
+            assert pt.objective == pytest.approx(J, rel=1e-10)
+
+    def test_uncertifiable_tolerance_raises_with_rung_trace(self, ss2):
+        w = og.OutputWeights.normalized(1.0, 1.0, 1.0)
+        with pytest.raises(og.NotConvergedError) as info:
+            og.synthesize(w, ss2, SynthesisConfig(tol_grad=1e-30))
+        trace = info.value.residuals
+        assert len(trace) == len(pareto._EPS_LADDER)
+        assert all(0.0 < g < np.inf for g in trace)
+
+    def test_failed_riccati_rungs_raise_and_front_drops_point(self, ss2, monkeypatch):
+        import scipy.linalg
+
+        grid = [og.OutputWeights.normalized(m, 1.0 - m, 2.0) for m in (0.2, 0.5, 0.8)]
+        real = scipy.linalg.solve_discrete_are
+        C1, D12 = pareto._plant_outputs(grid[1], ss2)
+        calls = []
+
+        def fails_for_middle(a, b, q, r, e=None, s=None, **kwargs):
+            if np.array_equal(s, C1.T @ D12):
+                calls.append(r)
+                raise ValueError("ordqz reordering failed")
+            return real(a, b, q, r, e=e, s=s, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", fails_for_middle)
+        with pytest.raises(og.NotConvergedError) as info:
+            og.synthesize(grid[1], ss2)
+        assert len(calls) == len(pareto._EPS_LADDER)
+        assert info.value.residuals == [np.inf] * len(pareto._EPS_LADDER)
+        with pytest.warns(UserWarning, match="synthesis failed for weights") as rec:
+            front = og.trace_front(grid, ss2, SynthesisConfig())
+        assert len(rec) == 1
+        assert 1 <= len(front) <= 2
+        assert all(p.weights is not grid[1] for p in front)
 
     def test_deadline_dominant_weights_enforce_deadlines(self, ss2):
         w = og.OutputWeights.normalized(0.6, 0.4, 100.0)
@@ -153,7 +241,7 @@ class TestLmiAudit:
             for r in (1.0, 10.0, 100.0)
             for m in (0.2, 0.5, 0.8)
         ]
-        front = og.trace_front(grid, ss3, SynthesisConfig(tol_grad=1e-5, restarts=1))
+        front = og.trace_front(grid, ss3, SynthesisConfig(tol_grad=1e-5))
         heuristics = [
             og.h2_norms(og.make_f_br(d, ss3), ss3)
             for d in np.linspace(0.05, 0.45, 9)
