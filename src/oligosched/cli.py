@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from . import __version__, _textio
+from . import __version__, _textio, simulate
 from .analysis import efficiency, risk_upper_bound, stationary_moments
 from .errors import (
     InvalidParamsError,
@@ -38,7 +38,7 @@ from .errors import (
 from .fixed_point import FixedPointConfig, PricingRule, marginal_cost_pricing, solve_mpe
 from .operator_design import OperatorWeights, optimize_pricing
 from .pareto import SynthesisConfig, default_weight_grid, trace_front
-from .simulate import SimConfig, series_rows, simulate_l2
+from .simulate import SimConfig, series_columns, simulate_l2
 from .statespace import (
     FeedbackGain,
     OutputWeights,
@@ -223,7 +223,7 @@ def _cmd_l2_simulate(ns, argv):
     if ns.series_csv is not None:
         _textio.atomic_write_text(
             ns.series_csv,
-            _textio.csv_text(["t", "U", "x_sum", "o_flags"], series_rows(stats)),
+            _textio.csv_text(["t", "U", "x_sum", "o_flags"], series_columns(stats)),
         )
         extra.append(ns.series_csv)
     man = _manifest(
@@ -239,6 +239,8 @@ def _cmd_l2_simulate(ns, argv):
         },
         seed=seed,
     )
+    compiled = hasattr(simulate._l2_kernel, "py_func")  # a numba dispatcher
+    man["sim_backend"] = "numba" if compiled else "python"
     _emit(_textio.dumps(result) + "\n", ns.out, man, extra)
     return 0
 
@@ -329,20 +331,10 @@ def _cmd_lti_pareto(ns, argv):
         data = _load_json(ns.grid)
         grid = [OutputWeights.normalized(*map(float, triple)) for triple in data]
     points = trace_front(grid, ss, SynthesisConfig(tol_grad=ns.tol_grad))
-    rows = [
-        (
-            p.weights.alpha1,
-            p.weights.alpha2,
-            p.weights.alpha3,
-            p.report.z1sq,
-            p.report.z2sq,
-            p.report.z3sq,
-        )
-        for p in points
-    ]
-    csv = _textio.csv_text(
-        ["alpha1", "alpha2", "alpha3", "z1sq", "z2sq", "z3sq"], rows
-    )
+    front = np.array([[p.weights.alpha1, p.weights.alpha2, p.weights.alpha3,
+                        p.report.z1sq, p.report.z2sq, p.report.z3sq] for p in points])
+    csv = _textio.csv_text(["alpha1", "alpha2", "alpha3", "z1sq", "z2sq", "z3sq"],
+                           front.reshape(-1, 6).T)
     gains = {
         f"point_{i}": p.gain.F for i, p in enumerate(points)
     }

@@ -39,9 +39,10 @@ from .statespace import (
 
 log = logging.getLogger(__name__)
 
-# Regularizations eps of the singular control weight D12'D12, smallest
-# first; at L = 5 some weights need 1e-8 because ordqz rejects 1e-9.
-_EPS_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)
+# Regularizations eps of the singular control weight D12'D12, smallest first
+# in half-decade rungs: ordqz rejects rungs erratically, and at L = 12 weight
+# (0.1, 0.9, 10) no decade rung 1e-9, ..., 1e-5 certifies but 3e-7 does.
+_EPS_LADDER = (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,14 @@ def stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=mix64(seed, index)))
 
 
+def stream_at(seed: int, index: int, offset: int) -> np.random.Generator:
+    """Stream ``index`` of ``seed`` after ``offset`` uniforms (four per Philox step)."""
+    gen = stream(seed, index)
+    gen.bit_generator.advance(offset // 4)
+    gen.random(offset % 4)
+    return gen
+
+
 def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
     """n standard normals via inverse-CDF of n uniform draws."""
     u = gen.random(n)

@@ -38,11 +38,14 @@ from .statespace import StateSpace, _as_matrix
 from .strategies import LinearStrategyL2, MarketParamsL2
 
 _DIVERGENCE_GUARD = 1e9
+# periods simulate_general draws, sums and checks at a time
+_CHUNK_PERIODS = 1024
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation run shape and output selection."""
+    """Simulation run shape and output selection.  ``threads`` affects only
+    ``simulate_l2``; ``simulate_general`` advances all replications at once."""
 
     horizon: int
     burn_in: int = 0
@@ -132,42 +135,6 @@ def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard):
             bad = t
             break
     return U, X, bad
-
-
-@njit(cache=True, nogil=True)
-def _general_kernel(R1, R2, F, h, d, L, clamp, guard):
-    n = h.shape[0]
-    D = R1.shape[0]
-    U = np.empty(n)
-    Z2 = np.empty(n)
-    x = np.zeros(D)
-    o = np.zeros(D)
-    u = np.zeros(D)
-    bad = -1
-    for t in range(n):
-        x = R1 @ (x - u) + R2 @ (h[t] * d[t])
-        o = R1 @ o + R2 @ h[t]
-        u = F @ x
-        for i in range(D):
-            if o[i] == 0.0:
-                u[i] = 0.0
-        for i in range(L):
-            u[i] = x[i] if o[i] != 0.0 else 0.0
-        if clamp:
-            for i in range(L, D):
-                if u[i] < 0.0:
-                    u[i] = 0.0
-        s_u = 0.0
-        s_x = 0.0
-        for i in range(D):
-            s_u += u[i]
-            s_x += x[i]
-        U[t] = s_u
-        Z2[t] = s_x
-        if s_x > guard or s_x < -guard:
-            bad = t
-            break
-    return U, Z2, bad
 
 
 def _run_replications(worker, replications, threads):
@@ -319,35 +286,65 @@ def simulate_general(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig) -> P
     demand and receive nothing) and present deadline agents consume their
     backlog regardless of F.  mean_x/second_x refer to the aggregate
     backlog sum.
+
+    All replications advance together as D x R arrays.  Slot (l, tau) is
+    occupied at t iff type l arrived at t - (l - tau); with unit deadline
+    rows in F, u = (F x) * mask makes deadline agents consume their backlog.
+    Draws, sums and the guard go 1,024 periods at a time: besides the (horizon,
+    R) U and sum-x arrays the working memory is about 1,024 (4 D + L) R doubles.
     """
-    Fm = np.ascontiguousarray(_as_matrix(F))
-    q, mu, sg = arrival.resolved(ss.L)
-    R1 = np.ascontiguousarray(ss.R1)
-    R2 = np.ascontiguousarray(ss.R2)
-
-    def worker(rep):
-        gen = rngstreams.stream(c.seed, rep)
-        h = np.empty((c.horizon, ss.L))
-        d = np.empty((c.horizon, ss.L))
-        for l in range(ss.L):
-            h[:, l] = rngstreams.bernoulli(gen, q[l], c.horizon)
-        for l in range(ss.L):
-            d[:, l] = mu[l] + sg[l] * rngstreams.standard_normals(gen, c.horizon)
-        U, Z2, bad = _general_kernel(
-            R1, R2, Fm, h, d, ss.L, c.nonneg_demand, _DIVERGENCE_GUARD
+    L, D, R, n = ss.L, ss.D_c, c.replications, c.horizon
+    q, mu, sg = arrival.resolved(L)
+    # A replication's stream holds n arrivals of each type, then n loads of
+    # each type; one generator per column, started at its offset, reads it.
+    gens = [[rngstreams.stream_at(c.seed, r, j * n) for r in range(R)] for j in range(2 * L)]
+    # One product per period maps z = [x - u of the last period; fresh
+    # loads] to y = [x; Fp x], Fp being F with unit deadline rows.
+    Fp = np.vstack([np.eye(D)[:L], _as_matrix(F)[L:]])
+    shift = np.hstack([ss.R1, ss.R2])
+    S = np.vstack([shift, Fp @ shift])
+    chunk = min(n, _CHUNK_PERIODS)
+    h = np.zeros((chunk + L - 1, L, R), np.uint8)  # period t0 + i at row i + L - 1
+    Y, mask = np.empty((chunk, 2 * D, R)), np.empty((chunk, D, R))
+    Z = np.zeros((chunk + 1, D + L, R))
+    views = [(z, y, y[:D], y[D:], y[D + L:], nxt[:D]) for z, y, nxt in zip(Z, Y, Z[1:])]
+    rows = np.arange(chunk)[:, None] + [L - 1 - l + tau for l, tau in ss.pairs]
+    cols = [l - 1 for l, _ in ss.pairs]
+    U, Z2, bad = np.empty((n, R)), np.empty((n, R)), np.full(R, -1)
+    # The guard reports a diverging replication; overflow warnings from the
+    # rest of its chunk would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, n, chunk):
+            m = min(chunk, n - t0)
+            h[:L - 1] = h[chunk:]  # the last L - 1 periods of the chunk before
+            for l in range(L):
+                for rep in range(R):
+                    h[L - 1:L - 1 + m, l, rep] = rngstreams.bernoulli(gens[l][rep], q[l], m)
+                    Z[:m, D + l, rep] = mu[l] + sg[l] * rngstreams.standard_normals(
+                        gens[L + l][rep], m)
+            Z[:m, D:] *= h[L - 1:L - 1 + m]
+            mask[:m] = h[rows[:m], cols]
+            for (z, y, top, bot, tail, nxt), mk in zip(views[:m], mask):
+                np.dot(S, z, out=y)
+                np.multiply(bot, mk, out=bot)
+                if c.nonneg_demand:
+                    np.maximum(tail, 0.0, out=tail)
+                np.subtract(top, bot, out=nxt)
+            Z[0, :D] = Z[m, :D]
+            U[t0:t0 + m] = Y[:m, D:].sum(axis=1)
+            Z2[t0:t0 + m] = Y[:m, :D].sum(axis=1)
+            over = np.abs(Z2[t0:t0 + m]) > _DIVERGENCE_GUARD
+            hit = over.any(axis=0) & (bad < 0)
+            bad[hit] = t0 + over[:, hit].argmax(axis=0)
+            if bad[0] >= 0:  # serial order reports the lowest replication
+                break
+    if np.any(bad >= 0):
+        rep = int(np.argmax(bad >= 0))
+        raise NonStationaryError(
+            f"|sum x| exceeded {_DIVERGENCE_GUARD:g} at period {bad[rep]} "
+            f"(replication {rep}); the gain does not stabilize the market"
         )
-        if bad >= 0:
-            raise NonStationaryError(
-                f"|sum x| exceeded {_DIVERGENCE_GUARD:g} at period {bad} "
-                f"(replication {rep}); the gain does not stabilize the market"
-            )
-        sl = slice(c.burn_in, None)
-        return U[sl], Z2[sl]
-
-    parts = _run_replications(worker, c.replications, c.threads)
-    U = np.concatenate([pt[0] for pt in parts])
-    Z2 = np.concatenate([pt[1] for pt in parts])
-    return _assemble_stats(U, Z2, None, c)
+    return _assemble_stats(U[c.burn_in:].T.ravel(), Z2[c.burn_in:].T.ravel(), None, c)
 
 
 def conditional_tail_report(
@@ -399,16 +396,14 @@ def conditional_tail_report(
     )
 
 
-def series_rows(stats: PathStats):
-    """Yield (t, U, x_sum, o_flags) rows from a kept series."""
+def series_columns(stats: PathStats):
+    """The kept series as (t, U, x_sum, o_flags) arrays; o_flags are zero
+    when the simulator recorded none."""
     if stats.series is None:
         raise InvalidParamsError("simulation was run without keep_series")
     s = stats.series
     flags = s.get("o_flags")
-    for i in range(len(s["t"])):
-        yield (
-            int(s["t"][i]),
-            float(s["U"][i]),
-            float(s["x_sum"][i]),
-            int(flags[i]) if flags is not None else 0,
-        )
+    if flags is None:
+        flags = np.zeros(len(s["t"]), np.uint8)
+    return s["t"], s["U"], s["x_sum"], flags
+

@@ -1,4 +1,5 @@
 """Command-line surface: outputs, formats, exit codes, reproducibility."""
+import importlib.util
 import json
 import os
 
@@ -6,10 +7,19 @@ import numpy as np
 import pytest
 
 import oligosched as og
+from oligosched import _textio
 from oligosched.cli import main
 
 PARAMS = '{"q1":1,"q2":0.75,"mu1":0,"mu2":0,"sigma1":1,"sigma2":1}'
 PD_PARAMS = '{"q1":0.6,"q2":0.6,"mu1":15,"mu2":15,"sigma1":6,"sigma2":6}'
+
+
+def row_csv_oracle(header, rows):
+    """The former per-row CSV writer: every value through _textio.fmt."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_textio.fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 class TestL2Commands:
@@ -75,6 +85,40 @@ class TestL2Commands:
         lines = series.read_text().strip().splitlines()
         assert lines[0] == "t,U,x_sum,o_flags"
         assert len(lines) == 501
+
+    def test_simulate_manifest_records_backend(self, tmp_path):
+        out = tmp_path / "a.json"
+        assert main(
+            ["l2", "simulate", "--arch", "coop", "--params", PD_PARAMS,
+             "--horizon", "2000", "--seed", "3", "--out", str(out)]
+        ) == 0
+        manifest = json.loads((tmp_path / "a.json.manifest.json").read_text())
+        # the L=2 kernel is compiled exactly when numba can be imported
+        expected = "numba" if importlib.util.find_spec("numba") else "python"
+        assert manifest["sim_backend"] == expected
+
+    def test_series_csv_columns_match_row_text(self):
+        n = _textio._CSV_CHUNK + 1000  # a full block and a partial one
+        rng = np.random.default_rng(3)
+        t = np.arange(n)
+        U = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        special = [0.0, -0.0, 3.0, -42.0, 1e-300, 1.0 / 3.0, 0.1, 2.0 ** 60,
+                   123456789.01234567]
+        U[: len(special)] = special
+        x = np.round(7.0 * U)  # integer-valued floats, -0 where U is -0
+        flags = (t % 4).astype(np.uint8)
+        U[-3:] = [np.nan, np.inf, -np.inf]
+        header = ["t", "U", "x_sum", "o_flags"]
+        text = _textio.csv_text(header, (t, U, x, flags))
+        rows = zip(t.tolist(), U.tolist(), x.tolist(), flags.tolist())
+        assert text == row_csv_oracle(header, rows)
+        lines = text.splitlines()
+        assert lines[2:7] == ["1,-0,-0,1", "2,3,21,2", "3,-42,-294,3",
+                              "4,1e-300,0,0",
+                              "5,0.33333333333333331,2,1"]
+        assert lines[-3:] == [f"{n - 3},NaN,{x[-3]:.17g},{(n - 3) % 4}",
+                              f"{n - 2},Infinity,{x[-2]:.17g},{(n - 2) % 4}",
+                              f"{n - 1},-Infinity,{x[-1]:.17g},{(n - 1) % 4}"]
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.json"

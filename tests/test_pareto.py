@@ -119,6 +119,16 @@ class TestSynthesize:
             assert J <= J_oracle * (1 + 1e-9)
             assert pt.objective == pytest.approx(J, rel=1e-10)
 
+    def test_half_decade_rung_certifies_l12_weight(self):
+        # no decade rung 1e-9, ..., 1e-5 certifies this default-grid weight
+        ss = og.build_state_space(12)
+        cfg = SynthesisConfig()
+        w = og.OutputWeights.normalized(0.1, 0.9, 10.0)
+        pt = og.synthesize(w, ss, cfg)
+        _, G = og.objective_and_gradient(pt.gain, w, ss, cfg.stability_margin)
+        assert np.max(np.abs(G)) <= cfg.tol_grad
+        assert pt.epsilon not in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)
+
     def test_uncertifiable_tolerance_raises_with_rung_trace(self, ss2):
         w = og.OutputWeights.normalized(1.0, 1.0, 1.0)
         with pytest.raises(og.NotConvergedError) as info:

@@ -1,10 +1,12 @@
 """Monte Carlo simulator: kernel fidelity, determinism, statistical checks."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oligosched as og
+from oligosched import rngstreams
 from conftest import random_stable_gain
 
 
@@ -35,6 +37,60 @@ def reference_l2_path(s, p, h1, h2, d1, d2, clamp=False):
         U.append(x + u)
         X.append(x)
     return np.array(U), np.array(X), ledger
+
+
+def general_kernel_oracle(R1, R2, F, h, d, L, clamp, guard):
+    """The former per-replication loop kernel of ``simulate_general``.
+
+    Advances one replication period by period, tracking the existence
+    state o with its own recurrence and masking the gain slot by slot.
+    Returns (U, sum x, first diverging period or -1).
+    """
+    n = h.shape[0]
+    D = R1.shape[0]
+    U = np.empty(n)
+    Z2 = np.empty(n)
+    x = np.zeros(D)
+    o = np.zeros(D)
+    u = np.zeros(D)
+    bad = -1
+    for t in range(n):
+        x = R1 @ (x - u) + R2 @ (h[t] * d[t])
+        o = R1 @ o + R2 @ h[t]
+        u = F @ x
+        for i in range(D):
+            if o[i] == 0.0:
+                u[i] = 0.0
+        for i in range(L):
+            u[i] = x[i] if o[i] != 0.0 else 0.0
+        if clamp:
+            for i in range(L, D):
+                if u[i] < 0.0:
+                    u[i] = 0.0
+        s_u = 0.0
+        s_x = 0.0
+        for i in range(D):
+            s_u += u[i]
+            s_x += x[i]
+        U[t] = s_u
+        Z2[t] = s_x
+        if s_x > guard or s_x < -guard:
+            bad = t
+            break
+    return U, Z2, bad
+
+
+def replication_draws(seed, rep, arrival, L, horizon):
+    """Replication ``rep``'s (h, d) in simulate_general's draw order."""
+    q, mu, sg = arrival.resolved(L)
+    gen = rngstreams.stream(seed, rep)
+    h = np.empty((horizon, L))
+    d = np.empty((horizon, L))
+    for l in range(L):
+        h[:, l] = rngstreams.bernoulli(gen, q[l], horizon)
+    for l in range(L):
+        d[:, l] = mu[l] + sg[l] * rngstreams.standard_normals(gen, horizon)
+    return h, d
 
 
 class TestKernelFidelity:
@@ -243,6 +299,112 @@ class TestGeneralSimulator:
         assert abs(var_z2 - 3.0) <= 3 * stats.mc_stderr["second_x"]
 
 
+class TestGeneralVectorized:
+    """simulate_general against the loop oracle, replication by replication."""
+
+    @pytest.mark.parametrize("L", [2, 3, 5, 8], ids=lambda L: f"L={L}")
+    def test_vectorized_matches_loop_oracle(self, L):
+        ss = og.build_state_space(L)
+        F = random_stable_gain(ss, np.random.default_rng(L))
+        # 5000 periods span several chunks; q = 1 keeps every slot filled
+        for q, nonneg, reps in ((0.7, False, 3), (1.0, True, 1),
+                                (0.7, True, 3), (1.0, False, 1)):
+            arrival = og.ArrivalSpec(q=(q,), mu=(0.5,))
+            cfg = og.SimConfig(horizon=5000, burn_in=100, replications=reps,
+                               seed=60 + L, nonneg_demand=nonneg, keep_series=True)
+            stats = og.simulate_general(F, ss, arrival, cfg)
+            n = cfg.horizon - cfg.burn_in
+            assert stats.n_samples == reps * n
+            for rep in range(reps):
+                h, d = replication_draws(cfg.seed, rep, arrival, L, cfg.horizon)
+                U, Z2, bad = general_kernel_oracle(
+                    ss.R1, ss.R2, F, h, d, L, nonneg, 1e9
+                )
+                assert bad == -1
+                got_u = stats.series["U"][rep * n:(rep + 1) * n]
+                got_x = stats.series["x_sum"][rep * n:(rep + 1) * n]
+                tol = 1e-12 * max(1.0, np.max(np.abs(U)))
+                assert np.max(np.abs(got_u - U[cfg.burn_in:])) <= tol, (q, nonneg, rep)
+                assert np.max(np.abs(got_x - Z2[cfg.burn_in:])) <= tol, (q, nonneg, rep)
+
+    @pytest.mark.parametrize("q2, seed", [(0.65, 4), (0.65, 10), (1.0, 0)],
+                             ids=["rep1-reported", "rep0-diverges-late", "overflow"])
+    def test_general_divergence_guard(self, q2, seed, ss2):
+        # u of the flexible slot feeds -3x of its own backlog back:
+        # R1 (I - F) has spectral radius 3, and a run of about 19
+        # consecutive flexible arrivals pushes |sum x| past the guard.  At
+        # q2 = 1 every replication diverges at once and would overflow
+        # within the first chunk.
+        F = np.eye(3)
+        F[2] = [0.0, -3.0, 0.5]
+        assert og.FeedbackGain(F, ss2).spectral_radius > 1.0
+        arrival = og.ArrivalSpec(q=(0.9, q2))
+        cfg = og.SimConfig(horizon=20_000, replications=4, seed=seed)
+        first = [
+            general_kernel_oracle(
+                ss2.R1, ss2.R2, F,
+                *replication_draws(seed, rep, arrival, 2, cfg.horizon), 2, False, 1e9,
+            )[2]
+            for rep in range(cfg.replications)
+        ]
+        rep = next(r for r, t in enumerate(first) if t >= 0)
+        if q2 < 1.0:
+            # the serial loop reports the lowest diverging replication,
+            # which here is not the one that diverges first
+            assert min(t for t in first if t >= 0) < first[rep]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(og.NonStationaryError) as info:
+                og.simulate_general(F, ss2, arrival, cfg)
+        assert f"at period {first[rep]} (replication {rep})" in str(info.value)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("L, horizon", [(8, 3), (5, 1024), (3, 1025), (2, 2049)])
+    def test_short_and_chunk_edge_horizons_match_oracle(self, L, horizon):
+        # shorter than the deepest slot's history, exactly one chunk, and
+        # one period into a further chunk
+        ss = og.build_state_space(L)
+        F = random_stable_gain(ss, np.random.default_rng(L))
+        arrival = og.ArrivalSpec(q=(0.6,), mu=(0.5,))
+        cfg = og.SimConfig(horizon=horizon, replications=2, seed=3, keep_series=True)
+        stats = og.simulate_general(F, ss, arrival, cfg)
+        for rep in range(2):
+            h, d = replication_draws(cfg.seed, rep, arrival, L, horizon)
+            U, Z2, _ = general_kernel_oracle(ss.R1, ss.R2, F, h, d, L, False, 1e9)
+            tol = 1e-12 * max(1.0, np.max(np.abs(U)))
+            got = slice(rep * horizon, (rep + 1) * horizon)
+            assert np.max(np.abs(stats.series["U"][got] - U)) <= tol
+            assert np.max(np.abs(stats.series["x_sum"][got] - Z2)) <= tol
+
+    def test_stream_at_continues_the_stream(self):
+        full = rngstreams.stream(5, 3).random(20_000)
+        for offset in (0, 1, 2, 3, 4, 5, 7, 1023, 10_001):
+            gen = rngstreams.stream_at(5, 3, offset)
+            got = np.concatenate([gen.random(3), gen.random(1024)])
+            assert np.array_equal(got, full[offset:offset + 1027]), offset
+
+    def test_same_seed_bitwise_repeatable(self, ss3):
+        F = og.make_f_br(0.3, ss3)
+        cfg = og.SimConfig(horizon=6000, burn_in=50, replications=2, seed=8,
+                           tail_thresholds=(3.0,))
+        arrival = og.ArrivalSpec(q=(0.7,))
+        a = og.simulate_general(F, ss3, arrival, cfg)
+        b = og.simulate_general(F, ss3, arrival, cfg)
+        assert same_stats(a, b)
+
+    def test_threads_do_not_change_results(self, ss3):
+        F = og.make_f_br(0.3, ss3)
+        arrival = og.ArrivalSpec(q=(0.7,))
+        outs = [
+            og.simulate_general(F, ss3, arrival, og.SimConfig(
+                horizon=6000, burn_in=50, replications=3, seed=9,
+                threads=threads, tail_thresholds=(3.0,),
+            ))
+            for threads in (1, 3)
+        ]
+        assert same_stats(*outs)
+
+
 class TestConditionalTails:
     def test_spikes_live_where_flexibility_is_absent(self):
         p = params(q1=0.9, q2=0.9)
@@ -294,12 +456,19 @@ class TestConfigValidation:
             og.SimConfig(horizon=100, quantile_levels=(0.0,))
 
     def test_series_rows(self):
-        from oligosched.simulate import series_rows
+        from oligosched.simulate import series_columns
 
         p = params(q2=0.5)
         s = og.coop_strategy(p)
         stats = og.simulate_l2(s, p, og.SimConfig(horizon=50, seed=2, keep_series=True))
-        rows = list(series_rows(stats))
-        assert len(rows) == 50
-        t, u, x, flags = rows[0]
-        assert t == 0 and isinstance(u, float) and flags in range(4)
+        t, u, x, flags = series_columns(stats)
+        assert len(t) == len(u) == len(x) == len(flags) == 50
+        assert t[0] == 0 and u.dtype == float and x.dtype == float
+        assert set(np.unique(flags)) <= set(range(4))
+        # the general simulator records no flags; they read as zero
+        ss = og.build_state_space(3)
+        stats = og.simulate_general(og.make_f_br(0.3, ss), ss, og.ArrivalSpec(q=(0.7,)),
+                                    og.SimConfig(horizon=40, seed=2, keep_series=True))
+        t, u, x, flags = series_columns(stats)
+        assert len(flags) == 40 and not flags.any()
+        assert np.array_equal(u, stats.series["U"]) and np.array_equal(x, stats.series["x_sum"])
