@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from . import __version__, _textio, simulate
+from . import __version__, _textio
 from .analysis import efficiency, risk_upper_bound, stationary_moments
 from .errors import (
     InvalidParamsError,
@@ -195,7 +195,6 @@ def _cmd_l2_simulate(ns, argv):
         else (),
         quantile_levels=tuple(float(v) for v in ns.quantiles.split(",") if v),
         keep_series=ns.series_csv is not None,
-        threads=ns.threads,
     )
     stats = simulate_l2(s, p, cfg)
     result = {
@@ -235,12 +234,10 @@ def _cmd_l2_simulate(ns, argv):
             "burn_in": ns.burn_in,
             "replications": ns.replications,
             "nonneg_demand": ns.nonneg,
-            "threads": ns.threads,
         },
         seed=seed,
     )
-    compiled = hasattr(simulate._l2_kernel, "py_func")  # a numba dispatcher
-    man["sim_backend"] = "numba" if compiled else "python"
+    man["sim_backend"] = "numpy"
     _emit(_textio.dumps(result) + "\n", ns.out, man, extra)
     return 0
 
@@ -404,7 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--quantiles", default="0.5,0.95,0.999")
             sp.add_argument("--nonneg", action="store_true")
             sp.add_argument("--series-csv", default=None)
-            sp.add_argument("--threads", type=int, default=1)
 
     lti = sub.add_parser("lti", help="general-L surrogate system").add_subparsers(
         dest="cmd", required=True

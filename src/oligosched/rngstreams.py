@@ -2,8 +2,9 @@
 
 Stream ``i`` of base seed ``s`` is a Philox counter-based generator keyed
 with ``mix64(s, i)``, the SplitMix64 finalizer applied to ``s + i*GOLDEN``.
-Streams derived this way are independent of execution order, so statistics
-reduced over replications are bit-identical no matter how many workers run.
+A replication's draws depend only on (seed, index), never on which
+replications ran before it, so statistics reduced over replications are
+bit-identical for a given seed.
 
 Normal variates are produced by the inverse CDF applied to uniform draws
 (one uniform per variate, clipped away from {0,1} at 2^-53), so a

@@ -8,8 +8,8 @@ diagnostics.
 
 Reproducibility contract: replication ``i`` draws from the Philox stream
 keyed by ``mix64(seed, i)`` (see rngstreams), with a fixed draw order per
-replication, so results are bit-identical for a given (seed, config) no
-matter how many worker threads run.
+replication, so results are bit-identical for a given (seed, config).  Both
+simulators are numpy code.
 
 For general L, a gain computed for the everyone-arrives world is applied to
 the sparse-arrival world by masking: rows and columns of absent agents are
@@ -19,18 +19,9 @@ should say so.
 """
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dependency normally
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 from . import rngstreams
 from .errors import InsufficientSamplesError, InvalidParamsError, NonStationaryError
@@ -40,12 +31,21 @@ from .strategies import LinearStrategyL2, MarketParamsL2
 _DIVERGENCE_GUARD = 1e9
 # periods simulate_general draws, sums and checks at a time
 _CHUNK_PERIODS = 1024
+# _l2_kernel replays runs in numpy waves while at least this many are active;
+# below it a wave's fixed cost exceeds that of the scalar recurrence
+_WAVE_MIN_RUNS = 32
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation run shape and output selection.  ``threads`` affects only
-    ``simulate_l2``; ``simulate_general`` advances all replications at once."""
+    """Simulation run shape and output selection.
+
+    ``horizon`` periods per replication, of which the first ``burn_in`` are
+    dropped; ``replications`` independent streams of ``seed`` are pooled.
+    ``nonneg_demand`` clamps flexible demand at zero.  The statistics cover
+    ``quantile_levels`` and Pr(U > M) for each M in ``tail_thresholds``;
+    ``keep_series`` keeps the pooled per-period series.
+    """
 
     horizon: int
     burn_in: int = 0
@@ -55,7 +55,6 @@ class SimConfig:
     tail_thresholds: tuple = ()
     quantile_levels: tuple = (0.5, 0.95, 0.999)
     keep_series: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -66,8 +65,6 @@ class SimConfig:
             raise InvalidParamsError("replications must be >= 1")
         if any(not 0.0 < q < 1.0 for q in self.quantile_levels):
             raise InvalidParamsError("quantile levels must lie strictly in (0, 1)")
-        if self.threads < 1:
-            raise InvalidParamsError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -110,43 +107,73 @@ class PathStats:
     series: dict | None = field(default=None, repr=False)
 
 
-@njit(cache=True, nogil=True)
 def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard):
+    """The two-type recurrence over one replication: (U, X, first bad period).
+
+    Period t takes x = carry (+ d1 if h1); a present flexible agent demands
+    u = -a x + b d2 + g (zero if ``clamp`` and negative) and carries d2 - u,
+    otherwise u = 0 and the carry resets to 0.  So the path splits into
+    runs: each starts at t = 0 or after h2 = 0, with no carry in, and ends
+    at its first h2 = 0.  Wave 0 holds every run's first period, wave k + 1
+    the next period of each run still going after wave k.  A wave is one set
+    of elementwise numpy operations in the order above, so every value is
+    bit-identical to a period-by-period loop.  Once fewer than
+    ``_WAVE_MIN_RUNS`` (K) runs are active, each finishes by the scalar
+    recurrence from its carry; a wave thus covers at least K periods, and
+    there are at most n / K numpy passes.
+
+    ``bad`` is the first period in time order with |x| > guard, or -1;
+    periods after it may be left unset.
+    """
     n = h1.shape[0]
     U = np.empty(n)
     X = np.empty(n)
-    carry = 0.0
-    bad = -1
-    for t in range(n):
-        x = carry
-        if h1[t]:
-            x += d1[t]
-        if h2[t]:
-            u = -a * x + b * d2[t] + g
-            if clamp and u < 0.0:
-                u = 0.0
-            carry = d2[t] - u
-        else:
-            u = 0.0
-            carry = 0.0
-        U[t] = x + u
-        X[t] = x
-        if x > guard or x < -guard:
-            bad = t
-            break
-    return U, X, bad
-
-
-def _run_replications(worker, replications, threads):
-    """Run replication workers, preserving index order in the output."""
-    if threads <= 1 or replications == 1:
-        return [worker(i) for i in range(replications)]
-    out = [None] * replications
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(worker, i): i for i in range(replications)}
-        for fut in concurrent.futures.as_completed(futures):
-            out[futures[fut]] = fut.result()
-    return out
+    h1 = h1.astype(bool)
+    h2 = h2.astype(bool)
+    # A diverging run overflows in later waves; the guard reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        idx = np.flatnonzero(np.concatenate(([True], ~h2[:-1])))
+        carry = np.zeros(idx.size)
+        while idx.size >= _WAVE_MIN_RUNS:
+            x = carry
+            np.add(x, d1[idx], out=x, where=h1[idx])
+            d2i = d2[idx]
+            u = -a * x
+            u += b * d2i
+            u += g
+            if clamp:
+                u[u < 0.0] = 0.0
+            going = h2[idx]
+            u[~going] = 0.0
+            U[idx] = x + u
+            X[idx] = x
+            carry = (d2i - u)[going]
+            idx = idx[going] + 1
+            if idx.size and idx[-1] == n:
+                idx, carry = idx[:-1], carry[:-1]
+        # the scalar tail: each run left goes on to its first h2 = 0, or to n
+        ends = np.flatnonzero(~h2)
+        stops = np.append(ends, n - 1)[np.searchsorted(ends, idx)] + 1
+        for t, stop, carry in zip(idx.tolist(), stops.tolist(), carry.tolist()):
+            for f1, f2, e1, e2 in zip(h1[t:stop].tolist(), h2[t:stop].tolist(),
+                                      d1[t:stop].tolist(), d2[t:stop].tolist()):
+                x = carry
+                if f1:
+                    x += e1
+                if f2:
+                    u = -a * x + b * e2 + g
+                    if clamp and u < 0.0:
+                        u = 0.0
+                    carry = e2 - u
+                else:
+                    u = 0.0
+                U[t] = x + u
+                X[t] = x
+                if x > guard or x < -guard:
+                    break
+                t += 1
+        over = np.flatnonzero(np.abs(X) > guard)
+    return U, X, int(over[0]) if over.size else -1
 
 
 def _batch_values(series: np.ndarray, batch_len: int, fn) -> np.ndarray:
@@ -179,15 +206,17 @@ def _assemble_stats(U, X, flex, cfg: SimConfig, flags=None) -> PathStats:
         "mean_x": _stderr(_batch_values(X, batch_len, np.mean)),
         "second_x": _stderr(_batch_values(X * X, batch_len, np.mean)),
     }
-    quantiles = {}
-    for lv in cfg.quantile_levels:
-        quantiles[lv] = float(np.quantile(U, lv))
-        vals = (
-            _batch_values(U, batch_len, lambda r, lv=lv: np.quantile(r, lv))
-            if (1.0 - lv) * batch_len >= 20
-            else np.array([])
-        )
-        stderr[f"quantile_{lv:g}"] = _stderr(vals)
+    levels = list(cfg.quantile_levels)
+    quantiles = dict(zip(levels, np.quantile(U, levels).tolist()))
+    # batch quantiles resolve a level only with >= 20 samples above it
+    resolved = [lv for lv in levels if (1.0 - lv) * batch_len >= 20]
+    nb = n // batch_len
+    batch_q = {}
+    if resolved and nb >= 2:
+        batches = U[: nb * batch_len].reshape(nb, batch_len)
+        batch_q = dict(zip(resolved, np.quantile(batches, resolved, axis=1)))
+    for lv in levels:
+        stderr[f"quantile_{lv:g}"] = _stderr(batch_q.get(lv, np.array([])))
     tails = {}
     for M in cfg.tail_thresholds:
         ind = (U > M).astype(float)
@@ -234,7 +263,7 @@ def simulate_l2(s: LinearStrategyL2, p: MarketParamsL2, c: SimConfig) -> PathSta
     is U(t) = x(t) + u.
     """
 
-    def worker(rep):
+    def replication(rep):
         gen = rngstreams.stream(c.seed, rep)
         h1 = rngstreams.bernoulli(gen, p.q1, c.horizon)
         h2 = rngstreams.bernoulli(gen, p.q2, c.horizon)
@@ -252,7 +281,7 @@ def simulate_l2(s: LinearStrategyL2, p: MarketParamsL2, c: SimConfig) -> PathSta
         flags = (h1[sl] | (h2[sl] << 1)).astype(np.uint8)
         return U[sl], X[sl], h2[sl].astype(bool), flags
 
-    parts = _run_replications(worker, c.replications, c.threads)
+    parts = [replication(rep) for rep in range(c.replications)]
     U = np.concatenate([pt[0] for pt in parts])
     X = np.concatenate([pt[1] for pt in parts])
     flex = np.concatenate([pt[2] for pt in parts])

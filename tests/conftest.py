@@ -20,17 +20,6 @@ def ss5():
     return og.build_state_space(5)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the simulation kernels once so timed tests are not charged."""
-    p = og.MarketParamsL2(0.5, 0.5, 0, 0, 1, 1)
-    og.simulate_l2(og.coop_strategy(p), p, og.SimConfig(horizon=64))
-    ss = og.build_state_space(2)
-    og.simulate_general(
-        np.eye(3), ss, og.ArrivalSpec(q=(0.5, 0.5)), og.SimConfig(horizon=64)
-    )
-
-
 def expected_two_period_cost(u, x, d2, profile, p, gamma=0.0):
     """Literal expected two-period cost of the current flexible agent.
 

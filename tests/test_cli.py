@@ -1,5 +1,4 @@
 """Command-line surface: outputs, formats, exit codes, reproducibility."""
-import importlib.util
 import json
 import os
 
@@ -93,9 +92,8 @@ class TestL2Commands:
              "--horizon", "2000", "--seed", "3", "--out", str(out)]
         ) == 0
         manifest = json.loads((tmp_path / "a.json.manifest.json").read_text())
-        # the L=2 kernel is compiled exactly when numba can be imported
-        expected = "numba" if importlib.util.find_spec("numba") else "python"
-        assert manifest["sim_backend"] == expected
+        assert manifest["sim_backend"] == "numpy"
+        assert "threads" not in manifest["config"]
 
     def test_series_csv_columns_match_row_text(self):
         n = _textio._CSV_CHUNK + 1000  # a full block and a partial one

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import oligosched as og
-from oligosched import rngstreams
+from oligosched import rngstreams, simulate
 from conftest import random_stable_gain
+
+K = simulate._WAVE_MIN_RUNS
 
 
 def params(q1=1.0, q2=0.6, mu1=0.0, mu2=0.0, s1=1.0, s2=1.0):
@@ -37,6 +39,48 @@ def reference_l2_path(s, p, h1, h2, d1, d2, clamp=False):
         U.append(x + u)
         X.append(x)
     return np.array(U), np.array(X), ledger
+
+
+def l2_loop_oracle(h1, h2, d1, d2, a, b, g, clamp, guard):
+    """The former period-by-period loop of ``_l2_kernel``, stopping at the
+    first period with |x| > guard: (U, X, that period or -1)."""
+    n = h1.shape[0]
+    U = np.empty(n)
+    X = np.empty(n)
+    carry = 0.0
+    bad = -1
+    for t in range(n):
+        x = carry
+        if h1[t]:
+            x += d1[t]
+        if h2[t]:
+            u = -a * x + b * d2[t] + g
+            if clamp and u < 0.0:
+                u = 0.0
+            carry = d2[t] - u
+        else:
+            u = 0.0
+            carry = 0.0
+        U[t] = x + u
+        X[t] = x
+        if x > guard or x < -guard:
+            bad = t
+            break
+    return U, X, bad
+
+
+def l2_draws(p, seed, horizon):
+    """Replication 0's (h1, h2, d1, d2) in simulate_l2's draw order."""
+    gen = rngstreams.stream(seed, 0)
+    h1 = rngstreams.bernoulli(gen, p.q1, horizon)
+    h2 = rngstreams.bernoulli(gen, p.q2, horizon)
+    d1 = p.mu1 + p.sigma1 * rngstreams.standard_normals(gen, horizon)
+    d2 = p.mu2 + p.sigma2 * rngstreams.standard_normals(gen, horizon)
+    return h1, h2, d1, d2
+
+
+def bits(a):
+    return np.asarray(a, float).view(np.int64)
 
 
 def general_kernel_oracle(R1, R2, F, h, d, L, clamp, guard):
@@ -132,6 +176,42 @@ class TestKernelFidelity:
             assert abs(workload - consumed) <= 1e-9
 
 
+    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
+    @pytest.mark.parametrize("q2", [0.0, 0.6, 0.99, 1.0])
+    @pytest.mark.parametrize("horizon", [1, K - 1, K, K + 1, 4000])
+    def test_waves_match_reference_bitwise(self, horizon, q2, clamp):
+        # horizons around K, the fewest runs a numpy wave takes; q2 = 0
+        # makes every period a run of its own, q2 = 1 one run of the
+        # whole horizon
+        p = params(q1=0.8, q2=q2, mu1=1.0, mu2=0.5, s1=1.0, s2=1.5)
+        s = og.LinearStrategyL2(0.6, 0.5, -0.3)  # negative u is common
+        cfg = og.SimConfig(horizon=horizon, seed=11, nonneg_demand=clamp,
+                           keep_series=True)
+        stats = og.simulate_l2(s, p, cfg)
+        h1, h2, d1, d2 = l2_draws(p, cfg.seed, horizon)
+        U, X, _ = reference_l2_path(s, p, h1, h2, d1, d2, clamp=clamp)
+        assert np.array_equal(bits(stats.series["U"]), bits(U))
+        assert np.array_equal(bits(stats.series["x_sum"]), bits(X))
+
+    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
+    def test_long_runs_hand_off_to_the_scalar_tail(self, clamp):
+        p = params(q1=0.8, q2=0.99, mu1=1.0, mu2=0.5, s1=1.0, s2=1.5)
+        s = og.LinearStrategyL2(0.6, 0.5, -0.3)
+        horizon = 20_000
+        h1, h2, d1, d2 = l2_draws(p, 12, horizon)
+        # runs start at t = 0 and after each h2 = 0; waves stop once fewer
+        # than K runs go on, which here leaves some of the longest unfinished
+        starts = np.flatnonzero(np.concatenate(([True], h2[:-1] == 0)))
+        lengths = np.sort(np.diff(np.append(starts, horizon)))[::-1]
+        assert lengths.size >= K and lengths[0] > lengths[K - 1]
+        assert np.sum(np.maximum(lengths[:K - 1] - lengths[K - 1], 0)) > 1000
+        U, X, bad = simulate._l2_kernel(h1, h2, d1, d2, s.a, s.b, s.g, clamp, 1e9)
+        rU, rX, _ = reference_l2_path(s, p, h1, h2, d1, d2, clamp=clamp)
+        assert bad == -1
+        assert np.array_equal(bits(U), bits(rU))
+        assert np.array_equal(bits(X), bits(rX))
+
+
 def same_stats(a, b):
     """Bitwise equality of PathStats, treating NaN as equal to itself."""
     def eq(x, y):
@@ -149,22 +229,6 @@ def same_stats(a, b):
 
 
 class TestDeterminism:
-    def test_threads_do_not_change_results(self):
-        p = params(q2=0.5)
-        s = og.coop_strategy(p)
-        outs = []
-        for threads in (1, 3):
-            cfg = og.SimConfig(
-                horizon=20_000,
-                burn_in=100,
-                replications=5,
-                seed=321,
-                threads=threads,
-                tail_thresholds=(2.0,),
-            )
-            outs.append(og.simulate_l2(s, p, cfg))
-        assert same_stats(*outs)
-
     def test_same_seed_bitwise_repeatable(self):
         p = params(q2=0.5)
         s = og.mpe_strategy(p)
@@ -258,10 +322,45 @@ class TestStatistics:
                 )
 
     def test_divergence_guard(self):
-        p = params(q2=1.0)
-        runaway = og.LinearStrategyL2(-1.5, 1.0, 1.0)  # amplifies backlog
-        with pytest.raises(og.NonStationaryError):
-            og.simulate_l2(runaway, p, og.SimConfig(horizon=100_000, seed=1))
+        # At q2 = 1 the whole path is one run; at q2 = 0.95 the backlog
+        # blows up inside one of the longer runs while others go on; at
+        # q2 = 0.999 dozens of runs go on diverging until they overflow.
+        cfg = og.SimConfig(horizon=100_000, seed=1)
+        for q2, a in ((1.0, -1.5), (0.95, -1.5), (0.999, -3.0)):
+            p = params(q2=q2)
+            runaway = og.LinearStrategyL2(a, 1.0, 1.0)  # amplifies backlog
+            *_, bad = l2_loop_oracle(*l2_draws(p, cfg.seed, cfg.horizon),
+                                     runaway.a, runaway.b, runaway.g, False, 1e9)
+            assert bad > 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(og.NonStationaryError) as info:
+                    og.simulate_l2(runaway, p, cfg)
+            assert f"at period {bad} (replication 0)" in str(info.value), q2
+
+
+    @pytest.mark.parametrize("horizon, reps", [(100_000, 2), (300, 1)],
+                             ids=["batched", "one-batch"])
+    def test_quantiles_match_per_level_oracle(self, horizon, reps):
+        # 0.995 and 0.999 have too few samples above them per batch to be
+        # resolved; at 300 periods there is only one batch
+        levels = (0.05, 0.5, 0.95, 0.99, 0.995, 0.999)
+        p = params(q2=0.7)
+        cfg = og.SimConfig(horizon=horizon, replications=reps, seed=4,
+                           quantile_levels=levels, keep_series=True)
+        stats = og.simulate_l2(og.coop_strategy(p), p, cfg)
+        U = stats.series["U"]
+        batch_len = max(200, U.size // (64 * reps))
+        nb = U.size // batch_len
+        for lv in levels:
+            assert bits(stats.quantiles[lv]) == bits(float(np.quantile(U, lv)))
+            se = float("nan")
+            if (1.0 - lv) * batch_len >= 20 and nb >= 2:
+                rows = U[: nb * batch_len].reshape(nb, batch_len)
+                vals = np.array([np.quantile(r, lv) for r in rows])
+                se = float(np.std(vals, ddof=1) / np.sqrt(nb))
+            assert bits(stats.mc_stderr[f"quantile_{lv:g}"]) == bits(se), lv
+        assert list(stats.quantiles) == list(levels)
 
 
 class TestGeneralSimulator:
@@ -391,18 +490,6 @@ class TestGeneralVectorized:
         a = og.simulate_general(F, ss3, arrival, cfg)
         b = og.simulate_general(F, ss3, arrival, cfg)
         assert same_stats(a, b)
-
-    def test_threads_do_not_change_results(self, ss3):
-        F = og.make_f_br(0.3, ss3)
-        arrival = og.ArrivalSpec(q=(0.7,))
-        outs = [
-            og.simulate_general(F, ss3, arrival, og.SimConfig(
-                horizon=6000, burn_in=50, replications=3, seed=9,
-                threads=threads, tail_thresholds=(3.0,),
-            ))
-            for threads in (1, 3)
-        ]
-        assert same_stats(*outs)
 
 
 class TestConditionalTails:
