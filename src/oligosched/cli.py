@@ -371,6 +371,7 @@ def _cmd_lti_operator(ns, argv):
         {"L": ns.L, "alpha1": ns.alpha1, "alpha2": ns.alpha2, "budget": ns.budget},
         seed=seed,
     )
+    man["telemetry"] = {"failures": res.failures, "inner_sweeps": res.inner_sweeps}
     _emit(_textio.dumps(result) + "\n", ns.out, man)
     return 0
 

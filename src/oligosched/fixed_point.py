@@ -4,13 +4,29 @@ With price p(t) = q1'x(t) + q2'u(t) and every agent conjecturing the
 symmetric feedback u(t) = F x(t), the one-shot deviation of agent
 (l, tau) yields a best-response row; collecting rows defines a map whose
 fixed points are the equilibrium gains.  Deadline rows are pinned to unit
-rows.  The map is not a contraction, so iteration is damped; both a
-Jacobi sweep (all rows from the current iterate) and a Gauss-Seidel sweep
-(rows updated in place) are provided, and convergence is always declared
-on the residual of the undamped map.
+rows.
+
+Every term of a deviation's cost is rank one, so a row needs vectors
+only.  With M = R1(I - F) and w = q1 + F'q2, shared by all rows, take row
+i = (l, tau) and p = pos(l, tau-1), so that R1 e_i = e_p.  For
+k = 1..tau-1 let j = pos(l, tau-k), a_k = w'M^(k-1), b_k = F[j] M^(k-1),
+alpha_k = a_k[p] and beta_k = b_k[p].  Then, with
+c = 2 sum_k alpha_k beta_k,
+
+    row_i = ((sum_k alpha_k b_k + beta_k a_k) M + (c + q2[i]) F[i] - w)
+            / (c + 2 q2[i]),
+
+the sum running over both products.
+
+One kernel evaluates a batch of rows this way, and the two sweeps differ
+only in order: a Jacobi sweep hands it every tau > 1 row against the
+input gain, a Gauss-Seidel sweep one row at a time against the gain as
+updated in place.  The map is not a contraction, so iteration is damped,
+and convergence is always declared on the residual of the undamped map.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +37,13 @@ from .errors import (
     NotConvergedError,
     SingularRowError,
 )
-from .statespace import FeedbackGain, StateSpace, _as_matrix, _spectral_radius
+from .statespace import (
+    FeedbackGain,
+    StateSpace,
+    _as_matrix,
+    _spectral_radius,
+    build_state_space,
+)
 
 
 @dataclass(frozen=True)
@@ -90,51 +112,111 @@ def even_split_gain(ss: StateSpace) -> np.ndarray:
     return F
 
 
-def _best_response_row(S: np.ndarray, q1, q2, ss: StateSpace, i: int, tau: int):
-    """Best-response row of agent at slot i with tau periods left."""
+@dataclass(frozen=True)
+class _RowPlan:
+    """Index arrays gathering one batch of best-response rows.
+
+    Each row (l, tau) has terms k = 1..tau-1, and each term reads two
+    vectors of V[k-1] = [w; S] M^(k-1): a_k (V row 0) and b_k (V row
+    1 + j).  Gathers list all a-terms, then all b-terms, so ``swap``
+    pairs each vector with its partner.
+    """
+
+    rows: np.ndarray  # slots computed, in slot order
+    depth: int  # V[0 .. depth-1] are needed
+    power: np.ndarray  # per vector: k - 1
+    vec: np.ndarray  # per vector: 0 for a_k, 1 + j for b_k
+    shifted: np.ndarray  # per vector: p = pos(l, tau - 1), so R1 e_i = e_p
+    swap: np.ndarray  # index of the partner vector
+    row_p: tuple  # (row index, p) per row
+    owner: np.ndarray  # (rows, vectors), 0/1: the row a vector sums into
+
+
+def _plan(ss: StateSpace, rows) -> _RowPlan:
+    owner_of, power, slot, shifted, row_p = [], [], [], [], []
+    for r, i in enumerate(rows):
+        l, tau = ss.pairs[i]
+        row_p.append(ss.position(l, tau - 1))
+        for k in range(1, tau):
+            owner_of.append(r)
+            power.append(k - 1)
+            slot.append(1 + ss.position(l, tau - k))
+            shifted.append(row_p[-1])
+    T = len(power)
+    owner = np.zeros((len(rows), 2 * T))
+    owner[owner_of * 2, np.arange(2 * T)] = 1.0
+    return _RowPlan(
+        np.array(rows, dtype=np.intp),
+        max(power, default=0) + 1,
+        np.array(power * 2, dtype=np.intp),
+        np.array([0] * T + slot, dtype=np.intp),
+        np.array(shifted * 2, dtype=np.intp),
+        np.roll(np.arange(2 * T), T),
+        (np.arange(len(rows)), np.array(row_p, dtype=np.intp)),
+        owner,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _row_plans(L: int) -> tuple[_RowPlan, tuple[_RowPlan, ...]]:
+    """The plan of all tau > 1 rows (Jacobi) and one plan per such row
+    (Gauss-Seidel), built once per L; StateSpace itself is unhashable."""
+    ss = build_state_space(L)
+    flexible = range(L, ss.D_c)  # tau-block order puts the deadline block first
+    return _plan(ss, flexible), tuple(_plan(ss, [i]) for i in flexible)
+
+
+def _best_response_rows(S: np.ndarray, q1, q2, ss: StateSpace, plan: _RowPlan):
+    """Best-response rows ``plan.rows`` against the conjectured gain S.
+
+    Raises SingularRowError for the first row, in slot order, whose
+    denominator vanishes.
+    """
     D = ss.D_c
-    M = ss.R1 @ (np.eye(D) - S)
+    M = ss.R1 - ss.R1 @ S
     w = q1 + S.T @ q2
-    A = np.zeros((D, D))
-    Mk = np.eye(D)
-    l = ss.pairs[i][0]
-    for k in range(1, tau):
-        j = ss.position(l, tau - k)
-        B = np.outer(w, S[j])
-        A += Mk.T @ (B + B.T) @ Mk
-        Mk = M @ Mk
-    ri = ss.R1[:, i]
-    left = ri @ A
-    core = M + np.outer(ri, S[i])
-    num = left @ core - (q1 + q2 @ S - q2[i] * S[i])
-    den = float(ri @ A @ ri + 2.0 * q2[i])
-    if abs(den) < 1e-12:
-        raise SingularRowError(l, tau, den)
-    return num / den
+    V = np.empty((plan.depth, D + 1, D))
+    V[0, 0] = w
+    V[0, 1:] = S
+    for m in range(1, plan.depth):
+        np.matmul(V[m - 1], M, out=V[m])
+    ab = V[plan.power, plan.vec]  # a_k and b_k
+    ab_p = V[plan.power, plan.vec, plan.shifted]  # alpha_k and beta_k
+    partner = ab_p[plan.swap]
+    left = plan.owner @ (partner[:, None] * ab)
+    c = left[plan.row_p]  # left[r, p] sums alpha_k beta_k + beta_k alpha_k
+    q2i = q2[plan.rows]
+    den = c + 2.0 * q2i
+    singular = (np.abs(den) < 1e-12).nonzero()[0]
+    if len(singular):
+        l, tau = ss.pairs[plan.rows[singular[0]]]
+        raise SingularRowError(l, tau, float(den[singular[0]]))
+    num = left @ M + (c + q2i)[:, None] * S[plan.rows] - w
+    return num / den[:, None]
 
 
 def f_map(F, pricing: PricingRule, ss: StateSpace, sweep: str = "jacobi") -> np.ndarray:
     """One sweep of the best-response map.
 
     Deadline rows are unit rows; each tau > 1 row is the exact one-shot
-    best response against the conjectured gain.  "jacobi" evaluates every
-    row against the input gain; "gauss-seidel" lets later rows see rows
-    already updated in this sweep.
+    best response against the conjectured gain, by the rank-one formula
+    of the module docstring.  "jacobi" evaluates every row against the
+    input gain in one batch; "gauss-seidel" evaluates the rows one at a
+    time in slot order, each against the gain as updated so far.
     """
     pricing = pricing.validated(ss)
     Fm = _as_matrix(F)
     if Fm.shape != (ss.D_c, ss.D_c):
         raise InvalidParamsError(f"gain must be {ss.D_c} x {ss.D_c}")
     q1, q2 = pricing.q1, pricing.q2
-    out = Fm.copy() if sweep == "gauss-seidel" else np.zeros_like(Fm)
-    src = out if sweep == "gauss-seidel" else Fm
-    for i, (l, tau) in enumerate(ss.pairs):
-        if tau == 1:
-            row = np.zeros(ss.D_c)
-            row[i] = 1.0
-        else:
-            row = _best_response_row(src, q1, q2, ss, i, tau)
-        out[i] = row
+    batch, singles = _row_plans(ss.L)
+    out = Fm.copy()
+    out[: ss.L] = np.eye(ss.D_c)[: ss.L]
+    if sweep == "gauss-seidel":
+        for plan in singles:
+            out[plan.rows] = _best_response_rows(out, q1, q2, ss, plan)
+    else:
+        out[batch.rows] = _best_response_rows(Fm, q1, q2, ss, batch)
     return out
 
 
@@ -172,11 +254,9 @@ def solve_mpe(
         if res <= cfg.tol:
             converged = True
             break
-        F = F + cfg.damping * (Fn - F)
-        # deadline rows stay exactly unit under damping
-        for i in range(ss.L):
-            F[i, :] = 0.0
-            F[i, i] = 1.0
+        # deadline rows of Fn are exact unit rows; only the others damp
+        F[ss.L :] += cfg.damping * (Fn[ss.L :] - F[ss.L :])
+        F[: ss.L] = Fn[: ss.L]
         if not np.all(np.isfinite(F)):
             raise NotConvergedError(
                 f"iteration diverged after {it} sweeps", residuals

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import rngstreams
 from .errors import (
+    FixedPointUnstableError,
     InvalidParamsError,
     NotConvergedError,
     SingularRowError,
-    UnstableError,
 )
 from .fixed_point import FixedPointConfig, MpeSolution, PricingRule, solve_mpe
 from .statespace import FeedbackGain, StateSpace, solve_lyapunov
@@ -62,6 +62,11 @@ class OperatorResult:
     objective: float
     baseline_objective: float
     evaluations: int
+    # over the search's ``evaluations`` inner solves: failures by kind
+    # ("singular-row", "not-converged", "unstable"), and the sweeps of the
+    # solves that ran to a verdict (a singular row stops a solve mid-sweep)
+    failures: dict
+    inner_sweeps: int
 
 
 def evaluate_pricing(
@@ -74,7 +79,8 @@ def evaluate_pricing(
 
     Returns (inf, diagnostics) when the inner equilibrium solve fails; the
     diagnostics record the failure kind so callers can distinguish a
-    singular row from plain non-convergence.
+    singular row from plain non-convergence, and every solve that ran to
+    a verdict records its ``iterations`` (sweeps).
     """
     try:
         sol = solve_mpe(pricing, ss, fp_cfg)
@@ -85,9 +91,17 @@ def evaluate_pricing(
             "periods_left": exc.periods_left,
         }
     except NotConvergedError as exc:
-        return float("inf"), {"status": "not-converged", "residuals": exc.residuals[-5:]}
-    except UnstableError as exc:
-        return float("inf"), {"status": "unstable", "detail": str(exc)}
+        return float("inf"), {
+            "status": "not-converged",
+            "residuals": exc.residuals[-5:],
+            "iterations": len(exc.residuals),
+        }
+    except FixedPointUnstableError as exc:
+        return float("inf"), {
+            "status": "unstable",
+            "detail": str(exc),
+            "iterations": exc.solution.iterations,
+        }
     F = sol.gain.F
     Q = solve_lyapunov(F, ss)
     val = float(
@@ -131,15 +145,20 @@ def optimize_pricing(
     D = ss.D_c
     fp_cfg = fp_cfg or FixedPointConfig(tol=1e-9, max_iter=600)
     count = 0
+    failures = dict.fromkeys(("singular-row", "not-converged", "unstable"), 0)
+    sweeps = 0
 
     def theta_to_pricing(theta):
         return PricingRule(theta[:D], theta[D:])
 
     def objective(theta):
-        nonlocal count
+        nonlocal count, sweeps
         count += 1
         theta = np.clip(theta, -box, box)
-        val, _ = evaluate_pricing(theta_to_pricing(theta), weights, ss, fp_cfg)
+        val, diag = evaluate_pricing(theta_to_pricing(theta), weights, ss, fp_cfg)
+        sweeps += diag.get("iterations", 0)
+        if diag["status"] != "ok":
+            failures[diag["status"]] += 1
         return _PENALTY if not np.isfinite(val) else val
 
     baseline_theta = np.concatenate([np.zeros(D), np.ones(D)])
@@ -194,4 +213,6 @@ def optimize_pricing(
         objective=float(val),
         baseline_objective=float(baseline_val),
         evaluations=count,
+        failures=failures,
+        inner_sweeps=sweeps,
     )

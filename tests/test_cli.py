@@ -206,6 +206,23 @@ class TestLtiCommands:
         assert data["objective"] <= data["baseline_objective"]
         assert data["evaluations"] >= 40
 
+    def test_operator_manifest_records_telemetry(self, tmp_path):
+        out = tmp_path / "operator.json"
+        argv = ["lti", "operator", "--L", "2", "--alpha1", "1", "--alpha2", "1",
+                "--budget", "20", "--seed", "2", "--out", str(out)]
+        assert main(argv) == 0
+        data = json.loads(out.read_text())
+        assert set(data) == {
+            "L", "pricing", "gain", "objective", "baseline_objective", "evaluations"
+        }
+        telemetry = json.loads(
+            (tmp_path / "operator.json.manifest.json").read_text()
+        )["telemetry"]
+        assert telemetry["failures"] == {
+            "singular-row": 0, "not-converged": 0, "unstable": 0
+        }
+        assert telemetry["inner_sweeps"] >= data["evaluations"]
+
     def test_bad_gain_file_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("nonsense\n")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import oligosched as og
+from oligosched import fixed_point
 from oligosched.fixed_point import FixedPointConfig
 
 
@@ -24,6 +25,74 @@ def one_shot_cost(u, x, F, pricing, ss, slot, tau):
         total += price * float(uvec[ss.position(l, tau - k)])
         state = ss.R1 @ (state - uvec)
     return total
+
+
+def reference_best_response_row(S, q1, q2, ss, i, tau):
+    """Best-response row of the agent at slot i, built from D x D matrices.
+
+    Independent oracle for the rank-one kernel: the one-shot cost's
+    quadratic form A is accumulated term by term from outer products.
+    """
+    D = ss.D_c
+    M = ss.R1 @ (np.eye(D) - S)
+    w = q1 + S.T @ q2
+    A = np.zeros((D, D))
+    Mk = np.eye(D)
+    l = ss.pairs[i][0]
+    for k in range(1, tau):
+        j = ss.position(l, tau - k)
+        B = np.outer(w, S[j])
+        A += Mk.T @ (B + B.T) @ Mk
+        Mk = M @ Mk
+    ri = ss.R1[:, i]
+    left = ri @ A
+    core = M + np.outer(ri, S[i])
+    num = left @ core - (q1 + q2 @ S - q2[i] * S[i])
+    den = float(ri @ A @ ri + 2.0 * q2[i])
+    if abs(den) < 1e-12:
+        raise og.SingularRowError(l, tau, den)
+    return num / den
+
+
+def reference_f_map(F, pricing, ss, sweep="jacobi"):
+    """The best-response map, one oracle row at a time in slot order."""
+    F = np.asarray(F, float)
+    out = F.copy() if sweep == "gauss-seidel" else np.zeros_like(F)
+    src = out if sweep == "gauss-seidel" else F
+    for i, (l, tau) in enumerate(ss.pairs):
+        if tau == 1:
+            row = np.zeros(ss.D_c)
+            row[i] = 1.0
+        else:
+            row = reference_best_response_row(src, pricing.q1, pricing.q2, ss, i, tau)
+        out[i] = row
+    return out
+
+
+def reference_solve(pricing, ss, cfg):
+    """Damped iteration on ``reference_f_map``: (sweeps, gain)."""
+    F = og.even_split_gain(ss)
+    for it in range(1, cfg.max_iter + 1):
+        Fn = reference_f_map(F, pricing, ss, cfg.sweep)
+        if np.max(np.abs(Fn - F)) <= cfg.tol:
+            return it, F
+        F = F + cfg.damping * (Fn - F)
+        F[: ss.L] = np.eye(ss.D_c)[: ss.L]
+    raise AssertionError("oracle iteration did not converge")
+
+
+def random_stable_gain(ss, rng):
+    while True:
+        F = og.even_split_gain(ss) + 0.05 * rng.standard_normal((ss.D_c, ss.D_c))
+        F[: ss.L] = np.eye(ss.D_c)[: ss.L]
+        if og.FeedbackGain(F, ss).stable:
+            return F
+
+
+def random_pricing(ss, rng):
+    return og.PricingRule(
+        0.2 * rng.standard_normal(ss.D_c), np.abs(rng.standard_normal(ss.D_c)) + 0.5
+    )
 
 
 def quadratic_argmin(fn):
@@ -87,6 +156,88 @@ class TestFMap:
             og.f_map(np.eye(4), og.marginal_cost_pricing(ss3), ss3)
         with pytest.raises(og.InvalidParamsError):
             og.PricingRule(np.zeros(2), np.zeros(3)).validated(ss3)
+
+
+class TestRankOneKernel:
+    @pytest.mark.parametrize("sweep", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 8])
+    def test_matches_reference_rows(self, L, sweep):
+        rng = np.random.default_rng(100 + L)
+        ss = og.build_state_space(L)
+        for _ in range(5):
+            F = random_stable_gain(ss, rng)
+            pricing = random_pricing(ss, rng)
+            want = reference_f_map(F, pricing, ss, sweep)
+            got = og.f_map(F, pricing, ss, sweep)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("sweep", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("L", [2, 3, 5, 8])
+    def test_degenerate_pricing_names_the_oracle_row(self, L, sweep):
+        ss = og.build_state_space(L)
+        pricing = og.PricingRule(np.zeros(ss.D_c), np.zeros(ss.D_c))
+        F = og.even_split_gain(ss)
+        with pytest.raises(og.SingularRowError) as want:
+            reference_f_map(F, pricing, ss, sweep)
+        with pytest.raises(og.SingularRowError) as got:
+            og.f_map(F, pricing, ss, sweep)
+        assert (got.value.agent_type, got.value.periods_left) == (
+            want.value.agent_type,
+            want.value.periods_left,
+        )
+
+    def test_first_singular_row_in_slot_order(self):
+        # q1 = -F'q2 zeroes w, so every den is 2 q2[i]: only the row with
+        # q2[i] = 0 is singular, wherever it sits in the batch
+        ss = og.build_state_space(4)
+        F = random_stable_gain(ss, np.random.default_rng(7))
+        for i in range(ss.L, ss.D_c):
+            q2 = np.ones(ss.D_c)
+            q2[i] = 0.0
+            pricing = og.PricingRule(-(F.T @ q2), q2)
+            with pytest.raises(og.SingularRowError) as want:
+                reference_f_map(F, pricing, ss)
+            with pytest.raises(og.SingularRowError) as got:
+                og.f_map(F, pricing, ss)
+            assert (got.value.agent_type, got.value.periods_left) == ss.pairs[i]
+            assert (want.value.agent_type, want.value.periods_left) == ss.pairs[i]
+
+
+class TestIterateEquivalence:
+    @pytest.mark.parametrize(
+        "L, cfg",
+        [(L, FixedPointConfig(damping=0.25)) for L in (2, 3, 4, 5)]
+        + [(4, FixedPointConfig(sweep="gauss-seidel"))],
+    )
+    def test_solve_mpe_follows_reference_iterates(self, L, cfg):
+        ss = og.build_state_space(L)
+        pricing = og.marginal_cost_pricing(ss)
+        sweeps, F = reference_solve(pricing, ss, cfg)
+        sol = og.solve_mpe(pricing, ss, cfg)
+        assert sol.iterations == sweeps
+        assert np.max(np.abs(sol.gain.F - F)) <= 1e-12
+
+    def test_operator_objective_matches_reference_run(self, monkeypatch):
+        ss = og.build_state_space(3)
+        w = og.OperatorWeights(1.0, 1.0)
+        res = og.optimize_pricing(w, ss, budget=60, seed=1)
+        monkeypatch.setattr(fixed_point, "f_map", reference_f_map)
+        ref = og.optimize_pricing(w, ss, budget=60, seed=1)
+        assert res.objective == pytest.approx(ref.objective, rel=1e-12, abs=0.0)
+        assert res.inner_sweeps == ref.inner_sweeps
+
+    def test_solve_mpe_calls_f_map_through_module_global(self, ss3, monkeypatch):
+        # the benchmark's tracer wraps fixed_point.f_map to count sweeps
+        calls = []
+        real = fixed_point.f_map
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fixed_point, "f_map", counting)
+        sol = og.solve_mpe(og.marginal_cost_pricing(ss3), ss3)
+        assert len(calls) == sol.iterations
 
 
 class TestSolveMpe:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oligosched as og
+from oligosched import fixed_point
 
 
 class TestOperatorObjective:
@@ -71,6 +72,34 @@ class TestOptimizePricing:
         res = og.optimize_pricing(w, ss2, budget=150, seed=11)
         again = og.operator_objective(res.pricing, w, ss2)
         assert abs(again - res.objective) <= 1e-10
+
+    def test_failure_counts_and_sweeps(self, ss2, monkeypatch):
+        w = og.OperatorWeights(1.0, 1.0)
+        fp_cfg = og.FixedPointConfig(tol=1e-9, max_iter=600)
+        res = og.optimize_pricing(w, ss2, budget=1, seed=3)
+        baseline = og.solve_mpe(og.marginal_cost_pricing(ss2), ss2, fp_cfg)
+        assert res.failures == {"singular-row": 0, "not-converged": 0, "unstable": 0}
+        assert res.inner_sweeps == baseline.iterations
+
+        # three sweeps cannot converge: every search solve fails that way
+        starved = og.FixedPointConfig(max_iter=3)
+        res = og.optimize_pricing(w, ss2, budget=8, seed=3, fp_cfg=starved)
+        assert res.failures == {
+            "singular-row": 0,
+            "not-converged": res.evaluations,
+            "unstable": 0,
+        }
+        assert res.inner_sweeps == 3 * res.evaluations
+        assert res.gain is None and math.isinf(res.objective)
+
+        # a singular row stops its solve mid-sweep and adds no sweeps
+        def singular(*args, **kwargs):
+            raise og.SingularRowError(2, 2, 0.0)
+
+        monkeypatch.setattr(fixed_point, "f_map", singular)
+        res = og.optimize_pricing(w, ss2, budget=4, seed=3)
+        assert res.failures["singular-row"] == res.evaluations
+        assert res.inner_sweeps == 0
 
     def test_weights_validation(self):
         with pytest.raises(og.InvalidParamsError):
