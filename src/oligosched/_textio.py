@@ -74,13 +74,18 @@ def dumps(obj, indent: int = 2, _level: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+_WRITE_SLICE = 1 << 20  # characters encoded per write
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-oligosched-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            # one write would encode the whole text at once, a second copy
+            for i in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[i:i + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -100,4 +105,5 @@ def csv_text(header: list[str], columns) -> str:
         block = list(zip(*(col[i:i + _CSV_CHUNK].tolist() for col in columns)))
         text = "\n".join([line] * len(block)) % tuple(itertools.chain(*block))
         lines.append(text.replace("nan", "NaN").replace("inf", "Infinity"))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, without a "+" copying the text
+    return "\n".join(lines)

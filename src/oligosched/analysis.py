@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import ndtr
-
 from .errors import InvalidMarginError, InvalidParamsError, NonStationaryError
 from .strategies import LinearStrategyL2, MarketParamsL2
 
@@ -123,6 +121,8 @@ def mixture_component_moments(
 
 def _normal_sf(M: float, mean: float, var: float) -> float:
     """Pr(N(mean, var) > M) as scipy.stats.norm.sf computes it, NaN for var <= 0."""
+    from scipy.special import ndtr  # 0.3 s to load; most commands never call this
+
     if not var > 0.0:
         return math.nan
     return float(ndtr((mean - M) / math.sqrt(var)))

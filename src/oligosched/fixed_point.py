@@ -21,8 +21,21 @@ the sum running over both products.
 One kernel evaluates a batch of rows this way, and the two sweeps differ
 only in order: a Jacobi sweep hands it every tau > 1 row against the
 input gain, a Gauss-Seidel sweep one row at a time against the gain as
-updated in place.  The map is not a contraction, so iteration is damped,
-and convergence is always declared on the residual of the undamped map.
+updated in place.
+
+The map is not a contraction, so ``solve_mpe`` drives it to its fixed
+point by type-II Anderson acceleration on the tau > 1 rows (Walker & Ni,
+SIAM J. Numer. Anal. 49, 2011).  With x_k those rows flattened,
+g_k = f_map(F_k) - F_k on them, and dX, dG the last m = 5 differences of
+the x and g iterates as columns,
+
+    x_{k+1} = x_k + beta g_k - (dX + beta dG) gamma,
+    gamma = argmin ||g_k - dG gamma||_2,
+
+where the mixing parameter beta is ``FixedPointConfig.damping``; with no
+history the step is the damped step x_k + beta g_k.  Deadline rows are
+copied from the map, and convergence is always declared on the residual
+of the undamped map.
 """
 from __future__ import annotations
 
@@ -44,6 +57,8 @@ from .statespace import (
     _spectral_radius,
     build_state_space,
 )
+
+_ANDERSON_DEPTH = 5  # m: differences kept in the Anderson history
 
 
 @dataclass(frozen=True)
@@ -76,7 +91,7 @@ def marginal_cost_pricing(ss: StateSpace) -> PricingRule:
 class FixedPointConfig:
     tol: float = 1e-10
     max_iter: int = 2000
-    damping: float = 0.5
+    damping: float = 0.5  # the Anderson mixing parameter beta
     sweep: str = "jacobi"  # or "gauss-seidel"
     init: object = "even-split"  # or "br", or an explicit gain matrix
 
@@ -223,12 +238,13 @@ def f_map(F, pricing: PricingRule, ss: StateSpace, sweep: str = "jacobi") -> np.
 def solve_mpe(
     pricing: PricingRule, ss: StateSpace, cfg: FixedPointConfig | None = None
 ) -> MpeSolution:
-    """Iterate the best-response map to a symmetric equilibrium gain.
+    """Anderson-accelerate the best-response map to a symmetric equilibrium gain.
 
     Returns the gain with undamped residual at most ``cfg.tol`` in sup
     norm; raises NotConvergedError (with the residual trace) when the
-    budget is exhausted and FixedPointUnstableError when a fixed point is
-    reached whose closed loop is not stable.
+    budget is exhausted or the iterates stop being finite, and
+    FixedPointUnstableError when a fixed point is reached whose closed
+    loop is not stable.
     """
     cfg = cfg or FixedPointConfig()
     pricing = pricing.validated(ss)
@@ -244,23 +260,39 @@ def solve_mpe(
     else:
         F = _as_matrix(cfg.init).copy()
 
+    flex = F[ss.L :]  # view: the rows Anderson updates
+    dX, dG = [], []  # columns of the history, oldest first
+    x_prev = g_prev = None
     residuals = []
     converged = False
     it = 0
-    for it in range(1, cfg.max_iter + 1):
-        Fn = f_map(F, pricing, ss, cfg.sweep)
-        res = float(np.max(np.abs(Fn - F)))
-        residuals.append(res)
-        if res <= cfg.tol:
-            converged = True
-            break
-        # deadline rows of Fn are exact unit rows; only the others damp
-        F[ss.L :] += cfg.damping * (Fn[ss.L :] - F[ss.L :])
-        F[: ss.L] = Fn[: ss.L]
-        if not np.all(np.isfinite(F)):
-            raise NotConvergedError(
-                f"iteration diverged after {it} sweeps", residuals
-            )
+    # a diverging iterate overflows; it is caught below by the finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, cfg.max_iter + 1):
+            Fn = f_map(F, pricing, ss, cfg.sweep)
+            res = float(np.max(np.abs(Fn - F)))
+            residuals.append(res)
+            if not np.isfinite(res):
+                raise NotConvergedError(
+                    f"iteration diverged after {it} sweeps", residuals
+                )
+            if res <= cfg.tol:
+                converged = True
+                break
+            x = flex.flatten()
+            g = Fn[ss.L :].ravel() - x
+            step = cfg.damping * g
+            if x_prev is not None:
+                dX.append(x - x_prev)
+                dG.append(g - g_prev)
+                if len(dX) > _ANDERSON_DEPTH:
+                    del dX[0], dG[0]
+                DG = np.column_stack(dG)
+                gamma = np.linalg.lstsq(DG, g, rcond=None)[0]
+                step -= (np.column_stack(dX) + cfg.damping * DG) @ gamma
+            x_prev, g_prev = x, g
+            flex += step.reshape(flex.shape)
+            F[: ss.L] = Fn[: ss.L]
     if not converged:
         raise NotConvergedError(
             f"no fixed point within {cfg.max_iter} sweeps (tol {cfg.tol:g})",

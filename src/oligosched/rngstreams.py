@@ -13,7 +13,6 @@ reimplementation that follows the same recipe matches statistically.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -46,6 +45,8 @@ def stream_at(seed: int, index: int, offset: int) -> np.random.Generator:
 
 def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
     """n standard normals via inverse-CDF of n uniform draws."""
+    from scipy.special import ndtri  # 0.3 s to load; most commands never draw
+
     u = gen.random(n)
     return ndtri(np.clip(u, _U_LO, _U_HI))
 

@@ -1,6 +1,8 @@
 """Command-line surface: outputs, formats, exit codes, reproducibility."""
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +119,25 @@ class TestL2Commands:
         assert lines[-3:] == [f"{n - 3},NaN,{x[-3]:.17g},{(n - 3) % 4}",
                               f"{n - 2},Infinity,{x[-2]:.17g},{(n - 2) % 4}",
                               f"{n - 1},-Infinity,{x[-1]:.17g},{(n - 1) % 4}"]
+
+    @pytest.mark.parametrize("rows", [0, 3 * _textio._CSV_CHUNK])
+    def test_atomic_write_round_trips_csv(self, tmp_path, rows):
+        # 196,608 rows are over 2 MiB, so the text is written in slices
+        U = np.random.default_rng(4).standard_normal(rows)
+        text = _textio.csv_text(["t", "U"], (np.arange(rows), U))
+        assert len(text) > 2 * _textio._WRITE_SLICE or rows == 0
+        path = tmp_path / "series.csv"
+        _textio.atomic_write_text(str(path), text)
+        assert path.read_bytes() == text.encode()
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        # scipy.special costs about 0.3 s of start-up; only draws and the
+        # mixture tail use it
+        code = "import sys, oligosched.cli; print('scipy.special' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.json"
