@@ -286,6 +286,8 @@ def _cmd_lti_mpe(ns, argv):
         pricing = marginal_cost_pricing(ss)
     else:
         data = _load_json(ns.pricing)
+        if not isinstance(data, dict):
+            raise InvalidParamsError("pricing must be a JSON object")
         unknown = set(data) - {"q1", "q2"}
         if unknown:
             raise InvalidParamsError(f"unknown pricing keys: {sorted(unknown)}")
@@ -326,6 +328,11 @@ def _cmd_lti_pareto(ns, argv):
         grid = default_weight_grid()
     else:
         data = _load_json(ns.grid)
+        if not isinstance(data, list) or not all(
+            isinstance(t, list) and len(t) == 3 and all(isinstance(v, (int, float)) for v in t)
+            for t in data
+        ):
+            raise InvalidParamsError("grid must be a JSON list of three-number lists")
         grid = [OutputWeights.normalized(*map(float, triple)) for triple in data]
     points = trace_front(grid, ss, SynthesisConfig(tol_grad=ns.tol_grad))
     front = np.array([[p.weights.alpha1, p.weights.alpha2, p.weights.alpha3,

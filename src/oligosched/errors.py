@@ -26,7 +26,7 @@ class InvalidMarginError(OligoschedError, ValueError):
 
 
 class UnstableError(OligoschedError):
-    """Closed-loop spectral radius is at or above one."""
+    """The closed loop is not certified stable (spectral radius below 1 - margin)."""
 
 
 class SingularRowError(OligoschedError):

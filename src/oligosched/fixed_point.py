@@ -36,6 +36,10 @@ where the mixing parameter beta is ``FixedPointConfig.damping``; with no
 history the step is the damped step x_k + beta g_k.  Deadline rows are
 copied from the map, and convergence is always declared on the residual
 of the undamped map.
+
+Some pricings have several stable fixed points; the equilibrium, and so
+the operator objective of ``operator_design``, is the one Anderson reaches
+from the even-split gain.
 """
 from __future__ import annotations
 
@@ -54,7 +58,6 @@ from .statespace import (
     FeedbackGain,
     StateSpace,
     _as_matrix,
-    _spectral_radius,
     build_state_space,
 )
 
@@ -93,7 +96,6 @@ class FixedPointConfig:
     max_iter: int = 2000
     damping: float = 0.5  # the Anderson mixing parameter beta
     sweep: str = "jacobi"  # or "gauss-seidel"
-    init: object = "even-split"  # or "br", or an explicit gain matrix
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -238,7 +240,7 @@ def f_map(F, pricing: PricingRule, ss: StateSpace, sweep: str = "jacobi") -> np.
 def solve_mpe(
     pricing: PricingRule, ss: StateSpace, cfg: FixedPointConfig | None = None
 ) -> MpeSolution:
-    """Anderson-accelerate the best-response map to a symmetric equilibrium gain.
+    """Anderson-accelerate the map from even-split to a symmetric equilibrium gain.
 
     Returns the gain with undamped residual at most ``cfg.tol`` in sup
     norm; raises NotConvergedError (with the residual trace) when the
@@ -248,24 +250,11 @@ def solve_mpe(
     """
     cfg = cfg or FixedPointConfig()
     pricing = pricing.validated(ss)
-    if isinstance(cfg.init, str):
-        if cfg.init == "even-split":
-            F = even_split_gain(ss)
-        elif cfg.init == "br":
-            from .statespace import make_f_br
-
-            F = make_f_br(0.1, ss).F
-        else:
-            raise InvalidParamsError(f"unknown init {cfg.init!r}")
-    else:
-        F = _as_matrix(cfg.init).copy()
-
+    F = even_split_gain(ss)
     flex = F[ss.L :]  # view: the rows Anderson updates
     dX, dG = [], []  # columns of the history, oldest first
     x_prev = g_prev = None
     residuals = []
-    converged = False
-    it = 0
     # a diverging iterate overflows; it is caught below by the finite check
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iter + 1):
@@ -277,7 +266,6 @@ def solve_mpe(
                     f"iteration diverged after {it} sweeps", residuals
                 )
             if res <= cfg.tol:
-                converged = True
                 break
             x = flex.flatten()
             g = Fn[ss.L :].ravel() - x
@@ -293,12 +281,12 @@ def solve_mpe(
             x_prev, g_prev = x, g
             flex += step.reshape(flex.shape)
             F[: ss.L] = Fn[: ss.L]
-    if not converged:
-        raise NotConvergedError(
-            f"no fixed point within {cfg.max_iter} sweeps (tol {cfg.tol:g})",
-            residuals,
-        )
-    sr = _spectral_radius(ss.R1 @ (np.eye(ss.D_c) - F))
+        else:
+            raise NotConvergedError(
+                f"no fixed point within {cfg.max_iter} sweeps (tol {cfg.tol:g})",
+                residuals,
+            )
+    sr = FeedbackGain(F, ss).spectral_radius
     sol = MpeSolution(FeedbackGain(F, ss), it, residuals, 1.0 - sr)
     if sr >= 1.0:
         raise FixedPointUnstableError(

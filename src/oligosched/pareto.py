@@ -32,7 +32,6 @@ from .statespace import (
     StateSpace,
     _as_matrix,
     _solve_dlyap,
-    _spectral_radius,
     h2_norms,
     solve_lyapunov,
 )
@@ -53,6 +52,8 @@ class SynthesisConfig:
     def __post_init__(self):
         if self.tol_grad <= 0.0:
             raise InvalidParamsError("tol_grad must be positive")
+        if not 0.0 <= self.stability_margin < 1.0:
+            raise InvalidParamsError("stability_margin must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,9 @@ def objective_and_gradient(F, weights: OutputWeights, ss: StateSpace, margin: fl
     J = trace((C1 + D12 F) Q (C1 + D12 F)') with Q the closed-loop
     controllability Gramian; the gradient uses the adjoint Gramian P of the
     observability equation and reads 2 (D12'(C1 + D12 F) + B2' P M) Q with
-    M = R1(I - F) and B2 = -R1.  Raises UnstableError when the closed-loop
-    spectral radius exceeds 1 - ``margin`` or either Gramian fails its
-    residual certificate.
+    M = R1(I - F) and B2 = -R1.  Raises UnstableError unless the Gramian
+    solve certifies a closed-loop spectral radius below 1 - ``margin``, or
+    when either Gramian fails its residual certificate.
     """
     Fm = _as_matrix(F)
     Q = solve_lyapunov(Fm, ss, margin)
@@ -209,8 +210,6 @@ def lmi_feasibility_audit(F, weights: OutputWeights, ss: StateSpace, eps: float 
     Fm = _as_matrix(F)
     D = ss.D_c
     M = ss.R1 @ (np.eye(D) - Fm)
-    if _spectral_radius(M) >= 1.0:
-        raise UnstableError("gain does not stabilize the closed loop")
     W = ss.R2 @ ss.R2.T + eps * np.eye(D)
     Q = _solve_dlyap(M, W)
     P = Fm @ Q

@@ -16,7 +16,7 @@ the stationary covariance Q_F solves
 and the three performance measures are quadratic forms in Q_F: aggregate
 demand e'F Q F'e, aggregate backlog e'Q e, and deadline mismatch
 (e_L'(I-F)) Q (e_L'(I-F))'.  Every Lyapunov equation, at any dimension, is
-solved by Smith's doubling iteration and certified by its residual.
+solved by Smith's doubling iteration and certified by its residual and a spectral bound.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .errors import InvalidParamsError, UnstableError
 # Doubling steps allowed before a Lyapunov solve is declared divergent; 64
 # steps sum 2**64 terms of the series, far past any stable closed loop.
 _DOUBLING_CAP = 64
+_UNDERFLOW_FLOOR = 1e-150  # an uncertified M^(2^k) this small may square to a false 0
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class FeedbackGain:
 
     @property
     def spectral_radius(self) -> float:
-        return _spectral_radius(self.closed_loop)
+        return float(np.max(np.abs(np.linalg.eigvals(self.closed_loop))))
 
     @property
     def stable(self) -> bool:
@@ -135,24 +136,23 @@ class H2Report:
     z3sq: float
 
 
-def _spectral_radius(M: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
-def _solve_dlyap(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _solve_dlyap(M: np.ndarray, W: np.ndarray, margin: float = 0.0) -> np.ndarray:
     """Solve M X M' - X + W = 0 by Smith's doubling iteration.
 
     X sums the series W + M W M' + M^2 W M^2' + ...; each step doubles the
     number of terms (X <- X + P X P', then P <- P^2 with P = M^(2^k)) and
     the loop stops once the increment is below 1e-16 of X elementwise.
-    Raises UnstableError when the series goes non-finite, misses that test
-    within _DOUBLING_CAP steps, or leaves a relative Frobenius residual
-    above 1e-10; an uncertified X is never returned.
+    X is accepted only when Gelfand's bound rho(M) <= ||P||inf^(1/2^k)
+    (Horn & Johnson, Cor. 5.6.14) is below 1 - ``margin``; until then P
+    keeps squaring with X left alone, so modes W does not excite count too.
+    UnstableError is raised if X goes non-finite, if the series or the bound
+    has not passed by _DOUBLING_CAP steps or ||P|| leaves [_UNDERFLOW_FLOOR,
+    inf) first, or if the relative Frobenius residual exceeds 1e-10.
     """
     X = W.copy()
     P = M.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_DOUBLING_CAP):
+        for k in range(_DOUBLING_CAP):
             inc = P @ X @ P.T
             X += inc
             size = np.abs(X).max()
@@ -165,6 +165,15 @@ def _solve_dlyap(M: np.ndarray, W: np.ndarray) -> np.ndarray:
             raise UnstableError(
                 f"Lyapunov doubling series not converged in {_DOUBLING_CAP} steps"
             )
+        while True:
+            norm = float(np.abs(P).sum(axis=1).max())
+            bound = norm ** 0.5 ** k
+            if bound < 1.0 - margin:
+                break
+            k += 1
+            if k == _DOUBLING_CAP or not _UNDERFLOW_FLOOR <= norm < math.inf:
+                raise UnstableError(f"spectral bound {bound:.9g} is not below 1 - {margin:g}")
+            P = P @ P
     X = 0.5 * (X + X.T)
     res = np.linalg.norm(M @ X @ M.T - X + W) / (1.0 + np.linalg.norm(X))
     if res > 1e-10:
@@ -175,16 +184,13 @@ def _solve_dlyap(M: np.ndarray, W: np.ndarray) -> np.ndarray:
 def solve_lyapunov(F, ss: StateSpace, margin: float = 1e-9) -> np.ndarray:
     """Stationary covariance Q_F of the closed loop driven by unit loads.
 
-    Raises UnstableError when the closed-loop spectral radius exceeds
-    1 - ``margin``.  The returned matrix satisfies the equation to a
-    relative Frobenius residual of 1e-10.
+    Raises UnstableError unless the doubling iterates certify a closed-loop
+    spectral radius below 1 - ``margin``.  The returned matrix satisfies
+    the equation to a relative Frobenius residual of 1e-10.
     """
     Fm = _as_matrix(F)
     M = ss.R1 @ (np.eye(ss.D_c) - Fm)
-    rho = _spectral_radius(M)
-    if rho > 1.0 - margin:
-        raise UnstableError(f"closed-loop spectral radius {rho:.6f} > 1 - {margin:g}")
-    return _solve_dlyap(M, ss.R2 @ ss.R2.T)
+    return _solve_dlyap(M, ss.R2 @ ss.R2.T, margin)
 
 
 def h2_norms(F, ss: StateSpace, mismatch_form: str = "deadline") -> H2Report:

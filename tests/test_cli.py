@@ -248,3 +248,17 @@ class TestLtiCommands:
         path = tmp_path / "bad.csv"
         path.write_text("nonsense\n")
         assert main(["lti", "h2", "--gain", str(path)]) == 2
+
+    @pytest.mark.parametrize("pricing", ["5", "[1, 2]", '"q1"'])
+    def test_non_object_pricing_is_validation_error(self, capsys, pricing):
+        assert main(["lti", "mpe", "--L", "2", "--pricing", pricing]) == 2
+        assert "validation error: pricing must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid", ["[[1, 2]]", "[1, 2]", "[[1, 2, 3, 4]]", "[[1, 2, null]]", "5", '{"123": 1}']
+    )
+    def test_malformed_grid_is_validation_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "front.csv"
+        assert main(["lti", "pareto", "--L", "2", "--grid", grid, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "validation error: grid must be" in capsys.readouterr().err

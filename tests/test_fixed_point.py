@@ -328,3 +328,64 @@ class TestSolveMpe:
         drift = float(np.max(np.abs(a.gain.F - b.gain.F)))
         print(f"pricing-scale drift (x2): {drift:.3e}")
         assert a.gain.stable and b.gain.stable
+
+
+class TestEquilibriumSelection:
+    """Some pricings have two stable fixed points; solve_mpe picks one.
+
+    The selection rule is "the equilibrium Anderson reaches from
+    even-split".  This pricing, the third draw of an L = 3 sequence, has a
+    second stable fixed point that a plain Newton iteration finds from the
+    same start.
+    """
+
+    @staticmethod
+    def pricing():
+        rng = np.random.default_rng(1)
+        draws = [1.5 * rng.standard_normal(12) for _ in range(3)]
+        theta = np.array([0.0] * 6 + [1.0] * 6) + draws[2]
+        return og.PricingRule(theta[:6], theta[6:])
+
+    @staticmethod
+    def operator_objective(F, ss):
+        Q = og.solve_lyapunov(F, ss)
+        return float(ss.e @ F @ Q @ F.T @ ss.e + ss.e @ Q @ ss.e)
+
+    def newton_fixed_point(self, pricing, ss, tol=1e-13, h=1e-6, max_steps=60):
+        """Newton on f_map(F) - F over the tau > 1 rows, from even-split,
+        with a central-difference Jacobian."""
+        L, D = ss.L, ss.D_c
+
+        def residual(x):
+            F = fixed_point.even_split_gain(ss)
+            F[L:] = x.reshape(D - L, D)
+            return (og.f_map(F, pricing, ss)[L:] - F[L:]).ravel()
+
+        x = fixed_point.even_split_gain(ss)[L:].ravel()
+        eye = h * np.eye(x.size)
+        for _ in range(max_steps):
+            r = residual(x)
+            if np.max(np.abs(r)) <= tol:
+                F = fixed_point.even_split_gain(ss)
+                F[L:] = x.reshape(D - L, D)
+                return F
+            J = np.column_stack(
+                [(residual(x + e) - residual(x - e)) / (2.0 * h) for e in eye]
+            )
+            x = x - np.linalg.solve(J, r)
+        raise AssertionError("Newton did not reach a fixed point")
+
+    def test_anderson_and_newton_select_different_equilibria(self, ss3):
+        pricing = self.pricing()
+        sol = og.solve_mpe(pricing, ss3)
+        assert sol.gain.spectral_radius == pytest.approx(0.2867, abs=1e-4)
+        val, _ = og.evaluate_pricing(pricing, og.OperatorWeights(1.0, 1.0), ss3)
+        assert val == pytest.approx(23.3876, abs=1e-4)
+        assert val == pytest.approx(self.operator_objective(sol.gain.F, ss3), rel=1e-12)
+
+        F = self.newton_fixed_point(pricing, ss3)
+        assert np.max(np.abs(og.f_map(F, pricing, ss3) - F)) <= 1e-13
+        assert og.FeedbackGain(F, ss3).spectral_radius == pytest.approx(0.8586, abs=1e-4)
+        assert np.max(np.abs(F - sol.gain.F)) == pytest.approx(4.79, abs=5e-3)
+        # a different equilibrium, so a different operator objective
+        assert self.operator_objective(F, ss3) > 2.0 * val

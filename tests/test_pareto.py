@@ -50,6 +50,21 @@ def descend_oracle(F0, weights, ss, tol_grad=1e-6, max_iter=5000, shrink=0.5,
     return F, J, G, objectives
 
 
+class TestSynthesisConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol_grad": 0.0}, {"stability_margin": -1e-6}, {"stability_margin": 1.0},
+         {"stability_margin": float("nan")}],
+    )
+    def test_rejects_out_of_range_values(self, kwargs):
+        with pytest.raises(og.InvalidParamsError):
+            SynthesisConfig(**kwargs)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.5])
+    def test_accepts_margins_in_unit_interval(self, margin):
+        assert SynthesisConfig(stability_margin=margin).stability_margin == margin
+
+
 class TestObjectiveAndGradient:
     def test_matches_weighted_norms(self, ss3):
         rng = np.random.default_rng(0)

@@ -203,6 +203,72 @@ class TestLyapunov:
             og.solve_lyapunov(F, ss2)
 
 
+class TestSpectralCertificate:
+    """The doubling solve accepts X only when ||M^(2^k)||inf^(1/2^k), read
+    from its own iterates, is below 1 - margin; eigvals is the oracle for
+    the radius that bound must cover."""
+
+    def test_radius_inside_margin_rejected(self):
+        M = np.diag([1.0 - 1e-10, 0.5, 0.2])
+        with pytest.raises(og.UnstableError, match="spectral bound"):
+            _solve_dlyap(M, np.eye(3), margin=1e-9)
+        # the bound is tight on a diagonal M: a smaller margin accepts it
+        X = _solve_dlyap(M, np.eye(3), margin=1e-11)
+        assert X[0, 0] == pytest.approx(1.0 / (1.0 - M[0, 0] ** 2), rel=1e-6)
+
+    def test_unstable_mode_that_w_does_not_excite_rejected(self):
+        # the series converges (W only excites the 0.5 mode), but M is unstable
+        M = np.diag([0.5, 1.5, 0.0])
+        W = np.zeros((3, 3))
+        W[0, 0] = 1.0
+        with pytest.raises(og.UnstableError, match="spectral bound"):
+            _solve_dlyap(M, W)
+
+    def test_nilpotent_closed_loop_certified_by_squaring(self):
+        # ||M||inf = 50 fails the bound at k = 0; M^2 = 0 certifies it
+        M = np.zeros((3, 3))
+        M[0, 1] = 50.0
+        W = np.zeros((3, 3))
+        W[0, 0] = 1.0  # e1 spans W's range and lies in M's null space
+        assert np.array_equal(_solve_dlyap(M, W, margin=1e-6), W)
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+    def test_bound_never_below_eigvals_radius(self, L):
+        ss = og.build_state_space(L)
+        rng = np.random.default_rng(300 + L)
+        W = ss.R2 @ ss.R2.T
+        for _ in range(5):
+            F = random_stable_gain(ss, rng)
+            M = closed_loop(F, ss)
+            rho = og.FeedbackGain(F, ss).spectral_radius
+            with pytest.raises(og.UnstableError, match="spectral bound"):
+                _solve_dlyap(M, W, margin=1.0 - rho)
+            # halfway to one the bound certifies, and X is the margin-free X
+            X = _solve_dlyap(M, W, margin=0.5 * (1.0 - rho))
+            assert np.array_equal(X, _solve_dlyap(M, W))
+
+    @pytest.mark.parametrize("L", range(2, 15))
+    def test_default_grid_front_gains_accepted(self, L):
+        ss = og.build_state_space(L)
+        for w in og.default_weight_grid():
+            pt = og.synthesize(w, ss)
+            assert pt.gain.spectral_radius < 1.0 - 1e-6
+            og.solve_lyapunov(pt.gain, ss, 1e-6)
+
+    def test_criterion_12_mpe_gains_accepted(self):
+        cases = [(2, og.FixedPointConfig(tol=1e-10))]
+        cases += [(L, og.FixedPointConfig(damping=0.25)) for L in (2, 3, 4, 5)]
+        for L, cfg in cases:
+            ss = og.build_state_space(L)
+            sol = og.solve_mpe(og.marginal_cost_pricing(ss), ss, cfg)
+            og.solve_lyapunov(sol.gain, ss)
+
+    @pytest.mark.parametrize("L", [2, 3, 5, 6, 11])
+    def test_gain_near_margin_accepted(self, L):
+        ss = og.build_state_space(L)
+        og.solve_lyapunov(gain_near_margin(ss), ss, 1e-6)
+
+
 class TestH2Norms:
     def test_identity_gain(self, ss5):
         rep = og.h2_norms(np.eye(15), ss5)
