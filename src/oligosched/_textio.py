@@ -2,14 +2,16 @@
 
 Every float is emitted through ``%.17g`` so parsed values round-trip
 exactly; rerunning a command with the same inputs therefore reproduces
-output files byte for byte.
+output files byte for byte.  Long CSV output is produced by ``csv_blocks``
+one block of rows at a time and streamed by ``atomic_write_text``, so
+writing a series holds one formatted block in memory, never the whole text.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -77,15 +79,22 @@ def dumps(obj, indent: int = 2, _level: int = 0) -> str:
 _WRITE_SLICE = 1 << 20  # characters encoded per write
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text`` via a temp file in the same directory, then rename.
+
+    ``text`` is one string or an iterable of strings written in order, such
+    as ``csv_blocks``; an iterable is consumed while the file is written, so
+    peak memory is one block, not the whole text.  If writing or the
+    iterable raises, the temp file is removed and ``path`` is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-oligosched-")
     try:
         with os.fdopen(fd, "w") as fh:
-            # one write would encode the whole text at once, a second copy
-            for i in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[i:i + _WRITE_SLICE])
+            for block in (text,) if isinstance(text, str) else text:
+                # one write would encode the whole block at once, a second copy
+                for i in range(0, len(block), _WRITE_SLICE):
+                    fh.write(block[i:i + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -93,17 +102,35 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-_CSV_CHUNK = 65536  # rows per string operation
+_CSV_CHUNK = 65536  # rows per block of csv_blocks
 
 
-def csv_text(header: list[str], columns) -> str:
+def csv_text(header: list[str] | None, columns) -> str:
     """CSV text of equal-length integer or float arrays ``columns``, spelled
-    as ``fmt`` spells them: ``%d``/``%.17g`` per block, nan and inf renamed."""
-    line = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns)
-    lines = [",".join(header)]
-    for i in range(0, len(columns[0]) if len(columns) else 0, _CSV_CHUNK):
-        block = list(zip(*(col[i:i + _CSV_CHUNK].tolist() for col in columns)))
-        text = "\n".join([line] * len(block)) % tuple(itertools.chain(*block))
+    as ``fmt`` spells them: ``%d``/``%.17g`` per value, nan and inf renamed.
+
+    Every row given is formatted in one string operation, after the header
+    line unless ``header`` is None; each line ends with a newline.
+    """
+    lines = [] if header is None else [",".join(header)]
+    ncol = len(columns)
+    n = len(columns[0]) if ncol else 0
+    if n:
+        line = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns)
+        flat = [None] * (n * ncol)  # row-major values for the one "%"
+        for k, col in enumerate(columns):
+            flat[k::ncol] = col.tolist()
+        text = "\n".join([line] * n) % tuple(flat)
         lines.append(text.replace("nan", "NaN").replace("inf", "Infinity"))
     lines.append("")  # the trailing newline, without a "+" copying the text
     return "\n".join(lines)
+
+
+def csv_blocks(header: list[str], columns) -> Iterator[str]:
+    """``csv_text`` of successive ``_CSV_CHUNK``-row slices of ``columns``,
+    the header on the first block only; joined, the blocks equal
+    ``csv_text(header, columns)``.  With no rows it yields the header line."""
+    n = len(columns[0]) if len(columns) else 0
+    yield csv_text(header, [col[:_CSV_CHUNK] for col in columns])
+    for i in range(_CSV_CHUNK, n, _CSV_CHUNK):
+        yield csv_text(None, [col[i:i + _CSV_CHUNK] for col in columns])

@@ -81,7 +81,11 @@ def _parse_params(arg: str) -> MarketParamsL2:
     missing = set(_PARAM_KEYS) - set(data)
     if missing:
         raise InvalidParamsError(f"missing params keys: {sorted(missing)}")
-    return MarketParamsL2(**{k: float(data[k]) for k in _PARAM_KEYS})
+    try:
+        values = {k: float(data[k]) for k in _PARAM_KEYS}
+    except (TypeError, ValueError) as exc:
+        raise InvalidParamsError(f"params values must be numbers: {exc}") from exc
+    return MarketParamsL2(**values)
 
 
 def _parse_arch(arch: str, p: MarketParamsL2, rs_constant: str):
@@ -222,7 +226,7 @@ def _cmd_l2_simulate(ns, argv):
     if ns.series_csv is not None:
         _textio.atomic_write_text(
             ns.series_csv,
-            _textio.csv_text(["t", "U", "x_sum", "o_flags"], series_columns(stats)),
+            _textio.csv_blocks(["t", "U", "x_sum", "o_flags"], series_columns(stats)),
         )
         extra.append(ns.series_csv)
     man = _manifest(
@@ -291,7 +295,7 @@ def _cmd_lti_mpe(ns, argv):
         unknown = set(data) - {"q1", "q2"}
         if unknown:
             raise InvalidParamsError(f"unknown pricing keys: {sorted(unknown)}")
-        pricing = PricingRule(np.asarray(data["q1"]), np.asarray(data["q2"]))
+        pricing = PricingRule(data["q1"], data["q2"])
     cfg = FixedPointConfig(
         tol=ns.tol,
         max_iter=ns.max_iter,

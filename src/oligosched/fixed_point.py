@@ -72,8 +72,11 @@ class PricingRule:
     q2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q1", np.asarray(self.q1, float))
-        object.__setattr__(self, "q2", np.asarray(self.q2, float))
+        try:
+            object.__setattr__(self, "q1", np.asarray(self.q1, float))
+            object.__setattr__(self, "q2", np.asarray(self.q2, float))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParamsError(f"pricing coefficients must be numbers: {exc}") from exc
         if not (np.all(np.isfinite(self.q1)) and np.all(np.isfinite(self.q2))):
             raise InvalidParamsError("pricing coefficients must be finite")
 

@@ -1,4 +1,5 @@
 """Command-line surface: outputs, formats, exit codes, reproducibility."""
+import itertools
 import json
 import os
 import subprocess
@@ -23,6 +24,18 @@ def row_csv_oracle(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def single_string_csv_oracle(header, columns):
+    """The former csv_text: every block formatted, then joined in one string."""
+    line = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns)
+    lines = [",".join(header)]
+    for i in range(0, len(columns[0]), _textio._CSV_CHUNK):
+        block = list(zip(*(col[i:i + _textio._CSV_CHUNK].tolist() for col in columns)))
+        text = "\n".join([line] * len(block)) % tuple(itertools.chain(*block))
+        lines.append(text.replace("nan", "NaN").replace("inf", "Infinity"))
+    lines.append("")
+    return "\n".join(lines)
+
+
 class TestL2Commands:
     def test_strategy_prints_full_precision(self, capsys):
         assert main(["l2", "strategy", "--arch", "coop", "--params", PARAMS]) == 0
@@ -44,6 +57,11 @@ class TestL2Commands:
     def test_missing_params_key_is_validation_error(self):
         bad = '{"q1":1,"q2":0.5}'
         assert main(["l2", "strategy", "--arch", "coop", "--params", bad]) == 2
+
+    def test_non_numeric_params_value_is_validation_error(self, capsys):
+        bad = '{"q1":1,"q2":0.75,"mu1":0,"mu2":0,"sigma1":1,"sigma2":[1]}'
+        assert main(["l2", "strategy", "--arch", "nc", "--params", bad]) == 2
+        assert "validation error: params values must be numbers" in capsys.readouterr().err
 
     def test_metrics_json(self, capsys):
         code = main(
@@ -129,6 +147,73 @@ class TestL2Commands:
         path = tmp_path / "series.csv"
         _textio.atomic_write_text(str(path), text)
         assert path.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("rows", [0, 1, _textio._CSV_CHUNK, _textio._CSV_CHUNK + 1,
+                                      3 * _textio._CSV_CHUNK])
+    def test_streamed_csv_matches_single_string_at_block_boundaries(self, tmp_path, rows):
+        chunk = _textio._CSV_CHUNK
+        rng = np.random.default_rng(rows)
+        t = np.arange(rows)
+        U = rng.standard_normal(rows)
+        x = np.round(5.0 * U)
+        special = [np.nan, np.inf, -np.inf, -0.0]
+        for edge in range(chunk, rows, chunk):  # both sides of each boundary
+            after = min(4, rows - edge)
+            U[edge - 4:edge + after] = special + special[::-1][:after]
+            x[edge - 4:edge + after] = special[::-1] + special[:after]
+        flags = (t % 3).astype(np.uint8)
+        header = ["t", "U", "x_sum", "o_flags"]
+        columns = (t, U, x, flags)
+        path = tmp_path / "series.csv"
+        _textio.atomic_write_text(str(path), _textio.csv_blocks(header, columns))
+        streamed = path.read_text()
+        rows_iter = zip(t.tolist(), U.tolist(), x.tolist(), flags.tolist())
+        assert streamed == row_csv_oracle(header, rows_iter)
+        assert streamed == single_string_csv_oracle(header, columns)
+        assert streamed == _textio.csv_text(header, columns)
+        blocks = list(_textio.csv_blocks(header, columns))
+        assert len(blocks) == max(1, -(-rows // chunk))
+        if rows > chunk:
+            assert blocks[0].endswith(f"\n{chunk - 1},-0,NaN,{(chunk - 1) % 3}\n")
+            assert blocks[1].startswith(f"{chunk},-0,NaN,{chunk % 3}\n")
+
+    def test_failing_stream_leaves_target_untouched(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("old contents\n")
+
+        def blocks():
+            yield "t,U\n"
+            yield "0,1\n" * (2 * _textio._WRITE_SLICE)  # written in slices
+            raise OSError("formatting failed")
+
+        with pytest.raises(OSError, match="formatting failed"):
+            _textio.atomic_write_text(str(path), blocks())
+        assert path.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["series.csv"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss read in KiB")
+    def test_series_csv_adds_less_than_half_its_size_to_peak_memory(self, tmp_path):
+        # the whole text held at once, as a joined string or its blocks,
+        # would add at least the CSV's size
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("OLIGO_SEED", None)
+        base = [sys.executable, "-m", "oligosched.cli", "l2", "simulate", "--arch", "nc",
+                "--params", PD_PARAMS, "--horizon", "500000", "--seed", "5",
+                "--out", str(tmp_path / "s.json")]
+        series = tmp_path / "s.csv"
+
+        def peak_bytes(cmd):
+            proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+            assert proc.returncode == 0
+            return usage.ru_maxrss * 1024
+
+        with_csv = peak_bytes(base + ["--series-csv", str(series)])
+        without = peak_bytes(base)
+        size = series.stat().st_size
+        assert size > 20e6
+        assert with_csv - without < size / 2
 
     def test_import_leaves_scipy_special_unloaded(self):
         # scipy.special costs about 0.3 s of start-up; only draws and the
@@ -253,6 +338,12 @@ class TestLtiCommands:
     def test_non_object_pricing_is_validation_error(self, capsys, pricing):
         assert main(["lti", "mpe", "--L", "2", "--pricing", pricing]) == 2
         assert "validation error: pricing must be a JSON object" in capsys.readouterr().err
+
+    def test_non_numeric_pricing_value_is_validation_error(self, capsys):
+        pricing = '{"q1": {"a": 1}, "q2": [1, 1, 1]}'
+        assert main(["lti", "mpe", "--L", "2", "--pricing", pricing]) == 2
+        err = capsys.readouterr().err
+        assert "validation error: pricing coefficients must be numbers" in err
 
     @pytest.mark.parametrize(
         "grid", ["[[1, 2]]", "[1, 2]", "[[1, 2, 3, 4]]", "[[1, 2, null]]", "5", '{"123": 1}']
