@@ -353,7 +353,7 @@ def _cmd_lti_pareto(ns, argv):
             "grid": [[p.weights.alpha1, p.weights.alpha2, p.weights.alpha3] for p in points],
             "tol_grad": ns.tol_grad,
             "certificates": [
-                {"grad_inf": p.grad_inf, "epsilon": p.epsilon} for p in points
+                {"grad_inf": p.grad_inf, "iterations": p.iterations} for p in points
             ],
         },
     )

@@ -136,9 +136,10 @@ def optimize_pricing(
 
     Starts from marginal-cost pricing and seeded perturbations of it,
     capping total objective evaluations at ``budget``; coefficients are
-    constrained to [-box, box].  The baseline is always a candidate, so
-    the returned objective never exceeds it.  Ties are broken toward the
-    lexicographically smallest coefficient vector.
+    constrained to [-box, box].  Returns the best finite evaluation of the
+    search; the baseline is evaluated first, so the returned objective
+    never exceeds it.  Ties are broken toward the lexicographically
+    smallest coefficient vector.
     """
     if budget < 1:
         raise InvalidParamsError("budget must be >= 1")
@@ -151,27 +152,27 @@ def optimize_pricing(
     def theta_to_pricing(theta):
         return PricingRule(theta[:D], theta[D:])
 
+    # The best finite evaluation, the baseline until one succeeds: a search
+    # cut short by maxfev reports its last simplex, which can miss a point
+    # it has already evaluated.
+    baseline_theta = np.concatenate([np.zeros(D), np.ones(D)])
+    best_val, best_theta, best_gain = np.inf, baseline_theta, None
+
     def objective(theta):
-        nonlocal count, sweeps
+        nonlocal count, sweeps, best_val, best_theta, best_gain
         count += 1
         theta = np.clip(theta, -box, box)
         val, diag = evaluate_pricing(theta_to_pricing(theta), weights, ss, fp_cfg)
         sweeps += diag.get("iterations", 0)
         if diag["status"] != "ok":
             failures[diag["status"]] += 1
-        return _PENALTY if not np.isfinite(val) else val
+        if not np.isfinite(val):
+            return _PENALTY
+        if val < best_val or (val == best_val and tuple(theta) < tuple(best_theta)):
+            best_val, best_theta, best_gain = val, theta.copy(), diag["solution"].gain
+        return val
 
-    baseline_theta = np.concatenate([np.zeros(D), np.ones(D)])
     baseline_val = objective(baseline_theta)
-    best_val, best_theta = baseline_val, baseline_theta
-
-    def consider(val, theta):
-        nonlocal best_val, best_theta
-        theta = np.clip(theta, -box, box)
-        if val < best_val or (
-            val == best_val and tuple(theta) < tuple(best_theta)
-        ):
-            best_val, best_theta = val, theta.copy()
 
     gen = rngstreams.stream(seed, 0)
     start_idx = 0
@@ -183,7 +184,7 @@ def optimize_pricing(
             x0 = np.clip(
                 baseline_theta + 0.25 * gen.standard_normal(2 * D), -box, box
             )
-        res = minimize(
+        minimize(
             objective,
             x0,
             method="Nelder-Mead",
@@ -195,22 +196,14 @@ def optimize_pricing(
                 "adaptive": True,
             },
         )
-        consider(float(res.fun), np.asarray(res.x))
         start_idx += 1
         if start_idx > 16:
             break
 
-    pricing = theta_to_pricing(best_theta)
-    val, diag = evaluate_pricing(pricing, weights, ss, fp_cfg)
-    if not np.isfinite(val):
-        # penalized candidates can only win if the baseline also failed
-        pricing = theta_to_pricing(baseline_theta)
-        val, diag = evaluate_pricing(pricing, weights, ss, fp_cfg)
-    gain = diag["solution"].gain if diag.get("status") == "ok" else None
     return OperatorResult(
-        pricing=pricing,
-        gain=gain,
-        objective=float(val),
+        pricing=theta_to_pricing(best_theta),
+        gain=best_gain,
+        objective=float(best_val),
         baseline_objective=float(baseline_val),
         evaluations=count,
         failures=failures,

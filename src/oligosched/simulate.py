@@ -176,14 +176,6 @@ def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard):
     return U, X, int(over[0]) if over.size else -1
 
 
-def _batch_values(series: np.ndarray, batch_len: int, fn) -> np.ndarray:
-    nb = series.size // batch_len
-    if nb < 2:
-        return np.array([])
-    trimmed = series[: nb * batch_len].reshape(nb, batch_len)
-    return np.array([fn(row) for row in trimmed])
-
-
 def _stderr(vals: np.ndarray) -> float:
     if vals.size < 2:
         return float("nan")
@@ -199,29 +191,29 @@ def _assemble_stats(U, X, flex, cfg: SimConfig, flags=None) -> PathStats:
     second_x = float(np.mean(X * X))
 
     batch_len = max(200, n // (64 * cfg.replications))
+    nb = n // batch_len  # batch means; fewer than two give a nan stderr
+    Ub = U[: nb * batch_len].reshape(nb, batch_len)
+    Xb = X[: nb * batch_len].reshape(nb, batch_len)
     stderr = {
-        "mean_u": _stderr(_batch_values(U, batch_len, np.mean)),
-        "second_u": _stderr(_batch_values(U * U, batch_len, np.mean)),
-        "var_u": _stderr(_batch_values(U, batch_len, lambda r: np.var(r))),
-        "mean_x": _stderr(_batch_values(X, batch_len, np.mean)),
-        "second_x": _stderr(_batch_values(X * X, batch_len, np.mean)),
+        "mean_u": _stderr(Ub.mean(axis=1)),
+        "second_u": _stderr((Ub * Ub).mean(axis=1)),
+        "var_u": _stderr(Ub.var(axis=1)),
+        "mean_x": _stderr(Xb.mean(axis=1)),
+        "second_x": _stderr((Xb * Xb).mean(axis=1)),
     }
     levels = list(cfg.quantile_levels)
     quantiles = dict(zip(levels, np.quantile(U, levels).tolist()))
     # batch quantiles resolve a level only with >= 20 samples above it
     resolved = [lv for lv in levels if (1.0 - lv) * batch_len >= 20]
-    nb = n // batch_len
     batch_q = {}
     if resolved and nb >= 2:
-        batches = U[: nb * batch_len].reshape(nb, batch_len)
-        batch_q = dict(zip(resolved, np.quantile(batches, resolved, axis=1)))
+        batch_q = dict(zip(resolved, np.quantile(Ub, resolved, axis=1)))
     for lv in levels:
         stderr[f"quantile_{lv:g}"] = _stderr(batch_q.get(lv, np.array([])))
     tails = {}
     for M in cfg.tail_thresholds:
-        ind = (U > M).astype(float)
-        tails[M] = float(np.mean(ind))
-        stderr[f"tail_{M:g}"] = _stderr(_batch_values(ind, batch_len, np.mean))
+        tails[M] = float(np.mean(U > M))
+        stderr[f"tail_{M:g}"] = _stderr((Ub > M).mean(axis=1))
 
     conditional = None
     if flex is not None:

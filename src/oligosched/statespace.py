@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _textio
 from .errors import InvalidParamsError, UnstableError
 
 # Doubling steps allowed before a Lyapunov solve is declared divergent; 64
@@ -277,13 +278,10 @@ def br_demand_volatility_approx(delta: float, L: int) -> float:
 
 
 def save_matrix_csv(path, mat: np.ndarray, ss: StateSpace) -> None:
-    """Row-major CSV with a leading "D_c,L" header line."""
-    mat = np.asarray(mat, dtype=float)
-    lines = ["D_c,L", f"{ss.D_c},{ss.L}"]
-    for row in np.atleast_2d(mat):
-        lines.append(",".join(format(v, ".17g") for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Row-major CSV with a leading "D_c,L" header line, written atomically."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    text = f"D_c,L\n{ss.D_c},{ss.L}\n" + _textio.csv_text(None, list(mat.T))
+    _textio.atomic_write_text(path, text)
 
 
 def load_matrix_csv(path) -> tuple[np.ndarray, int, int]:
@@ -302,14 +300,13 @@ def load_matrix_csv(path) -> tuple[np.ndarray, int, int]:
 
 
 def state_space_to_json(ss: StateSpace) -> str:
-    return json.dumps(
+    return _textio.dumps(
         {
             "L": ss.L,
             "D_c": ss.D_c,
             "R1": ss.R1.astype(int).tolist(),
             "R2": ss.R2.astype(int).tolist(),
-        },
-        indent=2,
+        }
     )
 
 

@@ -300,7 +300,20 @@ class TestLtiCommands:
         assert len(config["certificates"]) == len(config["grid"]) == 2
         for cert in config["certificates"]:
             assert 0.0 <= cert["grad_inf"] <= config["tol_grad"]
-            assert 1e-9 <= cert["epsilon"] <= 1e-5
+            assert isinstance(cert["iterations"], int)
+            assert 1 <= cert["iterations"] <= og.pareto._POLICY_CAP
+
+    def test_pareto_loads_no_scipy(self, tmp_path):
+        # synthesis needs only numpy; scipy.linalg alone costs about 0.3 s
+        code = (
+            "import sys; from oligosched.cli import main; "
+            f"main(['lti', 'pareto', '--L', '3', '--out', {str(tmp_path / 'front.csv')!r}]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_operator_command(self, capsys):
         code = main(

@@ -73,6 +73,27 @@ class TestOptimizePricing:
         again = og.operator_objective(res.pricing, w, ss2)
         assert abs(again - res.objective) <= 1e-10
 
+    def test_reports_best_evaluated_pricing(self, ss2, monkeypatch):
+        # maxfev stops this search mid-iteration, where Nelder-Mead's last
+        # simplex misses a better point it has already evaluated
+        from oligosched import operator_design
+
+        real = operator_design.evaluate_pricing
+        values = []
+
+        def recording(*args, **kwargs):
+            val, diag = real(*args, **kwargs)
+            values.append(val)
+            return val, diag
+
+        monkeypatch.setattr(operator_design, "evaluate_pricing", recording)
+        res = og.optimize_pricing(og.OperatorWeights(1.0, 0.5), ss2, budget=150, seed=11)
+        assert len(values) == res.evaluations == 150
+        assert res.objective == min(v for v in values if math.isfinite(v))
+        monkeypatch.undo()
+        again = og.optimize_pricing(og.OperatorWeights(1.0, 0.5), ss2, budget=150, seed=11)
+        assert again.objective == res.objective
+
     def test_failure_counts_and_sweeps(self, ss2, monkeypatch):
         w = og.OperatorWeights(1.0, 1.0)
         fp_cfg = og.FixedPointConfig(tol=1e-9, max_iter=600)

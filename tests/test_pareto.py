@@ -50,6 +50,36 @@ def descend_oracle(F0, weights, ss, tol_grad=1e-6, max_iter=5000, shrink=0.5,
     return F, J, G, objectives
 
 
+# Regularizations eps of the singular control weight D12'D12, smallest first
+# in half-decade rungs: ordqz rejects rungs erratically.
+_EPS_LADDER = (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5)
+
+
+def dare_oracle(weights, ss, cfg=SynthesisConfig()):
+    """Independent oracle: the Riccati gain of an eps-regularized DARE.
+
+    Solves scipy's solve_discrete_are with D12'D12 inflated by eps I on each
+    rung of _EPS_LADDER and returns (F, J) for the first rung whose exact
+    gradient certifies |G|inf <= cfg.tol_grad, or None when no rung does.
+    """
+    from scipy.linalg import solve_discrete_are
+
+    C1, D12 = pareto._plant_outputs(weights, ss)
+    A, B = ss.R1, -ss.R1
+    S = C1.T @ D12
+    for eps in _EPS_LADDER:
+        R = D12.T @ D12 + eps * np.eye(ss.D_c)
+        try:
+            X = solve_discrete_are(A, B, C1.T @ C1, R, s=S)
+            F = -np.linalg.solve(R + B.T @ X @ B, B.T @ X @ A + S.T)
+            J, G = og.objective_and_gradient(F, weights, ss, cfg.stability_margin)
+        except (ValueError, og.UnstableError):  # ordqz failures are ValueErrors
+            continue
+        if np.max(np.abs(G)) <= cfg.tol_grad:
+            return F, J
+    return None
+
+
 class TestSynthesisConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -130,47 +160,75 @@ class TestSynthesize:
             J, G = og.objective_and_gradient(pt.gain, w, ss, cfg.stability_margin)
             assert np.max(np.abs(G)) <= cfg.tol_grad
             assert pt.grad_inf == pytest.approx(np.max(np.abs(G)), rel=1e-12)
-            assert pt.epsilon in pareto._EPS_LADDER
+            assert 1 <= pt.iterations <= pareto._POLICY_CAP
             assert J <= J_oracle * (1 + 1e-9)
             assert pt.objective == pytest.approx(J, rel=1e-10)
 
-    def test_half_decade_rung_certifies_l12_weight(self):
-        # no decade rung 1e-9, ..., 1e-5 certifies this default-grid weight
+    @pytest.mark.parametrize("L", [2, 3, 5])
+    def test_not_above_dare_oracle_on_default_grid(self, L):
+        ss = og.build_state_space(L)
+        cfg = SynthesisConfig()
+        certified = 0
+        for w in og.default_weight_grid():
+            oracle = dare_oracle(w, ss, cfg)
+            if oracle is None:
+                continue
+            certified += 1
+            J, _ = og.objective_and_gradient(og.synthesize(w, ss, cfg).gain, w, ss)
+            assert J <= oracle[1] * (1 + 1e-12)
+        assert certified >= 20
+
+    def test_l12_default_weight_certifies(self):
+        # the eps-regularized DARE certifies this weight on no decade rung
         ss = og.build_state_space(12)
         cfg = SynthesisConfig()
         w = og.OutputWeights.normalized(0.1, 0.9, 10.0)
         pt = og.synthesize(w, ss, cfg)
         _, G = og.objective_and_gradient(pt.gain, w, ss, cfg.stability_margin)
         assert np.max(np.abs(G)) <= cfg.tol_grad
-        assert pt.epsilon not in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)
 
-    def test_uncertifiable_tolerance_raises_with_rung_trace(self, ss2):
+    @pytest.mark.parametrize("L", [2, 8])
+    def test_edge_weight_certifies(self, L):
+        # no rung of the eps-regularized DARE certifies this weight
+        ss = og.build_state_space(L)
+        cfg = SynthesisConfig()
+        w = og.OutputWeights.normalized(1.0, 0.001, 1.0)
+        pt = og.synthesize(w, ss, cfg)
+        _, G = og.objective_and_gradient(pt.gain, w, ss, cfg.stability_margin)
+        assert pt.grad_inf == pytest.approx(np.max(np.abs(G)), rel=1e-12)
+        assert pt.grad_inf <= cfg.tol_grad
+
+    def test_uncertifiable_tolerance_raises_with_monotone_j_trace(self, ss2):
+        # Hewer's policy iteration never raises J; only the step that ends
+        # it fails to lower J
         w = og.OutputWeights.normalized(1.0, 1.0, 1.0)
         with pytest.raises(og.NotConvergedError) as info:
             og.synthesize(w, ss2, SynthesisConfig(tol_grad=1e-30))
-        trace = info.value.residuals
-        assert len(trace) == len(pareto._EPS_LADDER)
-        assert all(0.0 < g < np.inf for g in trace)
+        trace = np.array(info.value.residuals)
+        assert 3 <= trace.size <= pareto._POLICY_CAP + 1
+        assert np.all(np.isfinite(trace))
+        assert np.all(np.diff(trace)[:-1] < 0)
+        assert trace[-1] >= trace[-2]
 
-    def test_failed_riccati_rungs_raise_and_front_drops_point(self, ss2, monkeypatch):
-        import scipy.linalg
-
+    def test_failed_lyapunov_solve_raises_and_front_drops_point(self, ss2, monkeypatch):
         grid = [og.OutputWeights.normalized(m, 1.0 - m, 2.0) for m in (0.2, 0.5, 0.8)]
-        real = scipy.linalg.solve_discrete_are
+        real = pareto._solve_dlyap
+        # the adjoint Gramian equation of the first policy, F = I, of the
+        # middle weight: its output map is C1 + D12
         C1, D12 = pareto._plant_outputs(grid[1], ss2)
+        W_middle = (C1 + D12).T @ (C1 + D12)
         calls = []
 
-        def fails_for_middle(a, b, q, r, e=None, s=None, **kwargs):
-            if np.array_equal(s, C1.T @ D12):
-                calls.append(r)
-                raise ValueError("ordqz reordering failed")
-            return real(a, b, q, r, e=e, s=s, **kwargs)
+        def fails_for_middle(M, W, margin=0.0):
+            if np.array_equal(W, W_middle):
+                calls.append(W)
+                raise og.UnstableError("Lyapunov doubling series diverged")
+            return real(M, W, margin)
 
-        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", fails_for_middle)
-        with pytest.raises(og.NotConvergedError) as info:
+        monkeypatch.setattr(pareto, "_solve_dlyap", fails_for_middle)
+        with pytest.raises(og.UnstableError):
             og.synthesize(grid[1], ss2)
-        assert len(calls) == len(pareto._EPS_LADDER)
-        assert info.value.residuals == [np.inf] * len(pareto._EPS_LADDER)
+        assert len(calls) == 1
         with pytest.warns(UserWarning, match="synthesis failed for weights") as rec:
             front = og.trace_front(grid, ss2, SynthesisConfig())
         assert len(rec) == 1

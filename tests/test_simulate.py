@@ -239,6 +239,36 @@ class TestDeterminism:
 
 
 class TestStatistics:
+    @pytest.mark.parametrize("n", [399, 5_000, 123_457])
+    def test_batch_stderr_matches_per_batch_loop(self, n):
+        rng = np.random.default_rng(n)
+        U = rng.gamma(2.0, 10.0, n)
+        X = rng.gamma(2.0, 5.0, n)
+        cfg = og.SimConfig(horizon=n, tail_thresholds=(20.0, 50.0))
+        st = simulate._assemble_stats(U, X, None, cfg)
+        batch_len = max(200, n // 64)
+        nb = n // batch_len
+
+        def stderr(fn, series):
+            if nb < 2:
+                return float("nan")
+            vals = np.array([fn(series[i * batch_len:(i + 1) * batch_len])
+                             for i in range(nb)])
+            return float(np.std(vals, ddof=1) / np.sqrt(nb))
+
+        expected = {
+            "mean_u": stderr(np.mean, U),
+            "second_u": stderr(np.mean, U * U),
+            "var_u": stderr(np.var, U),
+            "mean_x": stderr(np.mean, X),
+            "second_x": stderr(np.mean, X * X),
+            "tail_20": stderr(np.mean, (U > 20.0).astype(float)),
+            "tail_50": stderr(np.mean, (U > 50.0).astype(float)),
+        }
+        for key, want in expected.items():
+            got = st.mc_stderr[key]
+            assert got == want or (math.isnan(got) and math.isnan(want)), key
+
     def test_independent_sum_variance(self):
         # u = d2 with all agents present: U = d1 + d2, Var = 2
         p = params(q1=1.0, q2=1.0)

@@ -401,6 +401,18 @@ class TestMatrixIO:
         assert (D, L) == (6, 3)
         assert np.array_equal(mat, F)
 
+    def test_csv_roundtrip_non_finite_and_signed_zero(self, tmp_path, ss2):
+        path = tmp_path / "gain.csv"
+        F = np.array([[np.nan, np.inf, -0.0], [-np.inf, 1e-300, 1 / 3], [0.0, -2.5, 7.0]])
+        og.statespace.save_matrix_csv(path, F, ss2)
+        assert path.read_text().splitlines() == [
+            "D_c,L", "3,2", "NaN,Infinity,-0", "-Infinity,1e-300,0.33333333333333331", "0,-2.5,7"
+        ]
+        mat, _, _ = og.statespace.load_matrix_csv(path)
+        assert np.array_equal(mat, F, equal_nan=True)
+        assert np.signbit(mat[0, 2])
+        assert [p.name for p in tmp_path.iterdir()] == ["gain.csv"]
+
     def test_json_roundtrip(self, ss3):
         from oligosched.statespace import state_space_from_json, state_space_to_json
 
