@@ -45,7 +45,6 @@ from .operator_design import (
     OperatorResult,
     OperatorWeights,
     evaluate_pricing,
-    operator_objective,
     optimize_pricing,
 )
 from .pareto import (

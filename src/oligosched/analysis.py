@@ -88,7 +88,6 @@ def _efficiency_from_x(s, p, mean_x, second_x):
 
 def efficiency(s: LinearStrategyL2, p: MarketParamsL2) -> float:
     """Welfare W = -E[U(t)^2]/2 of the stationary market under strategy s."""
-    _require_stationary(s, p)
     m = stationary_moments(s, p)
     return -0.5 * m.second_u
 
@@ -128,27 +127,33 @@ def _normal_sf(M: float, mean: float, var: float) -> float:
     return float(ndtr((mean - M) / math.sqrt(var)))
 
 
+def _limiting_component(s: LinearStrategyL2, p: MarketParamsL2) -> tuple[float, float]:
+    """Mean and variance of the mixture component as k -> infinity."""
+    a, b = s.a, s.b
+    mean = (p.mu1 + (1.0 - b) * p.mu2 - s.g) / (1.0 - a)
+    var = (p.sigma1 ** 2 + (1.0 - b) ** 2 * p.sigma2 ** 2) / (1.0 - a * a)
+    return mean, var
+
+
 def mixture_tail_probability(
     s: LinearStrategyL2,
     p: MarketParamsL2,
     M: float,
-    k_max: int = 200,
     mass_tol: float = 1e-12,
 ) -> float:
     """Pr(x > M) by direct summation of the geometric mixture.
 
     Components are summed until the remaining geometric mass q2^k drops
-    below ``mass_tol`` (extending past ``k_max`` if needed); the remainder
-    is charged at the limiting component's tail, so the result is a slight
-    over-estimate of the exact mixture tail.
+    below ``mass_tol``; the remainder is charged at the limiting component's
+    tail, so the result is a slight over-estimate of the exact mixture tail.
+    At q2 = 1 every component has weight 0 and one term is summed, which
+    keeps the NaN of a zero-variance component.
     """
     q = p.q2
     if q == 0.0:
         mean, var = mixture_component_moments(s, p, 0)
         return _normal_sf(M, mean, var)
-    limit = max(k_max, 1)
-    if q < 1.0:
-        limit = max(limit, int(math.ceil(math.log(mass_tol) / math.log(q))) + 1)
+    limit = 1 if q == 1.0 else int(math.ceil(math.log(mass_tol) / math.log(q))) + 1
     total = 0.0
     k = 0
     while k < limit:
@@ -158,10 +163,7 @@ def mixture_tail_probability(
             break
         k += 1
     # remaining mass, charged at the limiting component
-    a, b, g = s.a, s.b, s.g
-    mean_inf = (p.mu1 + (1.0 - b) * p.mu2 - g) / (1.0 - a)
-    var_inf = (p.sigma1 ** 2 + (1.0 - b) ** 2 * p.sigma2 ** 2) / (1.0 - a * a)
-    total += (q ** (k + 1)) * _normal_sf(M, mean_inf, var_inf)
+    total += (q ** (k + 1)) * _normal_sf(M, *_limiting_component(s, p))
     return float(total)
 
 
@@ -183,11 +185,8 @@ def risk_upper_bound(s: LinearStrategyL2, p: MarketParamsL2, M: float) -> RiskBo
     a, b = s.a, s.b
     if not 0.0 < a < 1.0:
         raise InvalidParamsError(f"a={a!r} must lie in (0, 1)")
-    mean_inf = (p.mu1 + (1.0 - b) * p.mu2 - s.g) / (1.0 - a)
-    sd_inf = math.sqrt(
-        (p.sigma1 ** 2 + (1.0 - b) ** 2 * p.sigma2 ** 2) / (1.0 - a * a)
-    )
-    m1 = (M - mean_inf) / sd_inf
+    mean_inf, var_inf = _limiting_component(s, p)
+    m1 = (M - mean_inf) / math.sqrt(var_inf)
     if m1 <= 0.0:
         raise InvalidMarginError(
             f"threshold M={M!r} is not above the limiting mean {mean_inf!r}"

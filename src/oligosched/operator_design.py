@@ -10,7 +10,6 @@ large finite penalty instead of aborting the simplex.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ from .errors import (
 )
 from .fixed_point import FixedPointConfig, MpeSolution, PricingRule, solve_mpe
 from .statespace import FeedbackGain, StateSpace, solve_lyapunov
-
-log = logging.getLogger(__name__)
 
 _PENALTY = 1e12
 
@@ -109,19 +106,6 @@ def evaluate_pricing(
         + weights.alpha2 * (ss.e @ Q @ ss.e)
     )
     return val, {"status": "ok", "iterations": sol.iterations, "solution": sol}
-
-
-def operator_objective(
-    pricing: PricingRule,
-    weights: OperatorWeights,
-    ss: StateSpace,
-    fp_cfg: FixedPointConfig | None = None,
-) -> float:
-    """Objective alone; inf signals an inner failure (see evaluate_pricing)."""
-    val, diag = evaluate_pricing(pricing, weights, ss, fp_cfg)
-    if not np.isfinite(val):
-        log.warning("pricing evaluation failed: %s", diag)
-    return val
 
 
 def optimize_pricing(

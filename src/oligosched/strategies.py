@@ -10,6 +10,13 @@ setups: the non-cooperative equilibrium, the cooperative optimum, a market
 with K coexisting flexible agents, risk-sensitive cooperative scheduling,
 a congestion-fee market, and two fixed reference rules.
 
+The risk-sensitive and congestion-fee coefficients are polynomial roots.
+Each is found by one root selection: every root of the polynomial (a
+cancellation-free quadratic formula, or companion-matrix eigenvalues for
+the cubic), then the smallest root that meets the admissibility conditions.
+The risk-sensitive result carries the residual of its implicit system as a
+certificate.
+
 All functions are pure and thread-safe.
 """
 from __future__ import annotations
@@ -17,6 +24,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     InvalidParamsError,
@@ -81,16 +90,14 @@ class RiskSensitivity:
 class RiskSensitiveCoeffs:
     """Coefficients of the recursive quadratic cost and induced strategy.
 
-    ``from_fallback`` is set when the closed form failed its residual test
-    and the coefficients were recovered from the implicit system directly;
-    ``system_residual`` is the final residual of that system.
+    ``system_residual`` is the max abs residual of the implicit coefficient
+    system at (r1, r2), the certificate of the root selection.
     """
 
     r1: float
     r2: float
     r3: float
-    from_fallback: bool = False
-    system_residual: float = 0.0
+    system_residual: float
 
 
 @dataclass(frozen=True)
@@ -172,89 +179,52 @@ def _rs_system_residual(r1, r2, q, beta, T, mu1, mu2):
     return max(abs(res1), abs(res2))
 
 
-def _rs_r2_closed_form(q, beta, T):
-    c = 1.0 - beta - (1.0 - q) * T
-    d = beta + T
-    if d == 0.0 or c == 0.0:
-        return None
-    arg = 1.0 + 4.0 * (1.0 - q) * d / (c * c)
-    if arg < 0.0:
-        return None
-    return c * (math.sqrt(arg) - 1.0) / (2.0 * d)
-
-
-def _rs_r2_fallback(q, beta, T):
-    # the implicit r2 equation reduces to (beta+T) r^2 + c r - (1-q) = 0
-    c = 1.0 - beta - (1.0 - q) * T
-    d = beta + T
-    if abs(d) < 1e-300:
-        roots = [] if c == 0.0 else [(1.0 - q) / c]
-    else:
-        disc = c * c + 4.0 * d * (1.0 - q)
-        if disc < 0.0:
-            roots = []
-        else:
-            sq = math.sqrt(disc)
-            roots = [(-c - sq) / (2.0 * d), (-c + sq) / (2.0 * d)]
-    admissible = sorted(r for r in roots if r > 0.0 and 1.0 + T * r > 0.0)
-    if not admissible:
-        raise NoSolutionError(
-            f"no positive coefficient r2 exists for theta*sigma1^2={T!r}, "
-            f"beta={beta!r}, q={q!r}"
-        )
-    return admissible[0]
-
-
 def risk_sensitive_coeffs(p: MarketParamsL2, rs: RiskSensitivity) -> RiskSensitiveCoeffs:
     """Coefficients (r1, r2, r3) of the risk-sensitive cooperative problem.
 
-    The closed forms are evaluated first and validated against the implicit
-    coefficient system; on residual failure the system itself is solved
-    (quadratic reduction) and the result is flagged.  Requires q1 = 1, the
-    regime in which the recursion is derived.
+    With T = theta*sigma1^2 the implicit system reduces to the quadratic
+
+        (beta+T)*r^2 + (1 - beta - (1-q2)*T)*r - (1-q2) = 0,
+
+    whose roots are taken without cancellation (a linear root when
+    beta + T = 0).  r2 is the smallest root with r2 > 0 and 1 + T*r2 > 0,
+    then r3 = beta*r2/(1 + T*r2) and r1 solves the linear equation for the
+    constant term.  The result is certified against the implicit system to
+    1e-10; NoSolutionError is raised when no root qualifies or the
+    certificate fails.  Requires q1 = 1, the regime in which the recursion
+    is derived.
     """
     if p.q1 != 1.0:
         raise InvalidParamsError("risk-sensitive coefficients require q1 = 1")
     q = p.q2
     beta = rs.beta
     T = rs.theta * p.sigma1 ** 2
-
-    def _r1_closed(r2):
-        den = 1.0 + T * r2 - beta * (1.0 - r2)
-        if den == 0.0:
-            return None
-        return 2.0 * beta * r2 * (1.0 - r2) * (p.mu1 + p.mu2) / den
-
-    from_fallback = False
-    r2 = _rs_r2_closed_form(q, beta, T)
-    r1 = _r1_closed(r2) if r2 is not None else None
-    ok = (
-        r2 is not None
-        and r1 is not None
-        and math.isfinite(r2)
-        and math.isfinite(r1)
-        and r2 > 0.0
-        and 1.0 + T * r2 > 0.0
-        and _rs_system_residual(r1, r2, q, beta, T, p.mu1, p.mu2) <= 1e-10
-    )
-    if not ok:
-        from_fallback = True
-        r2 = _rs_r2_fallback(q, beta, T)
-        r3_tmp = beta * r2 / (1.0 + T * r2)
-        den = 1.0 + r3_tmp - q * r3_tmp / r2
-        if den == 0.0:
-            raise NoSolutionError("degenerate linear equation for r1")
-        r1 = 2.0 * q * r3_tmp * (p.mu1 + p.mu2) / den
-        residual = _rs_system_residual(r1, r2, q, beta, T, p.mu1, p.mu2)
-        if residual > 1e-10:
-            raise NoSolutionError(
-                f"implicit coefficient system not solvable to 1e-10 "
-                f"(residual {residual:.3e})"
-            )
-    else:
-        residual = _rs_system_residual(r1, r2, q, beta, T, p.mu1, p.mu2)
+    c = 1.0 - beta - (1.0 - q) * T
+    d = beta + T
+    disc = c * c + 4.0 * d * (1.0 - q)
+    roots = []
+    if disc >= 0.0:
+        t = -(c + math.copysign(math.sqrt(disc), c)) / 2.0
+        roots = [num / den for num, den in ((-(1.0 - q), t), (t, d)) if den != 0.0]
+    admissible = [r for r in roots if r > 0.0 and 1.0 + T * r > 0.0]
+    if not admissible:
+        raise NoSolutionError(
+            f"no positive coefficient r2 exists for theta*sigma1^2={T!r}, "
+            f"beta={beta!r}, q={q!r}"
+        )
+    r2 = min(admissible)
     r3 = beta * r2 / (1.0 + T * r2)
-    return RiskSensitiveCoeffs(r1, r2, r3, from_fallback, residual)
+    den = 1.0 + r3 - q * r3 / r2
+    if den == 0.0:
+        raise NoSolutionError("degenerate linear equation for r1")
+    r1 = 2.0 * q * r3 * (p.mu1 + p.mu2) / den
+    residual = _rs_system_residual(r1, r2, q, beta, T, p.mu1, p.mu2)
+    if not residual <= 1e-10:
+        raise NoSolutionError(
+            f"implicit coefficient system not solvable to 1e-10 "
+            f"(residual {residual:.3e})"
+        )
+    return RiskSensitiveCoeffs(r1, r2, r3, residual)
 
 
 def risk_sensitive_strategy(
@@ -282,44 +252,6 @@ def risk_sensitive_strategy(
     return LinearStrategyL2(a, b, g)
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def _real_cubic_roots(c3, c2, c1, c0):
-    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0, by Cardano/trig formulas."""
-    if abs(c3) < 1e-14:
-        if abs(c2) < 1e-14:
-            if abs(c1) < 1e-14:
-                return []
-            return [-c0 / c1]
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            return []
-        sq = math.sqrt(disc)
-        return [(-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)]
-    A = c2 / c3
-    B = c1 / c3
-    C = c0 / c3
-    # depressed form t^3 + pt + q with x = t - A/3
-    pp = B - A * A / 3.0
-    qq = 2.0 * A ** 3 / 27.0 - A * B / 3.0 + C
-    shift = -A / 3.0
-    disc = (qq / 2.0) ** 2 + (pp / 3.0) ** 3
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        return [shift + _cbrt(-qq / 2.0 + sq) + _cbrt(-qq / 2.0 - sq)]
-    if disc == 0.0:
-        if pp == 0.0:
-            return [shift]
-        return [shift + 3.0 * qq / pp, shift - 3.0 * qq / (2.0 * pp)]
-    # three distinct real roots
-    r = math.sqrt(-(pp ** 3) / 27.0)
-    phi = math.acos(min(1.0, max(-1.0, -qq / (2.0 * r))))
-    m = 2.0 * math.sqrt(-pp / 3.0)
-    return [shift + m * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in range(3)]
-
-
 def congestion_strategy(p: MarketParamsL2, gamma: float) -> LinearStrategyL2:
     """Equilibrium strategy when agents pay a fee share gamma of others' cost.
 
@@ -327,9 +259,11 @@ def congestion_strategy(p: MarketParamsL2, gamma: float) -> LinearStrategyL2:
 
         gamma*q*a^3 - (1+gamma)*q*a^2 + 2*a - (1+gamma)/2 = 0,   q = q2,
 
-    restricted to the real roots in (0, 1) that keep the backlog recursion
-    stationary (q*a^2 < 1); the smallest such root is selected and a warning
-    is emitted if several qualify.  Then b = 1 - 2a/(1+gamma) and the
+    whose roots are the companion-matrix eigenvalues (np.roots drops the
+    vanishing leading terms at gamma*q = 0 or q = 0).  The real ones, each
+    polished by one Newton step, are restricted to (0, 1) and to a
+    stationary backlog recursion (q*a^2 < 1); the smallest such root is
+    selected and a warning is emitted if several qualify.  Then b = 1 - 2a/(1+gamma) and the
     constant term follows from the companion linear equation.
     """
     if not 0.0 <= gamma <= 1.0:
@@ -344,7 +278,10 @@ def congestion_strategy(p: MarketParamsL2, gamma: float) -> LinearStrategyL2:
         return (3.0 * c3 * a + 2.0 * c2) * a + c1
 
     polished = []
-    for a in _real_cubic_roots(c3, c2, c1, c0):
+    for z in np.roots([c3, c2, c1, c0]):
+        if abs(z.imag) > 1e-7 * max(1.0, abs(z)):
+            continue
+        a = float(z.real)
         d = _dpoly(a)
         if d != 0.0:
             a = a - _poly(a) / d
@@ -352,7 +289,7 @@ def congestion_strategy(p: MarketParamsL2, gamma: float) -> LinearStrategyL2:
     cands = sorted(
         a for a in polished if 0.0 < a < 1.0 and q * a * a < 1.0 and q * a < 1.0
     )
-    # collapse near-duplicates produced by the multiple-root branches
+    # collapse a double root that the eigenvalue solve splits in two
     uniq = []
     for a in cands:
         if not uniq or a - uniq[-1] > 1e-9:

@@ -224,6 +224,19 @@ class TestL2Commands:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("arch", ["cong:0.5", "rs:-0.1,0.5"])
+    def test_root_selection_strategies_load_no_scipy(self, arch):
+        # both root selections need only numpy
+        code = (
+            "import sys; from oligosched.cli import main; "
+            f"main(['l2', 'strategy', '--arch', {arch!r}, '--params', {PARAMS!r}]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

@@ -11,7 +11,7 @@ from oligosched import fixed_point
 class TestOperatorObjective:
     def test_marginal_cost_matches_h2(self, ss2):
         w = og.OperatorWeights(1.0, 1.0)
-        val = og.operator_objective(og.marginal_cost_pricing(ss2), w, ss2)
+        val = og.evaluate_pricing(og.marginal_cost_pricing(ss2), w, ss2)[0]
         sol = og.solve_mpe(og.marginal_cost_pricing(ss2), ss2)
         rep = og.h2_norms(sol.gain, ss2)
         assert val == pytest.approx(rep.z1sq + rep.z2sq, rel=1e-10)
@@ -28,7 +28,7 @@ class TestOperatorObjective:
             (og.OperatorWeights(0.0, 1.0), "z2sq"),
         ):
             vals = {
-                name: og.operator_objective(pricing, weights, ss2)
+                name: og.evaluate_pricing(pricing, weights, ss2)[0]
                 for name, pricing in (("mc", mc), ("other", other))
             }
             expected_order = (
@@ -70,7 +70,7 @@ class TestOptimizePricing:
     def test_reported_objective_reproducible_from_pricing(self, ss2):
         w = og.OperatorWeights(1.0, 1.0)
         res = og.optimize_pricing(w, ss2, budget=150, seed=11)
-        again = og.operator_objective(res.pricing, w, ss2)
+        again = og.evaluate_pricing(res.pricing, w, ss2)[0]
         assert abs(again - res.objective) <= 1e-10
 
     def test_reports_best_evaluated_pricing(self, ss2, monkeypatch):

@@ -1,5 +1,7 @@
 """Closed-form strategy constructors: frozen values, oracles, invariants."""
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,121 @@ Q2_GRID = np.linspace(0.0, 1.0, 101)
 
 def params(q1=1.0, q2=0.6, mu1=0.0, mu2=0.0, s1=1.0, s2=1.0):
     return og.MarketParamsL2(q1, q2, mu1, mu2, s1, s2)
+
+
+def rs_branch_oracle(p, rs):
+    """The former two-path risk-sensitive solve, as (r1, r2, r3).
+
+    A fixed-sign quadratic formula and a second r1 formula first; when that
+    fails its residual test, both roots of the r2 quadratic are formed and
+    the smallest admissible one is kept.
+    """
+    q, beta = p.q2, rs.beta
+    T = rs.theta * p.sigma1 ** 2
+    c = 1.0 - beta - (1.0 - q) * T
+    d = beta + T
+    residual = og.strategies._rs_system_residual
+    r1 = r2 = None
+    if d != 0.0 and c != 0.0:
+        arg = 1.0 + 4.0 * (1.0 - q) * d / (c * c)
+        if arg >= 0.0:
+            r2 = c * (math.sqrt(arg) - 1.0) / (2.0 * d)
+            den = 1.0 + T * r2 - beta * (1.0 - r2)
+            if den != 0.0:
+                r1 = 2.0 * beta * r2 * (1.0 - r2) * (p.mu1 + p.mu2) / den
+    if not (
+        r1 is not None
+        and math.isfinite(r2)
+        and math.isfinite(r1)
+        and r2 > 0.0
+        and 1.0 + T * r2 > 0.0
+        and residual(r1, r2, q, beta, T, p.mu1, p.mu2) <= 1e-10
+    ):
+        if abs(d) < 1e-300:
+            roots = [] if c == 0.0 else [(1.0 - q) / c]
+        else:
+            disc = c * c + 4.0 * d * (1.0 - q)
+            sq = math.sqrt(max(disc, 0.0))
+            roots = [] if disc < 0.0 else [(-c - sq) / (2.0 * d), (-c + sq) / (2.0 * d)]
+        admissible = sorted(r for r in roots if r > 0.0 and 1.0 + T * r > 0.0)
+        if not admissible:
+            raise og.NoSolutionError("no admissible r2")
+        r2 = admissible[0]
+        r3 = beta * r2 / (1.0 + T * r2)
+        den = 1.0 + r3 - q * r3 / r2
+        if den == 0.0:
+            raise og.NoSolutionError("degenerate linear equation for r1")
+        r1 = 2.0 * q * r3 * (p.mu1 + p.mu2) / den
+        if residual(r1, r2, q, beta, T, p.mu1, p.mu2) > 1e-10:
+            raise og.NoSolutionError("residual above 1e-10")
+    return r1, r2, beta * r2 / (1.0 + T * r2)
+
+
+def _cardano_roots(c3, c2, c1, c0):
+    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0 by Cardano/trig formulas."""
+    def cbrt(x):
+        return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+    if abs(c3) < 1e-14:
+        if abs(c2) < 1e-14:
+            return [] if abs(c1) < 1e-14 else [-c0 / c1]
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0.0:
+            return []
+        sq = math.sqrt(disc)
+        return [(-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)]
+    A, B, C = c2 / c3, c1 / c3, c0 / c3
+    pp = B - A * A / 3.0
+    qq = 2.0 * A ** 3 / 27.0 - A * B / 3.0 + C
+    shift = -A / 3.0
+    disc = (qq / 2.0) ** 2 + (pp / 3.0) ** 3
+    if disc > 0.0:
+        sq = math.sqrt(disc)
+        return [shift + cbrt(-qq / 2.0 + sq) + cbrt(-qq / 2.0 - sq)]
+    if disc == 0.0:
+        if pp == 0.0:
+            return [shift]
+        return [shift + 3.0 * qq / pp, shift - 3.0 * qq / (2.0 * pp)]
+    r = math.sqrt(-(pp ** 3) / 27.0)
+    phi = math.acos(min(1.0, max(-1.0, -qq / (2.0 * r))))
+    m = 2.0 * math.sqrt(-pp / 3.0)
+    return [shift + m * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in range(3)]
+
+
+def cardano_oracle(p, gamma):
+    """The former Cardano congestion solve, as ((a, b, g), stable root count)."""
+    q = p.q2
+    c3, c2, c1, c0 = gamma * q, -(1.0 + gamma) * q, 2.0, -(1.0 + gamma) / 2.0
+    polished = []
+    for a in _cardano_roots(c3, c2, c1, c0):
+        d = (3.0 * c3 * a + 2.0 * c2) * a + c1
+        if d != 0.0:
+            a = a - (((c3 * a + c2) * a + c1) * a + c0) / d
+        polished.append(a)
+    uniq = []
+    for a in sorted(a for a in polished if 0.0 < a < 1.0 and q * a * a < 1.0 and q * a < 1.0):
+        if not uniq or a - uniq[-1] > 1e-9:
+            uniq.append(a)
+    if not uniq:
+        raise og.NoStableRootError("no stable root")
+    a = uniq[0]
+    b = 1.0 - 2.0 * a / (1.0 + gamma)
+    t = 2.0 * gamma * a - 1.0 - gamma
+    num = ((1.0 - q) * (1.0 + gamma) - q * t * (1.0 - a)) * p.q1 * p.mu1 \
+        - q * t * b * p.mu2
+    return (a, b, num / (q * t + (1.0 + gamma) / a)), len(uniq)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the typed no-solution error it raised."""
+    try:
+        return fn(*args)
+    except (og.NoSolutionError, og.NoStableRootError) as exc:
+        return exc
+
+
+def _close(new, old, rel):
+    return all(abs(x - y) <= rel * max(abs(y), 1.0) for x, y in zip(new, old))
 
 
 class TestMpeStrategy:
@@ -157,14 +274,43 @@ class TestRiskSensitive:
         assert c.r2 > 0
         assert c.r3 == pytest.approx(0.5 * c.r2 / (1.0 - 0.1 * c.r2), abs=1e-14)
 
-    def test_fallback_branch_flags_discrepancy(self):
-        # large positive theta makes the direct closed form pick the wrong
-        # quadratic branch; the implicit system remains solvable
+    def test_large_theta_selects_admissible_root(self):
+        # at large positive theta the root a fixed-sign quadratic formula
+        # picks is negative; the selection keeps the positive one
         p = params(q1=1.0, q2=0.5, mu1=1.0, mu2=1.0)
         c = og.risk_sensitive_coeffs(p, og.RiskSensitivity(2.0, 0.5))
-        assert c.from_fallback
-        assert c.r2 > 0
+        assert c.r2 == pytest.approx(0.558257569495584, abs=1e-14)
         assert c.system_residual <= 1e-10
+
+    def test_q2_zero_root_is_exact(self):
+        # -0.45 r^2 + 1.45 r - 1 = 0 has the root 1 exactly, and r1 carries
+        # the factor q2
+        p = params(q1=1.0, q2=0.0, mu1=1.0, mu2=2.0, s1=0.5)
+        c = og.risk_sensitive_coeffs(p, og.RiskSensitivity(-2.0, 0.05))
+        assert c.r1 == 0.0
+        assert c.r2 == 1.0
+
+    def test_branch_oracle_grid(self):
+        # T = theta*sigma1^2 = -1 makes r2 = 1 a root with 1 + T*r2 = 0, so
+        # rounding alone decides admissibility there, on both sides
+        for q2, beta, theta, s1, mu1, mu2 in itertools.product(
+            np.linspace(0.0, 1.0, 21),
+            (0.05, 0.2, 0.5, 0.8, 0.95, 1.0 - 1e-8),
+            (-5, -2, -1, -0.5, -0.2, -0.1, -1e-3, 0, 1e-3, 0.1, 0.5, 1, 2, 5, 20),
+            (0.5, 1.0, 3.0), (0.0, 1.0, -2.0), (0.0, 2.0),
+        ):
+            T = theta * s1 ** 2
+            if T == -1.0:
+                continue
+            p = params(q1=1.0, q2=q2, mu1=mu1, mu2=mu2, s1=s1)
+            rs = og.RiskSensitivity(theta, beta)
+            new = _outcome(og.risk_sensitive_coeffs, p, rs)
+            old = _outcome(rs_branch_oracle, p, rs)
+            assert isinstance(new, Exception) == isinstance(old, Exception), (p, rs)
+            c = 1.0 - beta - (1.0 - q2) * T
+            if isinstance(new, Exception) or abs(c * c + 4.0 * (beta + T) * (1.0 - q2)) < 1e-9:
+                continue
+            assert _close((new.r1, new.r2, new.r3), old, 1e-12), (p, rs)
 
     def test_no_solution_band(self):
         p = params(q1=1.0, q2=0.5)
@@ -261,6 +407,24 @@ class TestCongestion:
         # at gamma=1, q=1 the only real root sits exactly at a=1
         with pytest.raises(og.NoStableRootError):
             og.congestion_strategy(params(q1=1.0, q2=1.0), 1.0)
+
+    def test_cardano_oracle_grid(self):
+        # the means and q1 enter only the constant term, so they cycle over
+        # the (gamma, q2) grid instead of multiplying it
+        means = itertools.cycle(itertools.product((0.3, 1.0), (0.0, 2.0), (0.0, 3.0)))
+        grid = np.linspace(0.0, 1.0, 101)
+        for (gamma, q2), (q1, mu1, mu2) in zip(itertools.product(grid, grid), means):
+            p = params(q1=q1, q2=q2, mu1=mu1, mu2=mu2)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                new = _outcome(og.congestion_strategy, p, gamma)
+            old = _outcome(cardano_oracle, p, gamma)
+            assert isinstance(new, Exception) == isinstance(old, Exception), (p, gamma)
+            if isinstance(new, Exception):
+                continue
+            (a, b, g), n_stable = old
+            assert len(caught) == (n_stable > 1), (p, gamma)
+            assert _close((new.a, new.b, new.g), (a, b, g), 1e-14), (p, gamma)
 
 
 class TestBaselines:
