@@ -44,10 +44,10 @@ def _json_escape(s: str) -> str:
     return "".join(out)
 
 
-def dumps(obj, indent: int = 2, _level: int = 0) -> str:
-    """JSON text with full-precision floats; dict order is preserved."""
-    pad = " " * (indent * _level)
-    pad_in = " " * (indent * (_level + 1))
+def dumps(obj, _level: int = 0) -> str:
+    """JSON text, two spaces per level, full-precision floats, dict order kept."""
+    pad = "  " * _level
+    pad_in = "  " * (_level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, str):
@@ -64,14 +64,14 @@ def dumps(obj, indent: int = 2, _level: int = 0) -> str:
         if not obj:
             return "{}"
         parts = [
-            f'{pad_in}"{_json_escape(str(k))}": {dumps(v, indent, _level + 1)}'
+            f'{pad_in}"{_json_escape(str(k))}": {dumps(v, _level + 1)}'
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f"{pad_in}{dumps(v, indent, _level + 1)}" for v in obj]
+        parts = [f"{pad_in}{dumps(v, _level + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from .errors import InvalidMarginError, InvalidParamsError, NonStationaryError
 from .strategies import LinearStrategyL2, MarketParamsL2
 
+_MASS_TOL = 1e-12  # geometric mixture mass left to the limiting component
+
 
 @dataclass(frozen=True)
 class StationaryMoments:
@@ -135,16 +137,11 @@ def _limiting_component(s: LinearStrategyL2, p: MarketParamsL2) -> tuple[float, 
     return mean, var
 
 
-def mixture_tail_probability(
-    s: LinearStrategyL2,
-    p: MarketParamsL2,
-    M: float,
-    mass_tol: float = 1e-12,
-) -> float:
+def mixture_tail_probability(s: LinearStrategyL2, p: MarketParamsL2, M: float) -> float:
     """Pr(x > M) by direct summation of the geometric mixture.
 
     Components are summed until the remaining geometric mass q2^k drops
-    below ``mass_tol``; the remainder is charged at the limiting component's
+    below _MASS_TOL; the remainder is charged at the limiting component's
     tail, so the result is a slight over-estimate of the exact mixture tail.
     At q2 = 1 every component has weight 0 and one term is summed, which
     keeps the NaN of a zero-variance component.
@@ -153,13 +150,13 @@ def mixture_tail_probability(
     if q == 0.0:
         mean, var = mixture_component_moments(s, p, 0)
         return _normal_sf(M, mean, var)
-    limit = 1 if q == 1.0 else int(math.ceil(math.log(mass_tol) / math.log(q))) + 1
+    limit = 1 if q == 1.0 else int(math.ceil(math.log(_MASS_TOL) / math.log(q))) + 1
     total = 0.0
     k = 0
     while k < limit:
         mean, var = mixture_component_moments(s, p, k)
         total += (q ** k) * (1.0 - q) * _normal_sf(M, mean, var)
-        if q ** (k + 1) <= mass_tol:
+        if q ** (k + 1) <= _MASS_TOL:
             break
         k += 1
     # remaining mass, charged at the limiting component
@@ -171,7 +168,8 @@ def risk_upper_bound(s: LinearStrategyL2, p: MarketParamsL2, M: float) -> RiskBo
     """Gaussian upper bound on Pr(x > M) and the induced demand-tail bound.
 
     The backlog tail is bounded by exp(-m1^2/2) / (sqrt(2*pi)*m1) where m1
-    standardizes M against the limiting mixture component; requires m1 > 0.
+    standardizes M against the limiting mixture component (variance > 0);
+    requires m1 > 0.
     When the coefficient condition
 
         (1 - (1-a)^2)/(1 - a^2) > b^2*sigma2^2 / (sigma1^2 + (1-b)^2*sigma2^2)
@@ -186,6 +184,8 @@ def risk_upper_bound(s: LinearStrategyL2, p: MarketParamsL2, M: float) -> RiskBo
     if not 0.0 < a < 1.0:
         raise InvalidParamsError(f"a={a!r} must lie in (0, 1)")
     mean_inf, var_inf = _limiting_component(s, p)
+    if not var_inf > 0.0:
+        raise InvalidParamsError(f"limiting component variance {var_inf!r} is not positive")
     m1 = (M - mean_inf) / math.sqrt(var_inf)
     if m1 <= 0.0:
         raise InvalidMarginError(

@@ -40,7 +40,6 @@ from .operator_design import OperatorWeights, optimize_pricing
 from .pareto import SynthesisConfig, default_weight_grid, trace_front
 from .simulate import SimConfig, series_columns, simulate_l2
 from .statespace import (
-    FeedbackGain,
     OutputWeights,
     build_state_space,
     h2_norms,
@@ -88,7 +87,7 @@ def _parse_params(arg: str) -> MarketParamsL2:
     return MarketParamsL2(**values)
 
 
-def _parse_arch(arch: str, p: MarketParamsL2, rs_constant: str):
+def _parse_arch(arch: str, p: MarketParamsL2):
     if arch == "nc":
         return mpe_strategy(p)
     if arch == "coop":
@@ -102,7 +101,7 @@ def _parse_arch(arch: str, p: MarketParamsL2, rs_constant: str):
     if arch.startswith("rs:"):
         theta_s, beta_s = arch[3:].split(",")
         rs = RiskSensitivity(float(theta_s), float(beta_s))
-        return risk_sensitive_strategy(p, rs, constant_term=rs_constant)
+        return risk_sensitive_strategy(p, rs)
     if arch.startswith("cong:"):
         return congestion_strategy(p, float(arch[5:]))
     raise InvalidParamsError(
@@ -146,7 +145,7 @@ def _manifest(args, config: dict, seed=None) -> dict:
 
 def _cmd_l2_strategy(ns, argv):
     p = _parse_params(ns.params)
-    s = _parse_arch(ns.arch, p, ns.rs_constant)
+    s = _parse_arch(ns.arch, p)
     text = _textio.dumps({"a": s.a, "b": s.b, "g": s.g}) + "\n"
     man = _manifest(argv, {"arch": ns.arch, "params": vars(p)})
     _emit(text, ns.out, man)
@@ -155,7 +154,7 @@ def _cmd_l2_strategy(ns, argv):
 
 def _cmd_l2_metrics(ns, argv):
     p = _parse_params(ns.params)
-    s = _parse_arch(ns.arch, p, ns.rs_constant)
+    s = _parse_arch(ns.arch, p)
     m = stationary_moments(s, p)
     result = {
         "strategy": {"a": s.a, "b": s.b, "g": s.g},
@@ -186,7 +185,7 @@ def _cmd_l2_metrics(ns, argv):
 
 def _cmd_l2_simulate(ns, argv):
     p = _parse_params(ns.params)
-    s = _parse_arch(ns.arch, p, ns.rs_constant)
+    s = _parse_arch(ns.arch, p)
     seed = _seed_override(ns.seed)
     cfg = SimConfig(
         horizon=ns.horizon,
@@ -270,7 +269,7 @@ def _cmd_lti_h2(ns, argv):
         raise InvalidParamsError(
             f"gain shape {mat.shape} does not match D_c={ss.D_c}"
         )
-    rep = h2_norms(FeedbackGain(mat, ss), ss, mismatch_form=ns.mismatch)
+    rep = h2_norms(mat, ss)
     result = {"L": L, "z1sq": rep.z1sq, "z2sq": rep.z2sq, "z3sq": rep.z3sq}
     if ns.alpha:
         a1, a2, a3 = (float(v) for v in ns.alpha.split(","))
@@ -399,8 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = l2.add_parser(name)
         sp.add_argument("--arch", required=True)
         sp.add_argument("--params", required=True, help="JSON file or literal")
-        sp.add_argument("--rs-constant", default="recursion",
-                        choices=["recursion", "headline"])
         sp.add_argument("--out", default=None)
         if name == "metrics":
             sp.add_argument("--threshold", type=float, default=None, metavar="M")
@@ -424,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = lti.add_parser("h2")
     sp.add_argument("--gain", required=True, help="gain CSV (D_c,L header)")
     sp.add_argument("--alpha", default=None, help="a1,a2,a3")
-    sp.add_argument("--mismatch", default="deadline", choices=["deadline", "unmasked"])
     sp.add_argument("--out", default=None)
 
     sp = lti.add_parser("mpe")

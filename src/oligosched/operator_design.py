@@ -25,6 +25,7 @@ from .fixed_point import FixedPointConfig, MpeSolution, PricingRule, solve_mpe
 from .statespace import FeedbackGain, StateSpace, solve_lyapunov
 
 _PENALTY = 1e12
+_BOX = 5.0  # every pricing coefficient is held in [-_BOX, _BOX]
 
 
 def minimize(fun, x0, **kwargs):
@@ -114,13 +115,12 @@ def optimize_pricing(
     budget: int,
     seed: int = 0,
     fp_cfg: FixedPointConfig | None = None,
-    box: float = 5.0,
 ) -> OperatorResult:
     """Multi-start Nelder-Mead over the 2*D_c pricing coefficients.
 
     Starts from marginal-cost pricing and seeded perturbations of it,
     capping total objective evaluations at ``budget``; coefficients are
-    constrained to [-box, box].  Returns the best finite evaluation of the
+    constrained to [-_BOX, _BOX].  Returns the best finite evaluation of the
     search; the baseline is evaluated first, so the returned objective
     never exceeds it.  Ties are broken toward the lexicographically
     smallest coefficient vector.
@@ -145,7 +145,7 @@ def optimize_pricing(
     def objective(theta):
         nonlocal count, sweeps, best_val, best_theta, best_gain
         count += 1
-        theta = np.clip(theta, -box, box)
+        theta = np.clip(theta, -_BOX, _BOX)
         val, diag = evaluate_pricing(theta_to_pricing(theta), weights, ss, fp_cfg)
         sweeps += diag.get("iterations", 0)
         if diag["status"] != "ok":
@@ -166,13 +166,13 @@ def optimize_pricing(
             x0 = baseline_theta.copy()
         else:
             x0 = np.clip(
-                baseline_theta + 0.25 * gen.standard_normal(2 * D), -box, box
+                baseline_theta + 0.25 * gen.standard_normal(2 * D), -_BOX, _BOX
             )
         minimize(
             objective,
             x0,
             method="Nelder-Mead",
-            bounds=[(-box, box)] * (2 * D),
+            bounds=[(-_BOX, _BOX)] * (2 * D),
             options={
                 "maxfev": max(1, remaining),
                 "xatol": 1e-6,

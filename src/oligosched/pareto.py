@@ -44,24 +44,24 @@ log = logging.getLogger(__name__)
 # Policy-improvement steps allowed per weight; the default grid at L = 2-14
 # stops within 12 and the edge weight normalized(1, 0.001, 1) within 15.
 _POLICY_CAP = 100
+# Spectral-radius margin 1 - rho that the gradient certificate requires.
+_STABILITY_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
 class SynthesisConfig:
     tol_grad: float = 1e-6
-    stability_margin: float = 1e-6
 
     def __post_init__(self):
         if self.tol_grad <= 0.0:
             raise InvalidParamsError("tol_grad must be positive")
-        if not 0.0 <= self.stability_margin < 1.0:
-            raise InvalidParamsError("stability_margin must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
 class ParetoPoint:
     """A synthesized gain with its H2 report and optimality certificate.
 
+    ``objective`` is the J that policy iteration evaluated for the gain,
     ``grad_inf`` is |G|inf of the exact gradient at the gain and
     ``iterations`` the policy-improvement steps taken, the last of which,
     not lowering J, was discarded.
@@ -121,7 +121,7 @@ def synthesize(weights: OutputWeights, ss: StateSpace, cfg: SynthesisConfig | No
     adjoint Gramian, and improvement until a step no longer lowers J; the
     gain before that step is kept.  Raises NotConvergedError, carrying the
     J of every evaluated gain, unless the exact gradient certifies
-    |G|inf <= ``cfg.tol_grad`` at the stability margin.
+    |G|inf <= ``cfg.tol_grad`` at the margin ``_STABILITY_MARGIN``.
     """
     cfg = cfg or SynthesisConfig()
     C1, D12 = _plant_outputs(weights, ss)
@@ -143,21 +143,15 @@ def synthesize(weights: OutputWeights, ss: StateSpace, cfg: SynthesisConfig | No
         if not J_next < J:
             break
         F, P, J = F_next, P_next, J_next
-    _, G = objective_and_gradient(F, weights, ss, cfg.stability_margin)
+    _, G = objective_and_gradient(F, weights, ss, _STABILITY_MARGIN)
     grad_inf = float(np.max(np.abs(G)))
     if grad_inf > cfg.tol_grad:
         raise NotConvergedError(
             f"policy iteration stopped at |G|inf = {grad_inf:.3e} > {cfg.tol_grad:g}",
             trace,
         )
-    report = h2_norms(F, ss)
-    objective = (
-        weights.alpha1 ** 2 * report.z1sq
-        + weights.alpha2 ** 2 * report.z2sq
-        + weights.alpha3 ** 2 * report.z3sq
-    )
     return ParetoPoint(
-        weights, FeedbackGain(F, ss), report, float(objective), grad_inf, iterations
+        weights, FeedbackGain(F, ss), h2_norms(F, ss), J, grad_inf, iterations
     )
 
 
@@ -199,13 +193,12 @@ def trace_front(
     return points
 
 
-def default_weight_grid(
-    ratios=(0.3, 1.0, 3.0, 10.0, 100.0),
-    mixes=(0.1, 0.3, 0.5, 0.7, 0.9),
-) -> list[OutputWeights]:
-    """Grid of normalized weights: mismatch ratio x demand/backlog mix."""
+def default_weight_grid() -> list[OutputWeights]:
+    """Grid of 25 normalized weights: mismatch ratio x demand/backlog mix."""
     return [
-        OutputWeights.normalized(m, 1.0 - m, r) for r in ratios for m in mixes
+        OutputWeights.normalized(m, 1.0 - m, r)
+        for r in (0.3, 1.0, 3.0, 10.0, 100.0)
+        for m in (0.1, 0.3, 0.5, 0.7, 0.9)
     ]
 
 

@@ -15,7 +15,8 @@ the stationary covariance Q_F solves
 
 and the three performance measures are quadratic forms in Q_F: aggregate
 demand e'F Q F'e, aggregate backlog e'Q e, and deadline mismatch
-(e_L'(I-F)) Q (e_L'(I-F))'.  Every Lyapunov equation, at any dimension, is
+(e_L'(I-F)) Q (e_L'(I-F))', whose alpha^2-weighted sum is the objective the
+Pareto synthesis minimizes.  Every Lyapunov equation, at any dimension, is
 solved by Smith's doubling iteration and certified by its residual and a spectral bound.
 """
 from __future__ import annotations
@@ -194,19 +195,11 @@ def solve_lyapunov(F, ss: StateSpace, margin: float = 1e-9) -> np.ndarray:
     return _solve_dlyap(M, ss.R2 @ ss.R2.T, margin)
 
 
-def h2_norms(F, ss: StateSpace, mismatch_form: str = "deadline") -> H2Report:
-    """Squared H2 norms of the three outputs under feedback F.
-
-    ``mismatch_form`` selects the mismatch row vector: "deadline" (default)
-    uses e_L'(I - F), measuring unconsumed backlog of exiting agents; the
-    alternative "unmasked" uses (e' - e_L' F) and is retained only so the
-    two conventions can be compared side by side.
-    """
-    if mismatch_form not in ("deadline", "unmasked"):
-        raise InvalidParamsError(f"unknown mismatch_form {mismatch_form!r}")
+def h2_norms(F, ss: StateSpace) -> H2Report:
+    """Squared H2 norms of the three outputs under feedback F; the mismatch
+    row e_L'(I - F) is the backlog that agents leave at their deadline."""
     Fm = _as_matrix(F)
-    v3 = (np.eye(ss.D_c) - Fm).T @ ss.e_L if mismatch_form == "deadline" \
-        else ss.e - Fm.T @ ss.e_L
+    v3 = (np.eye(ss.D_c) - Fm).T @ ss.e_L
     Q = solve_lyapunov(Fm, ss)
     z1 = float(ss.e @ Fm @ Q @ Fm.T @ ss.e)
     z2 = float(ss.e @ Q @ ss.e)
@@ -223,29 +216,14 @@ def make_f_dl_projection(F, ss: StateSpace) -> FeedbackGain:
     return FeedbackGain(Fm, ss)
 
 
-def make_f_alpha(alpha: float, ss: StateSpace, pattern: np.ndarray | None = None) -> FeedbackGain:
-    """Member of the cross-response class: unit diagonal, negative
-    off-diagonal entries whose magnitudes sum to ``alpha`` per row.
-
-    ``pattern`` supplies nonnegative off-diagonal weights (row-normalized
-    internally); uniform weights are used by default.
-    """
+def make_f_alpha(alpha: float, ss: StateSpace) -> FeedbackGain:
+    """Member of the cross-response class: unit diagonal, uniform off-diagonal
+    entries -alpha/(D_c-1) whose magnitudes sum to ``alpha`` per row."""
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParamsError(f"alpha={alpha!r} must lie in [0, 1]")
     D = ss.D_c
-    if pattern is None:
-        pattern = np.ones((D, D))
-    pattern = np.asarray(pattern, dtype=float)
-    if pattern.shape != (D, D) or np.any(pattern < 0.0):
-        raise InvalidParamsError("pattern must be a nonnegative D_c x D_c array")
-    F = np.zeros((D, D))
-    for i in range(D):
-        w = pattern[i].copy()
-        w[i] = 0.0
-        tot = w.sum()
-        if tot > 0.0:
-            F[i] = -alpha * w / tot
-        F[i, i] = 1.0
+    F = np.full((D, D), -alpha / (D - 1) if D > 1 else 0.0)
+    np.fill_diagonal(F, 1.0)
     return FeedbackGain(F, ss)
 
 

@@ -10,12 +10,16 @@ setups: the non-cooperative equilibrium, the cooperative optimum, a market
 with K coexisting flexible agents, risk-sensitive cooperative scheduling,
 a congestion-fee market, and two fixed reference rules.
 
+The non-cooperative, cooperative and K-agent rules are ``_ratio_rule`` at
+r = 1/2, 1 and K/(K+1); the risk-sensitive rule tends to the cooperative
+one as theta -> 0 and beta -> 1.
+
 The risk-sensitive and congestion-fee coefficients are polynomial roots.
 Each is found by one root selection: every root of the polynomial (a
 cancellation-free quadratic formula, or companion-matrix eigenvalues for
 the cubic), then the smallest root that meets the admissibility conditions.
 The risk-sensitive result carries the residual of its implicit system as a
-certificate.
+certificate; its degenerate cases are decided by exact zeros, not rounding.
 
 All functions are pure and thread-safe.
 """
@@ -109,31 +113,24 @@ class CoopValue:
     lambda_c: float
 
 
-def mpe_strategy(p: MarketParamsL2) -> LinearStrategyL2:
-    """Non-cooperative equilibrium strategy.
-
-    a = 1/(2(1+s)), b = 1/(1+1/s), g = (q1*mu1 + q2*mu2/(1+s)) / (2(1+s))
-    with s = sqrt(1 - q2/2).
-    """
-    s = math.sqrt(1.0 - p.q2 / 2.0)
-    a = 1.0 / (2.0 * (1.0 + s))
-    b = 1.0 / (1.0 + 1.0 / s)
-    g = (p.q1 * p.mu1 + p.q2 * p.mu2 / (1.0 + s)) / (2.0 * (1.0 + s))
+def _ratio_rule(p: MarketParamsL2, r: float) -> LinearStrategyL2:
+    """a = r/(1+s), b = 1/(1+1/s), g = r*(q1*mu1 + q2*mu2/(1+s))/(1+s) with
+    s = sqrt(1 - r*q2), and b = 0 at s = 0."""
+    s = math.sqrt(1.0 - r * p.q2)
+    a = r / (1.0 + s)
+    b = 0.0 if s == 0.0 else 1.0 / (1.0 + 1.0 / s)
+    g = r * (p.q1 * p.mu1 + p.q2 * p.mu2 / (1.0 + s)) / (1.0 + s)
     return LinearStrategyL2(a, b, g)
+
+
+def mpe_strategy(p: MarketParamsL2) -> LinearStrategyL2:
+    """Non-cooperative equilibrium strategy: the ratio rule at r = 1/2."""
+    return _ratio_rule(p, 0.5)
 
 
 def coop_strategy(p: MarketParamsL2) -> LinearStrategyL2:
-    """Cooperative optimal stationary strategy.
-
-    a = 1/(1+s), b = 1/(1+1/s), g = (q1*mu1 + q2*mu2/(1+s)) / (1+s) with
-    s = sqrt(1 - q2).  At q2 = 1 the analytic limit (a=1, b=0,
-    g=q1*mu1+q2*mu2) is returned rather than an error.
-    """
-    s = math.sqrt(1.0 - p.q2)
-    a = 1.0 / (1.0 + s)
-    b = 0.0 if p.q2 == 1.0 else 1.0 / (1.0 + 1.0 / s)
-    g = (p.q1 * p.mu1 + p.q2 * p.mu2 / (1.0 + s)) / (1.0 + s)
-    return LinearStrategyL2(a, b, g)
+    """Cooperative optimal strategy: the ratio rule at r = 1 (a = 1, b = 0 at q2 = 1)."""
+    return _ratio_rule(p, 1.0)
 
 
 def coop_value(p: MarketParamsL2) -> CoopValue:
@@ -154,18 +151,12 @@ def coop_value(p: MarketParamsL2) -> CoopValue:
 def k_agent_strategy(p: MarketParamsL2, K: int) -> LinearStrategyL2:
     """Equilibrium strategy when K flexible agents share each arrival.
 
-    Uses the effective rate ratio K/(K+1); K=1 reproduces the
-    non-cooperative strategy and K -> infinity approaches the cooperative
-    one.
+    The ratio rule at r = K/(K+1): K = 1 is the non-cooperative strategy
+    and K -> infinity approaches the cooperative one.
     """
     if K < 1:
         raise InvalidParamsError(f"K={K!r} must be a positive integer")
-    r = K / (K + 1.0)
-    s = math.sqrt(1.0 - r * p.q2)
-    a = r / (1.0 + s)
-    b = 1.0 / (1.0 + 1.0 / s) if s > 0.0 else 0.0
-    g = r / (1.0 + s) * (p.q1 * p.mu1 + p.q2 * p.mu2 / (1.0 + s))
-    return LinearStrategyL2(a, b, g)
+    return _ratio_rule(p, K / (K + 1.0))
 
 
 def _rs_system_residual(r1, r2, q, beta, T, mu1, mu2):
@@ -187,12 +178,15 @@ def risk_sensitive_coeffs(p: MarketParamsL2, rs: RiskSensitivity) -> RiskSensiti
         (beta+T)*r^2 + (1 - beta - (1-q2)*T)*r - (1-q2) = 0,
 
     whose roots are taken without cancellation (a linear root when
-    beta + T = 0).  r2 is the smallest root with r2 > 0 and 1 + T*r2 > 0,
-    then r3 = beta*r2/(1 + T*r2) and r1 solves the linear equation for the
-    constant term.  The result is certified against the implicit system to
-    1e-10; NoSolutionError is raised when no root qualifies or the
-    certificate fails.  Requires q1 = 1, the regime in which the recursion
-    is derived.
+    beta + T = 0).  Of two roots, the one with the larger |s| = |1 + T*r|
+    takes s directly, the other from the product beta*(1+T)/(beta+T) of the
+    s-roots, which is exactly 0 at T = -1.  r2 is the smallest root with
+    r2 > 0 and s2 > 0, r3 = beta*r2/s2, and r1 solves the linear equation
+    for the constant term, which vanishes at q2 = 1: there r1 = 0 if
+    mu1 + mu2 = 0 and there is no solution otherwise.  The result is
+    certified against the implicit system to 1e-10; NoSolutionError is
+    raised when no root qualifies or the certificate fails.  Requires
+    q1 = 1, the regime in which the recursion is derived.
     """
     if p.q1 != 1.0:
         raise InvalidParamsError("risk-sensitive coefficients require q1 = 1")
@@ -206,18 +200,27 @@ def risk_sensitive_coeffs(p: MarketParamsL2, rs: RiskSensitivity) -> RiskSensiti
     if disc >= 0.0:
         t = -(c + math.copysign(math.sqrt(disc), c)) / 2.0
         roots = [num / den for num, den in ((-(1.0 - q), t), (t, d)) if den != 0.0]
-    admissible = [r for r in roots if r > 0.0 and 1.0 + T * r > 0.0]
+    pairs = sorted(((1.0 + T * r, r) for r in roots), key=lambda sr: -abs(sr[0]))
+    if len(pairs) == 2:  # two roots, so d != 0
+        s_big = pairs[0][0]
+        pairs[1] = (0.0 if s_big == 0.0 else beta * (1.0 + T) / (d * s_big), pairs[1][1])
+    admissible = [(r, s) for s, r in pairs if r > 0.0 and s > 0.0]
     if not admissible:
         raise NoSolutionError(
             f"no positive coefficient r2 exists for theta*sigma1^2={T!r}, "
             f"beta={beta!r}, q={q!r}"
         )
-    r2 = min(admissible)
-    r3 = beta * r2 / (1.0 + T * r2)
-    den = 1.0 + r3 - q * r3 / r2
-    if den == 0.0:
-        raise NoSolutionError("degenerate linear equation for r1")
-    r1 = 2.0 * q * r3 * (p.mu1 + p.mu2) / den
+    r2, s2 = min(admissible)
+    r3 = beta * r2 / s2
+    if q == 1.0:
+        if p.mu1 + p.mu2 != 0.0:
+            raise NoSolutionError("at q2 = 1 the constant term requires mu1 + mu2 = 0")
+        r1 = 0.0
+    else:
+        den = 1.0 + r3 - q * r3 / r2
+        if den == 0.0:
+            raise NoSolutionError("degenerate linear equation for r1")
+        r1 = 2.0 * q * r3 * (p.mu1 + p.mu2) / den
     residual = _rs_system_residual(r1, r2, q, beta, T, p.mu1, p.mu2)
     if not residual <= 1e-10:
         raise NoSolutionError(
@@ -227,28 +230,17 @@ def risk_sensitive_coeffs(p: MarketParamsL2, rs: RiskSensitivity) -> RiskSensiti
     return RiskSensitiveCoeffs(r1, r2, r3, residual)
 
 
-def risk_sensitive_strategy(
-    p: MarketParamsL2,
-    rs: RiskSensitivity,
-    constant_term: str = "recursion",
-) -> LinearStrategyL2:
-    """Risk-sensitive cooperative strategy a = 1/(1+r3), b = r3/(1+r3).
+def risk_sensitive_strategy(p: MarketParamsL2, rs: RiskSensitivity) -> LinearStrategyL2:
+    """Risk-sensitive cooperative strategy a = 1/(1+r3), b = r3/(1+r3),
+    g = r3*(mu1 + r1/(2*r2))/(1+r3).
 
-    Two conventions circulate for the constant term and they differ when
-    mu1 != 0; the default "recursion" carries the 2*mu1 the cost-recursion
-    solution produces, g = r3*(2*mu1 + r1/(2*r2))/(1+r3), while "headline"
-    selects g = r3*(mu1 + r1/(2*r2))/(1+r3).  Neither is silently
-    reconciled into the other.
-    """
-    if constant_term not in ("recursion", "headline"):
-        raise InvalidParamsError(
-            f"constant_term={constant_term!r} must be 'recursion' or 'headline'"
-        )
+    At theta = 0 and beta -> 1 this tends to the cooperative rule, as a
+    risk-sensitive rule must tend to the risk-neutral one (Whittle, Adv.
+    Appl. Prob. 13, 1981)."""
     c = risk_sensitive_coeffs(p, rs)
     a = 1.0 / (1.0 + c.r3)
     b = c.r3 / (1.0 + c.r3)
-    mu_term = 2.0 * p.mu1 if constant_term == "recursion" else p.mu1
-    g = c.r3 * (mu_term + c.r1 / (2.0 * c.r2)) / (1.0 + c.r3)
+    g = c.r3 * (p.mu1 + c.r1 / (2.0 * c.r2)) / (1.0 + c.r3)
     return LinearStrategyL2(a, b, g)
 
 

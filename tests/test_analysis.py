@@ -131,6 +131,12 @@ class TestRiskBound:
         with pytest.raises(og.InvalidParamsError):
             og.risk_upper_bound(s, params(q1=0.5, q2=0.6), M=50.0)
 
+    def test_zero_variance_market_is_a_param_error(self):
+        # the limiting component has no spread to standardize M against
+        p = params(q1=1.0, q2=0.5, s1=0.0, s2=0.0)
+        with pytest.raises(og.InvalidParamsError, match="variance"):
+            og.risk_upper_bound(og.coop_strategy(p), p, M=1.0)
+
     def test_bound_covers_simulation(self):
         p = params(q1=1.0, q2=0.6, mu1=15.0, mu2=15.0, s1=4.0, s2=4.0)
         s = og.coop_strategy(p)

@@ -1,4 +1,5 @@
 """Command-line surface: outputs, formats, exit codes, reproducibility."""
+import argparse
 import itertools
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import oligosched as og
 from oligosched import _textio
-from oligosched.cli import main
+from oligosched.cli import _build_parser, main
 
 PARAMS = '{"q1":1,"q2":0.75,"mu1":0,"mu2":0,"sigma1":1,"sigma2":1}'
 PD_PARAMS = '{"q1":0.6,"q2":0.6,"mu1":15,"mu2":15,"sigma1":6,"sigma2":6}'
@@ -76,6 +77,20 @@ class TestL2Commands:
         assert data["moments"]["second_u"] == pytest.approx(m.second_u, rel=1e-14)
         # q1 != 1 here, so the bound must report its precondition failure
         assert "error" in data["risk_bound"]
+
+    def test_rs_at_q2_one_with_mean_is_validation_error(self, capsys):
+        # the linear equation for the constant term vanishes at q2 = 1
+        params = '{"q1":1,"q2":1,"mu1":1,"mu2":0,"sigma1":0.5,"sigma2":1}'
+        assert main(["l2", "strategy", "--arch", "rs:-5,0.05", "--params", params]) == 2
+        assert "mu1 + mu2 = 0" in capsys.readouterr().err
+
+    def test_zero_variance_risk_bound_reports_error(self, capsys):
+        params = '{"q1":1,"q2":0.5,"mu1":0,"mu2":0,"sigma1":0,"sigma2":0}'
+        code = main(["l2", "metrics", "--arch", "coop", "--params", params,
+                     "--threshold", "1"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert "variance" in data["risk_bound"]["error"]
 
     def test_simulate_reproducible_files(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -379,3 +394,49 @@ class TestLtiCommands:
         assert main(["lti", "pareto", "--L", "2", "--grid", grid, "--out", str(out)]) == 2
         assert not out.exists()
         assert "validation error: grid must be" in capsys.readouterr().err
+
+
+# Every option string of every (sub)command besides -h/--help.  Adding or
+# removing a flag means editing this table.
+OPTION_SURFACE = {
+    "": ["--version"],
+    "l2": [],
+    "l2 strategy": ["--arch", "--out", "--params"],
+    "l2 metrics": ["--arch", "--out", "--params", "--threshold"],
+    "l2 simulate": ["--arch", "--burn-in", "--horizon", "--nonneg", "--out", "--params",
+                    "--quantiles", "--replications", "--seed", "--series-csv",
+                    "--thresholds"],
+    "lti": [],
+    "lti build": ["--L", "--out-dir"],
+    "lti h2": ["--alpha", "--gain", "--out"],
+    "lti mpe": ["--L", "--damping", "--max-iter", "--mode", "--out", "--pricing", "--tol"],
+    "lti pareto": ["--L", "--grid", "--out", "--tol-grad"],
+    "lti operator": ["--L", "--alpha1", "--alpha2", "--budget", "--out", "--seed"],
+}
+
+
+def _option_table(parser, prefix=()):
+    table = {" ".join(prefix): sorted(
+        opt for action in parser._actions for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    )}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(_option_table(sub, prefix + (name,)))
+    return table
+
+
+class TestOptionSurface:
+    def test_matches_table(self):
+        assert _option_table(_build_parser()) == OPTION_SURFACE
+
+    @pytest.mark.parametrize("argv", [
+        ["l2", "strategy", "--arch", "coop", "--params", PARAMS, "--rs-constant", "headline"],
+        ["lti", "h2", "--gain", "gain.csv", "--mismatch", "unmasked"],
+    ])
+    def test_retired_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

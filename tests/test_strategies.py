@@ -18,6 +18,28 @@ def params(q1=1.0, q2=0.6, mu1=0.0, mu2=0.0, s1=1.0, s2=1.0):
     return og.MarketParamsL2(q1, q2, mu1, mu2, s1, s2)
 
 
+def nc_oracle(p):
+    """The former non-cooperative formula, as (a, b, g)."""
+    s = math.sqrt(1.0 - p.q2 / 2.0)
+    return (1.0 / (2.0 * (1.0 + s)), 1.0 / (1.0 + 1.0 / s),
+            (p.q1 * p.mu1 + p.q2 * p.mu2 / (1.0 + s)) / (2.0 * (1.0 + s)))
+
+
+def coop_oracle(p):
+    """The former cooperative formula, as (a, b, g)."""
+    s = math.sqrt(1.0 - p.q2)
+    return (1.0 / (1.0 + s), 0.0 if p.q2 == 1.0 else 1.0 / (1.0 + 1.0 / s),
+            (p.q1 * p.mu1 + p.q2 * p.mu2 / (1.0 + s)) / (1.0 + s))
+
+
+def k_agent_oracle(p, K):
+    """The former K-agent formula, as (a, b, g)."""
+    r = K / (K + 1.0)
+    s = math.sqrt(1.0 - r * p.q2)
+    return (r / (1.0 + s), 1.0 / (1.0 + 1.0 / s) if s > 0.0 else 0.0,
+            r / (1.0 + s) * (p.q1 * p.mu1 + p.q2 * p.mu2 / (1.0 + s)))
+
+
 def rs_branch_oracle(p, rs):
     """The former two-path risk-sensitive solve, as (r1, r2, r3).
 
@@ -131,6 +153,23 @@ def _outcome(fn, *args):
 
 def _close(new, old, rel):
     return all(abs(x - y) <= rel * max(abs(y), 1.0) for x, y in zip(new, old))
+
+
+class TestRatioRule:
+    def test_matches_former_formulas(self):
+        # 4,515 markets: nc and coop bit for bit, signs of zero included
+        for q1, q2, (mu1, mu2) in itertools.product(
+            (0.0, 0.3, 1.0), np.linspace(0.0, 1.0, 301),
+            ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 3.0), (-1.5, 2.5)),
+        ):
+            p = params(q1=q1, q2=float(q2), mu1=mu1, mu2=mu2)
+            for new, old in ((og.mpe_strategy(p), nc_oracle(p)),
+                             (og.coop_strategy(p), coop_oracle(p))):
+                assert [(v, math.copysign(1.0, v)) for v in (new.a, new.b, new.g)] \
+                    == [(v, math.copysign(1.0, v)) for v in old], p
+            for K in (1, 2, 3, 7, 100, 10 ** 6):
+                k = og.k_agent_strategy(p, K)
+                assert _close((k.a, k.b, k.g), k_agent_oracle(p, K), 1e-15), (p, K)
 
 
 class TestMpeStrategy:
@@ -291,8 +330,9 @@ class TestRiskSensitive:
         assert c.r2 == 1.0
 
     def test_branch_oracle_grid(self):
-        # T = theta*sigma1^2 = -1 makes r2 = 1 a root with 1 + T*r2 = 0, so
-        # rounding alone decides admissibility there, on both sides
+        # T = theta*sigma1^2 = -1 makes r2 = 1 a root with 1 + T*r2 = 0, and
+        # at q2 = 1 the linear equation for r1 vanishes; the oracle decides
+        # both by rounding, so they are asserted exactly instead
         for q2, beta, theta, s1, mu1, mu2 in itertools.product(
             np.linspace(0.0, 1.0, 21),
             (0.05, 0.2, 0.5, 0.8, 0.95, 1.0 - 1e-8),
@@ -300,11 +340,25 @@ class TestRiskSensitive:
             (0.5, 1.0, 3.0), (0.0, 1.0, -2.0), (0.0, 2.0),
         ):
             T = theta * s1 ** 2
-            if T == -1.0:
-                continue
             p = params(q1=1.0, q2=q2, mu1=mu1, mu2=mu2, s1=s1)
             rs = og.RiskSensitivity(theta, beta)
             new = _outcome(og.risk_sensitive_coeffs, p, rs)
+            if T == -1.0:
+                # the roots are 1 (s = 0) and (1 - q2)/(1 - beta)
+                if q2 <= beta or q2 == 1.0:
+                    assert isinstance(new, og.NoSolutionError), (p, rs)
+                else:
+                    assert new.r2 == pytest.approx((1.0 - q2) / (1.0 - beta), rel=1e-14)
+                continue
+            if q2 == 1.0:
+                # the one nonzero root, (1 - beta)/-(beta + T), has r2 > 0 and
+                # s = beta*(1 + T)/(beta + T) > 0 only for T < -1
+                if T < -1.0 and mu1 + mu2 == 0.0:
+                    assert new.r1 == 0.0, (p, rs)
+                    assert new.r2 == pytest.approx((1.0 - beta) / -(beta + T), rel=1e-14)
+                else:
+                    assert isinstance(new, og.NoSolutionError), (p, rs)
+                continue
             old = _outcome(rs_branch_oracle, p, rs)
             assert isinstance(new, Exception) == isinstance(old, Exception), (p, rs)
             c = 1.0 - beta - (1.0 - q2) * T
@@ -321,17 +375,16 @@ class TestRiskSensitive:
         with pytest.raises(og.InvalidParamsError):
             og.risk_sensitive_coeffs(params(q1=0.5), og.RiskSensitivity(0.0, 0.5))
 
-    def test_constant_term_variants(self):
+    def test_risk_neutral_limit_is_cooperative(self):
         p0 = params(q1=1.0, q2=0.5)
-        rs = og.RiskSensitivity(-0.1, 0.6)
-        for variant in ("recursion", "headline"):
-            s = og.risk_sensitive_strategy(p0, rs, constant_term=variant)
-            assert s.g == 0.0  # zero-mean market has no constant term
-        pm = params(q1=1.0, q2=0.5, mu1=1.0, mu2=1.0)
-        s_rec = og.risk_sensitive_strategy(pm, rs, constant_term="recursion")
-        s_hdl = og.risk_sensitive_strategy(pm, rs, constant_term="headline")
-        assert s_rec.g != s_hdl.g
-        assert (s_rec.a, s_rec.b) == (s_hdl.a, s_hdl.b)
+        s = og.risk_sensitive_strategy(p0, og.RiskSensitivity(-0.1, 0.6))
+        assert s.g == 0.0  # zero-mean market has no constant term
+        rs = og.RiskSensitivity(0.0, 1.0 - 1e-6)
+        for q2, mu1, mu2 in ((0.5, 1.0, 0.0), (0.5, 1.0, 1.0), (0.8, 2.0, -1.0)):
+            p = params(q1=1.0, q2=q2, mu1=mu1, mu2=mu2)
+            w_coop = og.efficiency(og.coop_strategy(p), p)
+            w_rs = og.efficiency(og.risk_sensitive_strategy(p, rs), p)
+            assert w_rs == pytest.approx(w_coop, rel=1e-9, abs=0.0), (q2, mu1, mu2)
 
     def test_averse_agent_trims_the_tail(self):
         p = params(q1=1.0, q2=0.5)
