@@ -49,11 +49,9 @@ from .operator_design import (
 )
 from .pareto import (
     ParetoPoint,
-    SynthesisConfig,
     default_weight_grid,
     lmi_feasibility_audit,
     objective_and_gradient,
-    pareto_filter,
     synthesize,
     trace_front,
 )

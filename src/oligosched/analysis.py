@@ -2,9 +2,10 @@
 
 Closed-form evaluation of the two-type market under a linear rule
 u(x, d2) = -a*x + b*d2 + g: first and second moments of the aggregate
-backlog x(t) and demand U(t), the welfare measure W = -E[U^2]/2, and a
-Gaussian upper bound on Pr(U > M) built from the geometric mixture
-representation of the stationary backlog.
+backlog x(t) and demand U(t), the welfare measure W = -E[U^2]/2, a
+Gaussian upper bound on Pr(x > M) built from the geometric mixture
+representation of the stationary backlog, and q2 times that bound, the
+leading term of the demand tail, which is not a bound on Pr(U > M).
 """
 from __future__ import annotations
 
@@ -37,12 +38,13 @@ class StationaryMoments:
 
 @dataclass(frozen=True)
 class RiskBound:
-    """Upper bound on the stationary tail of backlog and demand.
+    """Upper bound on the stationary backlog tail and the leading demand term.
 
     m1 is the standardized margin of M against the limiting mixture
-    component; x_tail_bound bounds Pr(x > M); demand_risk_bound is the
-    leading term q2 * x_tail_bound of the demand-tail bound and is only
-    reported when the coefficient condition holds (None otherwise).
+    component; x_tail_bound bounds Pr(x > M); demand_risk_bound is
+    q2 * x_tail_bound, the leading term of the demand tail, reported only
+    when the coefficient condition holds (None otherwise); it is no bound
+    on Pr(U > M) and can fall well below it.
     """
 
     m1: float
@@ -165,7 +167,7 @@ def mixture_tail_probability(s: LinearStrategyL2, p: MarketParamsL2, M: float) -
 
 
 def risk_upper_bound(s: LinearStrategyL2, p: MarketParamsL2, M: float) -> RiskBound:
-    """Gaussian upper bound on Pr(x > M) and the induced demand-tail bound.
+    """Gaussian upper bound on Pr(x > M) and the leading demand-tail term.
 
     The backlog tail is bounded by exp(-m1^2/2) / (sqrt(2*pi)*m1) where m1
     standardizes M against the limiting mixture component (variance > 0);
@@ -174,9 +176,9 @@ def risk_upper_bound(s: LinearStrategyL2, p: MarketParamsL2, M: float) -> RiskBo
 
         (1 - (1-a)^2)/(1 - a^2) > b^2*sigma2^2 / (sigma1^2 + (1-b)^2*sigma2^2)
 
-    holds, demand spikes are dominated by backlog spikes and the demand-tail
-    bound q2 * x_tail_bound is reported (leading term only; the
-    exponentially small remainder is not computable).
+    holds, demand spikes are dominated by backlog spikes and the leading
+    term q2 * x_tail_bound of Pr(U > M) is reported; without the remainder
+    it is no bound on Pr(U > M).
     """
     if p.q1 != 1.0:
         raise InvalidParamsError("the demand-tail bound requires q1 = 1")

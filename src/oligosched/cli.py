@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fixed_point import FixedPointConfig, PricingRule, marginal_cost_pricing, solve_mpe
 from .operator_design import OperatorWeights, optimize_pricing
-from .pareto import SynthesisConfig, default_weight_grid, trace_front
+from .pareto import default_weight_grid, trace_front
 from .simulate import SimConfig, series_columns, simulate_l2
 from .statespace import (
     OutputWeights,
@@ -337,7 +337,7 @@ def _cmd_lti_pareto(ns, argv):
         ):
             raise InvalidParamsError("grid must be a JSON list of three-number lists")
         grid = [OutputWeights.normalized(*map(float, triple)) for triple in data]
-    points = trace_front(grid, ss, SynthesisConfig(tol_grad=ns.tol_grad))
+    points = trace_front(grid, ss)
     front = np.array([[p.weights.alpha1, p.weights.alpha2, p.weights.alpha3,
                         p.report.z1sq, p.report.z2sq, p.report.z3sq] for p in points])
     csv = _textio.csv_text(["alpha1", "alpha2", "alpha3", "z1sq", "z2sq", "z3sq"],
@@ -350,7 +350,6 @@ def _cmd_lti_pareto(ns, argv):
         {
             "L": ns.L,
             "grid": [[p.weights.alpha1, p.weights.alpha2, p.weights.alpha3] for p in points],
-            "tol_grad": ns.tol_grad,
             "certificates": [
                 {"grad_inf": p.grad_inf, "iterations": p.iterations} for p in points
             ],
@@ -436,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--grid", default=None, help="JSON list of weight triples")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--tol-grad", type=float, default=1e-6)
 
     sp = lti.add_parser("operator")
     sp.add_argument("--L", type=int, required=True)

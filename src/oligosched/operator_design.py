@@ -16,16 +16,18 @@ import numpy as np
 
 from . import rngstreams
 from .errors import (
-    FixedPointUnstableError,
     InvalidParamsError,
     NotConvergedError,
     SingularRowError,
+    UnstableError,
 )
 from .fixed_point import FixedPointConfig, MpeSolution, PricingRule, solve_mpe
 from .statespace import FeedbackGain, StateSpace, solve_lyapunov
 
 _PENALTY = 1e12
 _BOX = 5.0  # every pricing coefficient is held in [-_BOX, _BOX]
+# inner equilibrium solve of every search evaluation
+_SEARCH_FP_CFG = FixedPointConfig(tol=1e-9, max_iter=600)
 
 
 def minimize(fun, x0, **kwargs):
@@ -75,13 +77,17 @@ def evaluate_pricing(
 ) -> tuple[float, dict]:
     """Objective value and diagnostics for one pricing rule.
 
-    Returns (inf, diagnostics) when the inner equilibrium solve fails; the
-    diagnostics record the failure kind so callers can distinguish a
-    singular row from plain non-convergence, and every solve that ran to
-    a verdict records its ``iterations`` (sweeps).
+    Returns (inf, diagnostics) when the inner equilibrium solve fails or
+    the Gramian solve cannot certify the equilibrium's spectral radius
+    below 1 - 1e-9; the diagnostics record the failure kind
+    ("singular-row", "not-converged" or "unstable"), and every solve that
+    ran to a verdict records its ``iterations`` (sweeps).
     """
+    sol = None
     try:
         sol = solve_mpe(pricing, ss, fp_cfg)
+        F = sol.gain.F
+        Q = solve_lyapunov(F, ss)
     except SingularRowError as exc:
         return float("inf"), {
             "status": "singular-row",
@@ -94,14 +100,12 @@ def evaluate_pricing(
             "residuals": exc.residuals[-5:],
             "iterations": len(exc.residuals),
         }
-    except FixedPointUnstableError as exc:
+    except UnstableError as exc:  # from solve_mpe or solve_lyapunov
         return float("inf"), {
             "status": "unstable",
             "detail": str(exc),
-            "iterations": exc.solution.iterations,
+            "iterations": (exc.solution if sol is None else sol).iterations,
         }
-    F = sol.gain.F
-    Q = solve_lyapunov(F, ss)
     val = float(
         weights.alpha1 * (ss.e @ F @ Q @ F.T @ ss.e)
         + weights.alpha2 * (ss.e @ Q @ ss.e)
@@ -114,7 +118,6 @@ def optimize_pricing(
     ss: StateSpace,
     budget: int,
     seed: int = 0,
-    fp_cfg: FixedPointConfig | None = None,
 ) -> OperatorResult:
     """Multi-start Nelder-Mead over the 2*D_c pricing coefficients.
 
@@ -128,7 +131,6 @@ def optimize_pricing(
     if budget < 1:
         raise InvalidParamsError("budget must be >= 1")
     D = ss.D_c
-    fp_cfg = fp_cfg or FixedPointConfig(tol=1e-9, max_iter=600)
     count = 0
     failures = dict.fromkeys(("singular-row", "not-converged", "unstable"), 0)
     sweeps = 0
@@ -146,7 +148,9 @@ def optimize_pricing(
         nonlocal count, sweeps, best_val, best_theta, best_gain
         count += 1
         theta = np.clip(theta, -_BOX, _BOX)
-        val, diag = evaluate_pricing(theta_to_pricing(theta), weights, ss, fp_cfg)
+        val, diag = evaluate_pricing(
+            theta_to_pricing(theta), weights, ss, _SEARCH_FP_CFG
+        )
         sweeps += diag.get("iterations", 0)
         if diag["status"] != "ok":
             failures[diag["status"]] += 1

@@ -46,15 +46,12 @@ log = logging.getLogger(__name__)
 _POLICY_CAP = 100
 # Spectral-radius margin 1 - rho that the gradient certificate requires.
 _STABILITY_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class SynthesisConfig:
-    tol_grad: float = 1e-6
-
-    def __post_init__(self):
-        if self.tol_grad <= 0.0:
-            raise InvalidParamsError("tol_grad must be positive")
+# Largest |G|inf of the exact gradient that certifies a gain stationary;
+# the default grid at L = 2-14 certifies below 5.5e-9.
+_TOL_GRAD = 1e-6
+# eps inflating the Gramian driving term and the performance block in the
+# LMI audit.
+_LMI_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ def objective_and_gradient(F, weights: OutputWeights, ss: StateSpace, margin: fl
     return J, G
 
 
-def synthesize(weights: OutputWeights, ss: StateSpace, cfg: SynthesisConfig | None = None) -> ParetoPoint:
+def synthesize(weights: OutputWeights, ss: StateSpace) -> ParetoPoint:
     """Minimize the scalarized H2 objective over static gains by policy iteration.
 
     Starts from F = I, whose closed loop R1(I - F) = 0 is stable for every
@@ -121,9 +118,8 @@ def synthesize(weights: OutputWeights, ss: StateSpace, cfg: SynthesisConfig | No
     adjoint Gramian, and improvement until a step no longer lowers J; the
     gain before that step is kept.  Raises NotConvergedError, carrying the
     J of every evaluated gain, unless the exact gradient certifies
-    |G|inf <= ``cfg.tol_grad`` at the margin ``_STABILITY_MARGIN``.
+    |G|inf <= ``_TOL_GRAD`` at the margin ``_STABILITY_MARGIN``.
     """
-    cfg = cfg or SynthesisConfig()
     C1, D12 = _plant_outputs(weights, ss)
     A, B = ss.R1, -ss.R1
     R, S = D12.T @ D12, C1.T @ D12
@@ -145,9 +141,9 @@ def synthesize(weights: OutputWeights, ss: StateSpace, cfg: SynthesisConfig | No
         F, P, J = F_next, P_next, J_next
     _, G = objective_and_gradient(F, weights, ss, _STABILITY_MARGIN)
     grad_inf = float(np.max(np.abs(G)))
-    if grad_inf > cfg.tol_grad:
+    if grad_inf > _TOL_GRAD:
         raise NotConvergedError(
-            f"policy iteration stopped at |G|inf = {grad_inf:.3e} > {cfg.tol_grad:g}",
+            f"policy iteration stopped at |G|inf = {grad_inf:.3e} > {_TOL_GRAD:g}",
             trace,
         )
     return ParetoPoint(
@@ -155,40 +151,23 @@ def synthesize(weights: OutputWeights, ss: StateSpace, cfg: SynthesisConfig | No
     )
 
 
-def pareto_filter(points: list[ParetoPoint]) -> list[ParetoPoint]:
-    """Drop points strictly dominated in all three coordinates."""
-    kept = []
-    for p in points:
-        dominated = any(
-            (q.report.z1sq < p.report.z1sq)
-            and (q.report.z2sq < p.report.z2sq)
-            and (q.report.z3sq < p.report.z3sq)
-            for q in points
-            if q is not p
-        )
-        if not dominated:
-            kept.append(p)
-    return kept
+def trace_front(weights_list, ss: StateSpace) -> list[ParetoPoint]:
+    """Synthesize each weight and sort the points by (z3sq, z2sq).
 
-
-def trace_front(
-    weights_list, ss: StateSpace, cfg: SynthesisConfig | None = None
-) -> list[ParetoPoint]:
-    """Synthesize each weight, filter dominated points, sort by (z3sq, z2sq).
-
-    A weight whose synthesis fails with a library error (OligoschedError)
-    is reported as a warning and skipped, so a partial front can still be
-    returned; any other exception propagates.
+    Every point minimizes a nonnegative weighted sum of the three
+    measures, so no other point is better in all three and none is
+    dropped.  A weight whose synthesis fails with a library error
+    (OligoschedError) is reported as a warning and skipped, so a partial
+    front can still be returned; any other exception propagates.
     """
     if not weights_list:
         raise InvalidParamsError("weight grid must be nonempty")
     points = []
     for w in weights_list:
         try:
-            points.append(synthesize(w, ss, cfg))
+            points.append(synthesize(w, ss))
         except OligoschedError as exc:
             warnings.warn(f"synthesis failed for weights {w}: {exc}", stacklevel=2)
-    points = pareto_filter(points)
     points.sort(key=lambda p: (p.report.z3sq, p.report.z2sq))
     return points
 
@@ -202,25 +181,25 @@ def default_weight_grid() -> list[OutputWeights]:
     ]
 
 
-def lmi_feasibility_audit(F, weights: OutputWeights, ss: StateSpace, eps: float = 1e-9) -> dict:
+def lmi_feasibility_audit(F, weights: OutputWeights, ss: StateSpace) -> dict:
     """Check the two strict LMIs near a synthesized gain.
 
-    Uses the eps-inflated Gramian (driving term R2 R2' + eps I) with the
-    gain-product variable P = F @ Q, so feasibility simultaneously verifies
-    the gain-recovery orientation F = P Q^{-1}.  Returns the minimum
+    Uses the eps-inflated Gramian (driving term R2 R2' + eps I, eps =
+    ``_LMI_EPS``) with the gain-product variable P = F @ Q, so feasibility
+    simultaneously verifies the gain-recovery orientation F = P Q^{-1}.  Returns the minimum
     eigenvalues of both block matrices and the audited trace bound.
     """
     Fm = _as_matrix(F)
     D = ss.D_c
     M = ss.R1 @ (np.eye(D) - Fm)
-    W = ss.R2 @ ss.R2.T + eps * np.eye(D)
+    W = ss.R2 @ ss.R2.T + _LMI_EPS * np.eye(D)
     Q = _solve_dlyap(M, W)
     P = Fm @ Q
     C1, D12 = _plant_outputs(weights, ss)
     AQ_B2P = ss.R1 @ Q - ss.R1 @ P
     blk1 = np.block([[Q, AQ_B2P.T], [AQ_B2P, Q - ss.R2 @ ss.R2.T]])
     CQ_DP = C1 @ Q + D12 @ P
-    Mblk = CQ_DP @ np.linalg.solve(Q, CQ_DP.T) + eps * np.eye(3)
+    Mblk = CQ_DP @ np.linalg.solve(Q, CQ_DP.T) + _LMI_EPS * np.eye(3)
     blk2 = np.block([[Q, CQ_DP.T], [CQ_DP, Mblk]])
     min1 = float(np.min(np.linalg.eigvalsh(0.5 * (blk1 + blk1.T))))
     min2 = float(np.min(np.linalg.eigvalsh(0.5 * (blk2 + blk2.T))))

@@ -21,7 +21,6 @@ solved by Smith's doubling iteration and certified by its residual and a spectra
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -286,12 +285,3 @@ def state_space_to_json(ss: StateSpace) -> str:
             "R2": ss.R2.astype(int).tolist(),
         }
     )
-
-
-def state_space_from_json(text: str) -> StateSpace:
-    data = json.loads(text)
-    ss = build_state_space(int(data["L"]))
-    for key, have in (("R1", ss.R1), ("R2", ss.R2)):
-        if key in data and not np.array_equal(np.asarray(data[key], float), have):
-            raise InvalidParamsError(f"stored {key} disagrees with the construction")
-    return ss

@@ -185,8 +185,10 @@ def risk_sensitive_coeffs(p: MarketParamsL2, rs: RiskSensitivity) -> RiskSensiti
     for the constant term, which vanishes at q2 = 1: there r1 = 0 if
     mu1 + mu2 = 0 and there is no solution otherwise.  The result is
     certified against the implicit system to 1e-10; NoSolutionError is
-    raised when no root qualifies or the certificate fails.  Requires
-    q1 = 1, the regime in which the recursion is derived.
+    raised when no root qualifies, when s2 <= 16 eps (1 + |T*r2|) leaves
+    r3 to rounding (as at the double root q2 = beta of T = -1), or when
+    the certificate fails.  Requires q1 = 1, the regime in which the
+    recursion is derived.
     """
     if p.q1 != 1.0:
         raise InvalidParamsError("risk-sensitive coefficients require q1 = 1")
@@ -211,6 +213,11 @@ def risk_sensitive_coeffs(p: MarketParamsL2, rs: RiskSensitivity) -> RiskSensiti
             f"beta={beta!r}, q={q!r}"
         )
     r2, s2 = min(admissible)
+    if s2 <= 16.0 * np.finfo(float).eps * (1.0 + abs(T * r2)):
+        raise NoSolutionError(
+            f"1 + theta*sigma1^2*r2 = {s2:.3e} is within rounding of 0, so r3 is "
+            f"not determined (theta*sigma1^2={T!r}, beta={beta!r}, q={q!r})"
+        )
     r3 = beta * r2 / s2
     if q == 1.0:
         if p.mu1 + p.mu2 != 0.0:

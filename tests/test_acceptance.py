@@ -12,7 +12,6 @@ import pytest
 
 import oligosched as og
 from oligosched.fixed_point import FixedPointConfig
-from oligosched.pareto import SynthesisConfig
 from conftest import random_stable_gain
 
 
@@ -254,14 +253,13 @@ def test_criterion_10_gradient_correctness(ss3):
 def test_criterion_11_pareto_structure(ss5):
     """25-weight front: non-dominated, deadline slice, outward shift."""
     with criterion(11, "three-way Pareto structure", 300.0):
-        cfg = SynthesisConfig(tol_grad=1e-5)
         mixes = (0.1, 0.3, 0.5, 0.7, 0.9)
         ratios = (0.3, 1.0, 3.0, 10.0, 100.0)
         by_ratio = {}
         points = []
         for r in ratios:
             row = [
-                og.synthesize(og.OutputWeights.normalized(m, 1.0 - m, r), ss5, cfg)
+                og.synthesize(og.OutputWeights.normalized(m, 1.0 - m, r), ss5)
                 for m in mixes
             ]
             by_ratio[r] = row

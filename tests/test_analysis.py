@@ -108,6 +108,25 @@ class TestRiskBound:
         assert rb.condition_holds  # LHS 1 vs RHS 0.2
         assert rb.demand_risk_bound == pytest.approx(0.5 * rb.x_tail_bound, abs=1e-15)
 
+    def test_demand_term_is_q2_times_x_tail_bound(self):
+        # the reported demand term is the leading term q2 * x_tail_bound,
+        # not a bound on Pr(U > M), and is withheld when the condition fails
+        p = params(q1=1.0, q2=0.9, mu1=15.0, mu2=15.0, s1=4.0, s2=4.0)
+        cases = [
+            (og.mpe_strategy(p), p, 40.0),
+            (og.coop_strategy(p), p, 45.0),
+            (og.LinearStrategyL2(0.1, 0.9, 0.0), params(q2=0.5), 3.0),
+        ]
+        holds = []
+        for s, q, M in cases:
+            rb = og.risk_upper_bound(s, q, M)
+            holds.append(rb.condition_holds)
+            if rb.condition_holds:
+                assert rb.demand_risk_bound == q.q2 * rb.x_tail_bound
+            else:
+                assert rb.demand_risk_bound is None
+        assert holds == [True, True, False]
+
     def test_bound_formula(self):
         s = og.LinearStrategyL2(0.4, 0.3, 0.1)
         p = params(q2=0.6, mu1=1.0, mu2=2.0, s1=1.0, s2=1.5)

@@ -1,8 +1,12 @@
 """Command-line surface: outputs, formats, exit codes, reproducibility."""
 import argparse
+import dataclasses
+import importlib
+import inspect
 import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -277,6 +281,8 @@ class TestLtiCommands:
         assert np.array_equal(mat2, ss.R2)
         stored = json.loads((tmp_path / "state_space.json").read_text())
         assert stored["L"] == 3 and stored["D_c"] == 6
+        assert np.array_equal(stored["R1"], ss.R1)
+        assert np.array_equal(stored["R2"], ss.R2)
 
     def test_h2_roundtrip(self, tmp_path, capsys):
         ss = og.build_state_space(3)
@@ -307,14 +313,11 @@ class TestLtiCommands:
     def test_pareto_front_csv(self, tmp_path):
         out = tmp_path / "front.csv"
         grid = json.dumps([[1, 1, 1], [1, 1, 10], [5, 1, 1]])
-        code = main(
-            ["lti", "pareto", "--L", "2", "--grid", grid, "--out", str(out),
-             "--tol-grad", "1e-5"]
-        )
+        code = main(["lti", "pareto", "--L", "2", "--grid", grid, "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "alpha1,alpha2,alpha3,z1sq,z2sq,z3sq"
-        assert len(lines) >= 2
+        assert len(lines) == 4  # every weight's optimum is on the front
         gains = json.loads((tmp_path / "front.csv.gains.json").read_text())
         assert len(gains) == len(lines) - 1
         manifest = json.loads((tmp_path / "front.csv.manifest.json").read_text())
@@ -325,9 +328,10 @@ class TestLtiCommands:
         grid = json.dumps([[1, 1, 1], [1, 1, 10]])
         assert main(["lti", "pareto", "--L", "3", "--grid", grid, "--out", str(out)]) == 0
         config = json.loads((tmp_path / "front.csv.manifest.json").read_text())["config"]
+        assert set(config) == {"L", "grid", "certificates"}
         assert len(config["certificates"]) == len(config["grid"]) == 2
         for cert in config["certificates"]:
-            assert 0.0 <= cert["grad_inf"] <= config["tol_grad"]
+            assert 0.0 <= cert["grad_inf"] <= og.pareto._TOL_GRAD
             assert isinstance(cert["iterations"], int)
             assert 1 <= cert["iterations"] <= og.pareto._POLICY_CAP
 
@@ -410,7 +414,7 @@ OPTION_SURFACE = {
     "lti build": ["--L", "--out-dir"],
     "lti h2": ["--alpha", "--gain", "--out"],
     "lti mpe": ["--L", "--damping", "--max-iter", "--mode", "--out", "--pricing", "--tol"],
-    "lti pareto": ["--L", "--grid", "--out", "--tol-grad"],
+    "lti pareto": ["--L", "--grid", "--out"],
     "lti operator": ["--L", "--alpha1", "--alpha2", "--budget", "--out", "--seed"],
 }
 
@@ -434,9 +438,59 @@ class TestOptionSurface:
     @pytest.mark.parametrize("argv", [
         ["l2", "strategy", "--arch", "coop", "--params", PARAMS, "--rs-constant", "headline"],
         ["lti", "h2", "--gain", "gain.csv", "--mismatch", "unmasked"],
+        ["lti", "pareto", "--L", "2", "--out", "front.csv", "--tol-grad", "1e-6"],
     ])
     def test_retired_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Every defaulted parameter of a public function and every defaulted field
+# of a public dataclass, by public module.  Adding or removing a library
+# knob means editing this table.
+KNOB_SURFACE = {
+    "cli.main": ["argv"],
+    "fixed_point.FixedPointConfig": ["tol", "max_iter", "damping", "sweep"],
+    "fixed_point.MpeSolution": ["stability_margin"],
+    "fixed_point.f_map": ["sweep"],
+    "fixed_point.solve_mpe": ["cfg"],
+    "operator_design.evaluate_pricing": ["fp_cfg"],
+    "operator_design.optimize_pricing": ["seed"],
+    "pareto.objective_and_gradient": ["margin"],
+    "simulate.ArrivalSpec": ["mu", "sigma"],
+    "simulate.PathStats": ["conditional", "series"],
+    "simulate.SimConfig": ["burn_in", "replications", "seed", "nonneg_demand",
+                           "tail_thresholds", "quantile_levels", "keep_series"],
+    "statespace.solve_lyapunov": ["margin"],
+    "strategies.MarketParamsL2": ["mu1", "mu2", "sigma1", "sigma2"],
+}
+
+
+def _knob_table():
+    table = {}
+    for info in pkgutil.iter_modules(og.__path__):
+        if info.name.startswith("_"):
+            continue
+        mod = importlib.import_module(f"oligosched.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if dataclasses.is_dataclass(obj):
+                knobs = [f.name for f in dataclasses.fields(obj)
+                         if f.default is not dataclasses.MISSING
+                         or f.default_factory is not dataclasses.MISSING]
+            elif inspect.isfunction(obj):
+                knobs = [n for n, prm in inspect.signature(obj).parameters.items()
+                         if prm.default is not prm.empty]
+            else:
+                continue
+            if knobs:
+                table[f"{info.name}.{name}"] = knobs
+    return table
+
+
+class TestKnobSurface:
+    def test_matches_table(self):
+        assert _knob_table() == KNOB_SURFACE

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 import oligosched as og
-from oligosched import fixed_point
+from oligosched import fixed_point, operator_design
+
+# An L = 3 pricing whose equilibrium (35 sweeps of the search's inner
+# solve) has spectral radius within 1e-9 of 1: the equilibrium solve
+# accepts it, and the Gramian solve of the objective cannot certify it.
+BOUNDARY_PRICING = (
+    [-0.9602784567973864, -0.09603787588144555, -1.955489991442598,
+     2.764005992123827, -1.2798574489039642, -0.6241122286781979],
+    [1.842320252413844, 0.1406421006354903, 0.7908308018454331,
+     0.21356163418625457, 0.7003446341316312, -0.6899934339576366],
+)
 
 
 class TestOperatorObjective:
@@ -47,6 +57,18 @@ class TestOperatorObjective:
         assert math.isinf(val)
         assert diag["status"] == "singular-row"
         assert diag["periods_left"] == 2
+
+    @pytest.mark.parametrize("fp_cfg", [operator_design._SEARCH_FP_CFG, None])
+    def test_stability_boundary_pricing_reports_unstable(self, ss3, fp_cfg):
+        pricing = og.PricingRule(*BOUNDARY_PRICING)
+        sol = og.solve_mpe(pricing, ss3, fp_cfg)
+        assert 0.0 < sol.stability_margin < 1e-9
+        w = og.OperatorWeights(1.0, 1.0)
+        val, diag = og.evaluate_pricing(pricing, w, ss3, fp_cfg)
+        assert math.isinf(val)
+        assert diag["status"] == "unstable"
+        assert diag["iterations"] == sol.iterations
+        assert "not below 1 - 1e-09" in diag["detail"]
 
 
 class TestOptimizePricing:
@@ -96,15 +118,18 @@ class TestOptimizePricing:
 
     def test_failure_counts_and_sweeps(self, ss2, monkeypatch):
         w = og.OperatorWeights(1.0, 1.0)
-        fp_cfg = og.FixedPointConfig(tol=1e-9, max_iter=600)
         res = og.optimize_pricing(w, ss2, budget=1, seed=3)
-        baseline = og.solve_mpe(og.marginal_cost_pricing(ss2), ss2, fp_cfg)
+        baseline = og.solve_mpe(
+            og.marginal_cost_pricing(ss2), ss2, operator_design._SEARCH_FP_CFG
+        )
         assert res.failures == {"singular-row": 0, "not-converged": 0, "unstable": 0}
         assert res.inner_sweeps == baseline.iterations
 
         # three sweeps cannot converge: every search solve fails that way
-        starved = og.FixedPointConfig(max_iter=3)
-        res = og.optimize_pricing(w, ss2, budget=8, seed=3, fp_cfg=starved)
+        monkeypatch.setattr(
+            operator_design, "_SEARCH_FP_CFG", og.FixedPointConfig(max_iter=3)
+        )
+        res = og.optimize_pricing(w, ss2, budget=8, seed=3)
         assert res.failures == {
             "singular-row": 0,
             "not-converged": res.evaluations,
@@ -112,6 +137,7 @@ class TestOptimizePricing:
         }
         assert res.inner_sweeps == 3 * res.evaluations
         assert res.gain is None and math.isinf(res.objective)
+        monkeypatch.undo()
 
         # a singular row stops its solve mid-sweep and adds no sweeps
         def singular(*args, **kwargs):
@@ -121,6 +147,19 @@ class TestOptimizePricing:
         res = og.optimize_pricing(w, ss2, budget=4, seed=3)
         assert res.failures["singular-row"] == res.evaluations
         assert res.inner_sweeps == 0
+
+    def test_stability_boundary_counts_as_unstable(self, ss3, monkeypatch):
+        # every search point priced at the boundary: each evaluation is one
+        # "unstable" failure carrying its 35 sweeps, and the search goes on
+        boundary = og.PricingRule(*BOUNDARY_PRICING)
+        monkeypatch.setattr(operator_design, "PricingRule", lambda q1, q2: boundary)
+        res = og.optimize_pricing(og.OperatorWeights(1.0, 1.0), ss3, budget=5, seed=3)
+        assert res.evaluations >= 5
+        assert res.failures == {
+            "singular-row": 0, "not-converged": 0, "unstable": res.evaluations
+        }
+        assert res.inner_sweeps == 35 * res.evaluations
+        assert res.gain is None and math.isinf(res.objective)
 
     def test_weights_validation(self):
         with pytest.raises(og.InvalidParamsError):

@@ -5,7 +5,6 @@ import pytest
 import oligosched as og
 from conftest import random_stable_gain
 from oligosched import pareto
-from oligosched.pareto import SynthesisConfig
 from oligosched.fixed_point import even_split_gain
 
 
@@ -55,12 +54,12 @@ def descend_oracle(F0, weights, ss, tol_grad=1e-6, max_iter=5000, shrink=0.5,
 _EPS_LADDER = (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5)
 
 
-def dare_oracle(weights, ss, cfg=SynthesisConfig()):
+def dare_oracle(weights, ss):
     """Independent oracle: the Riccati gain of an eps-regularized DARE.
 
     Solves scipy's solve_discrete_are with D12'D12 inflated by eps I on each
     rung of _EPS_LADDER and returns (F, J) for the first rung whose exact
-    gradient certifies |G|inf <= cfg.tol_grad, or None when no rung does.
+    gradient certifies |G|inf <= pareto._TOL_GRAD, or None when no rung does.
     """
     from scipy.linalg import solve_discrete_are
 
@@ -75,19 +74,9 @@ def dare_oracle(weights, ss, cfg=SynthesisConfig()):
             J, G = og.objective_and_gradient(F, weights, ss, pareto._STABILITY_MARGIN)
         except (ValueError, og.UnstableError):  # ordqz failures are ValueErrors
             continue
-        if np.max(np.abs(G)) <= cfg.tol_grad:
+        if np.max(np.abs(G)) <= pareto._TOL_GRAD:
             return F, J
     return None
-
-
-class TestSynthesisConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"tol_grad": 0.0}],
-    )
-    def test_rejects_out_of_range_values(self, kwargs):
-        with pytest.raises(og.InvalidParamsError):
-            SynthesisConfig(**kwargs)
 
 
 class TestObjectiveAndGradient:
@@ -147,13 +136,12 @@ class TestSynthesize:
     def test_riccati_matches_descent_oracle(self, L):
         # one weight from each corner of the default grid plus its centre
         ss = og.build_state_space(L)
-        cfg = SynthesisConfig()
         for m, r in ((0.1, 0.3), (0.9, 0.3), (0.5, 3.0), (0.1, 100.0), (0.9, 100.0)):
             w = og.OutputWeights.normalized(m, 1.0 - m, r)
-            pt = og.synthesize(w, ss, cfg)
+            pt = og.synthesize(w, ss)
             _, J_oracle, _, _ = descend_oracle(even_split_gain(ss), w, ss)
             J, G = og.objective_and_gradient(pt.gain, w, ss, pareto._STABILITY_MARGIN)
-            assert np.max(np.abs(G)) <= cfg.tol_grad
+            assert np.max(np.abs(G)) <= pareto._TOL_GRAD
             assert pt.grad_inf == pytest.approx(np.max(np.abs(G)), rel=1e-12)
             assert 1 <= pt.iterations <= pareto._POLICY_CAP
             assert J <= J_oracle * (1 + 1e-9)
@@ -162,43 +150,41 @@ class TestSynthesize:
     @pytest.mark.parametrize("L", [2, 3, 5])
     def test_not_above_dare_oracle_on_default_grid(self, L):
         ss = og.build_state_space(L)
-        cfg = SynthesisConfig()
         certified = 0
         for w in og.default_weight_grid():
-            oracle = dare_oracle(w, ss, cfg)
+            oracle = dare_oracle(w, ss)
             if oracle is None:
                 continue
             certified += 1
-            J, _ = og.objective_and_gradient(og.synthesize(w, ss, cfg).gain, w, ss)
+            J, _ = og.objective_and_gradient(og.synthesize(w, ss).gain, w, ss)
             assert J <= oracle[1] * (1 + 1e-12)
         assert certified >= 20
 
     def test_l12_default_weight_certifies(self):
         # the eps-regularized DARE certifies this weight on no decade rung
         ss = og.build_state_space(12)
-        cfg = SynthesisConfig()
         w = og.OutputWeights.normalized(0.1, 0.9, 10.0)
-        pt = og.synthesize(w, ss, cfg)
+        pt = og.synthesize(w, ss)
         _, G = og.objective_and_gradient(pt.gain, w, ss, pareto._STABILITY_MARGIN)
-        assert np.max(np.abs(G)) <= cfg.tol_grad
+        assert np.max(np.abs(G)) <= pareto._TOL_GRAD
 
     @pytest.mark.parametrize("L", [2, 8])
     def test_edge_weight_certifies(self, L):
         # no rung of the eps-regularized DARE certifies this weight
         ss = og.build_state_space(L)
-        cfg = SynthesisConfig()
         w = og.OutputWeights.normalized(1.0, 0.001, 1.0)
-        pt = og.synthesize(w, ss, cfg)
+        pt = og.synthesize(w, ss)
         _, G = og.objective_and_gradient(pt.gain, w, ss, pareto._STABILITY_MARGIN)
         assert pt.grad_inf == pytest.approx(np.max(np.abs(G)), rel=1e-12)
-        assert pt.grad_inf <= cfg.tol_grad
+        assert pt.grad_inf <= pareto._TOL_GRAD
 
-    def test_uncertifiable_tolerance_raises_with_monotone_j_trace(self, ss2):
+    def test_uncertifiable_tolerance_raises_with_monotone_j_trace(self, ss2, monkeypatch):
         # Hewer's policy iteration never raises J; only the step that ends
         # it fails to lower J
         w = og.OutputWeights.normalized(1.0, 1.0, 1.0)
+        monkeypatch.setattr(pareto, "_TOL_GRAD", 1e-30)
         with pytest.raises(og.NotConvergedError) as info:
-            og.synthesize(w, ss2, SynthesisConfig(tol_grad=1e-30))
+            og.synthesize(w, ss2)
         trace = np.array(info.value.residuals)
         assert 3 <= trace.size <= pareto._POLICY_CAP + 1
         assert np.all(np.isfinite(trace))
@@ -225,20 +211,20 @@ class TestSynthesize:
             og.synthesize(grid[1], ss2)
         assert len(calls) == 1
         with pytest.warns(UserWarning, match="synthesis failed for weights") as rec:
-            front = og.trace_front(grid, ss2, SynthesisConfig())
+            front = og.trace_front(grid, ss2)
         assert len(rec) == 1
         assert 1 <= len(front) <= 2
         assert all(p.weights is not grid[1] for p in front)
 
     def test_deadline_dominant_weights_enforce_deadlines(self, ss2):
         w = og.OutputWeights.normalized(0.6, 0.4, 100.0)
-        pt = og.synthesize(w, ss2, SynthesisConfig())
+        pt = og.synthesize(w, ss2)
         assert pt.report.z3sq <= 1e-3 * (pt.report.z1sq + pt.report.z2sq)
         assert pt.gain.stable
 
     def test_objective_recomputable_from_report(self, ss2):
         w = og.OutputWeights.normalized(1.0, 2.0, 3.0)
-        pt = og.synthesize(w, ss2, SynthesisConfig())
+        pt = og.synthesize(w, ss2)
         recomputed = (
             w.alpha1 ** 2 * pt.report.z1sq
             + w.alpha2 ** 2 * pt.report.z2sq
@@ -251,7 +237,8 @@ class TestSynthesize:
             og.OutputWeights.normalized(m, 1.0 - m, 2.0)
             for m in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
-        pts = og.trace_front(grid, ss2, SynthesisConfig())
+        pts = og.trace_front(grid, ss2)
+        assert len(pts) == len(grid)  # every optimum is kept
         for p in pts:
             for q in pts:
                 if p is q:
@@ -266,9 +253,8 @@ class TestSynthesize:
 
     def test_singleton_grid(self, ss2):
         w = og.OutputWeights.normalized(1.0, 1.0, 1.0)
-        cfg = SynthesisConfig()
-        front = og.trace_front([w], ss2, cfg)
-        single = og.synthesize(w, ss2, cfg)
+        front = og.trace_front([w], ss2)
+        single = og.synthesize(w, ss2)
         assert len(front) == 1
         assert front[0].objective == pytest.approx(single.objective, rel=1e-12)
 
@@ -280,30 +266,30 @@ class TestSynthesize:
         grid = [og.OutputWeights.normalized(m, 1.0 - m, 2.0) for m in (0.2, 0.5, 0.8)]
         real = pareto.synthesize
 
-        def unstable_at_middle(w, ss, cfg=None):
+        def unstable_at_middle(w, ss):
             if w is grid[1]:
                 raise og.UnstableError("closed loop lost stability")
-            return real(w, ss, cfg)
+            return real(w, ss)
 
         monkeypatch.setattr(pareto, "synthesize", unstable_at_middle)
         with pytest.warns(UserWarning, match="synthesis failed for weights") as rec:
-            front = og.trace_front(grid, ss2, SynthesisConfig())
+            front = og.trace_front(grid, ss2)
         assert len(rec) == 1
         assert 1 <= len(front) <= 2
         assert all(p.weights is not grid[1] for p in front)
 
-        def broken(w, ss, cfg=None):
+        def broken(w, ss):
             raise ZeroDivisionError("not a library failure")
 
         monkeypatch.setattr(pareto, "synthesize", broken)
         with pytest.raises(ZeroDivisionError):
-            og.trace_front(grid, ss2, SynthesisConfig())
+            og.trace_front(grid, ss2)
 
 
 class TestLmiAudit:
     def test_synthesized_point_is_feasible(self, ss2):
         w = og.OutputWeights.normalized(1.0, 1.0, 2.0)
-        pt = og.synthesize(w, ss2, SynthesisConfig())
+        pt = og.synthesize(w, ss2)
         audit = og.lmi_feasibility_audit(pt.gain, w, ss2)
         assert audit["feasible"]
         assert audit["min_eig_stability_lmi"] >= 0.0
@@ -319,7 +305,7 @@ class TestLmiAudit:
             for r in (1.0, 10.0, 100.0)
             for m in (0.2, 0.5, 0.8)
         ]
-        front = og.trace_front(grid, ss3, SynthesisConfig(tol_grad=1e-5))
+        front = og.trace_front(grid, ss3)
         heuristics = [
             og.h2_norms(og.make_f_br(d, ss3), ss3)
             for d in np.linspace(0.05, 0.45, 9)

@@ -410,10 +410,3 @@ class TestMatrixIO:
         assert np.array_equal(mat, F, equal_nan=True)
         assert np.signbit(mat[0, 2])
         assert [p.name for p in tmp_path.iterdir()] == ["gain.csv"]
-
-    def test_json_roundtrip(self, ss3):
-        from oligosched.statespace import state_space_from_json, state_space_to_json
-
-        text = state_space_to_json(ss3)
-        ss = state_space_from_json(text)
-        assert ss.L == 3 and np.array_equal(ss.R1, ss3.R1)

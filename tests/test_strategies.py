@@ -329,6 +329,19 @@ class TestRiskSensitive:
         assert c.r1 == 0.0
         assert c.r2 == 1.0
 
+    def test_near_double_root_raises(self):
+        # at T = -1 the admissible root has s = 1 + T*r2 = (q2 - beta)/(1 - beta),
+        # about 2.2e-15 here, so r3 = beta*r2/s (true value about 4.28e14)
+        # would come from a cancelled s, and the residual certificate reads 0
+        p = params(q1=1.0, q2=np.linspace(0.0, 1.0, 21)[19])
+        with pytest.raises(og.NoSolutionError, match="within rounding of 0"):
+            og.risk_sensitive_coeffs(p, og.RiskSensitivity(-1.0, 0.95))
+        # away from the double root the same branch stays accurate
+        p = params(q1=1.0, q2=0.96)
+        c = og.risk_sensitive_coeffs(p, og.RiskSensitivity(-1.0, 0.95))
+        assert c.r2 == pytest.approx(0.8, rel=1e-14)
+        assert c.r3 == pytest.approx(0.95 * 0.8 / 0.2, rel=1e-14)
+
     def test_branch_oracle_grid(self):
         # T = theta*sigma1^2 = -1 makes r2 = 1 a root with 1 + T*r2 = 0, and
         # at q2 = 1 the linear equation for r1 vanishes; the oracle decides
@@ -344,8 +357,10 @@ class TestRiskSensitive:
             rs = og.RiskSensitivity(theta, beta)
             new = _outcome(og.risk_sensitive_coeffs, p, rs)
             if T == -1.0:
-                # the roots are 1 (s = 0) and (1 - q2)/(1 - beta)
-                if q2 <= beta or q2 == 1.0:
+                # the roots are 1 (s = 0) and (1 - q2)/(1 - beta), whose
+                # s = (q2 - beta)/(1 - beta) is within rounding of 0 at
+                # q2 = 0.9500000000000001, beta = 0.95
+                if q2 <= beta or q2 == 1.0 or (q2 - beta) / (1.0 - beta) < 1e-14:
                     assert isinstance(new, og.NoSolutionError), (p, rs)
                 else:
                     assert new.r2 == pytest.approx((1.0 - q2) / (1.0 - beta), rel=1e-14)
