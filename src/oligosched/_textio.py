@@ -8,7 +8,7 @@ writing a series holds one formatted block in memory, never the whole text.
 """
 from __future__ import annotations
 
-import math
+import json
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -17,31 +17,8 @@ import numpy as np
 
 
 def fmt(x) -> str:
-    """17-significant-digit rendering of one number."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    """17-significant-digit rendering of one float, nan and inf renamed."""
+    return format(float(x), ".17g").replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def dumps(obj, _level: int = 0) -> str:
@@ -51,7 +28,7 @@ def dumps(obj, _level: int = 0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return f'"{_json_escape(obj)}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -64,7 +41,7 @@ def dumps(obj, _level: int = 0) -> str:
         if not obj:
             return "{}"
         parts = [
-            f'{pad_in}"{_json_escape(str(k))}": {dumps(v, _level + 1)}'
+            f"{pad_in}{json.dumps(str(k), ensure_ascii=False)}: {dumps(v, _level + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
@@ -74,9 +51,6 @@ def dumps(obj, _level: int = 0) -> str:
         parts = [f"{pad_in}{dumps(v, _level + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-_WRITE_SLICE = 1 << 20  # characters encoded per write
 
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
@@ -92,9 +66,7 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             for block in (text,) if isinstance(text, str) else text:
-                # one write would encode the whole block at once, a second copy
-                for i in range(0, len(block), _WRITE_SLICE):
-                    fh.write(block[i:i + _WRITE_SLICE])
+                fh.write(block)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

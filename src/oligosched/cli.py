@@ -15,12 +15,15 @@ Exit codes: 0 success, 2 validation error, 3 convergence failure.  The
 environment variable OLIGO_SEED overrides any configured seed.  Every
 file-writing command also writes ``<out>.manifest.json`` (atomically)
 recording the command line, resolved configuration, library version, seed,
-wall-clock time, and output paths; re-running the recorded command
-reproduces the outputs byte for byte.
+wall-clock time, and every file the command wrote; re-running the recorded
+command reproduces the outputs byte for byte.  ``_emit`` is the one writer
+of records and manifests.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
 import time
@@ -58,12 +61,10 @@ from .strategies import (
     risk_sensitive_strategy,
 )
 
-_PARAM_KEYS = ("q1", "q2", "mu1", "mu2", "sigma1", "sigma2")
+_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(MarketParamsL2))
 
 
 def _load_json(arg: str):
-    import json
-
     if os.path.exists(arg):
         with open(arg) as fh:
             return json.load(fh)
@@ -118,68 +119,53 @@ def _seed_override(seed: int) -> int:
 _T0 = time.perf_counter()
 
 
-def _emit(text: str, out: str | None, manifest: dict | None = None, extra_outputs=()):
+def _emit(record, out, argv, config: dict, seed=None, extra_outputs=(), **fields):
+    """Print ``record``, or write it to ``out`` and its manifest beside it.
+
+    A dict or list is written as JSON, a string as it is.  The manifest,
+    ``<out>.manifest.json``, records the command line, ``config``, version,
+    ``seed``, wall-clock time, any further ``fields`` and every file the
+    command wrote: ``out``, then ``extra_outputs``.
+    """
+    text = record if isinstance(record, str) else _textio.dumps(record) + "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     _textio.atomic_write_text(out, text)
-    if manifest is not None:
-        manifest["wall_clock_s"] = time.perf_counter() - _T0
-        manifest["outputs"] = [out, *extra_outputs]
-        _textio.atomic_write_text(
-            out + ".manifest.json", _textio.dumps(manifest) + "\n"
-        )
-
-
-def _manifest(args, config: dict, seed=None) -> dict:
-    return {
-        "command": ["oligosched", *args],
+    manifest = {
+        "command": ["oligosched", *argv],
         "config": config,
         "version": __version__,
         "seed": seed,
-        "wall_clock_s": 0.0,
+        "wall_clock_s": time.perf_counter() - _T0,
+        **fields,
+        "outputs": [out, *extra_outputs],
     }
+    _textio.atomic_write_text(out + ".manifest.json", _textio.dumps(manifest) + "\n")
 
 
 def _cmd_l2_strategy(ns, argv):
     p = _parse_params(ns.params)
     s = _parse_arch(ns.arch, p)
-    text = _textio.dumps({"a": s.a, "b": s.b, "g": s.g}) + "\n"
-    man = _manifest(argv, {"arch": ns.arch, "params": vars(p)})
-    _emit(text, ns.out, man)
+    _emit(vars(s), ns.out, argv, {"arch": ns.arch, "params": vars(p)})
     return 0
 
 
 def _cmd_l2_metrics(ns, argv):
     p = _parse_params(ns.params)
     s = _parse_arch(ns.arch, p)
-    m = stationary_moments(s, p)
     result = {
-        "strategy": {"a": s.a, "b": s.b, "g": s.g},
-        "moments": {
-            "mean_x": m.mean_x,
-            "second_x": m.second_x,
-            "mean_u": m.mean_u,
-            "second_u": m.second_u,
-        },
+        "strategy": vars(s),
+        "moments": vars(stationary_moments(s, p)),
         "efficiency": efficiency(s, p),
     }
     if ns.threshold is not None:
         try:
-            rb = risk_upper_bound(s, p, ns.threshold)
-            result["risk_bound"] = {
-                "M": ns.threshold,
-                "m1": rb.m1,
-                "x_tail_bound": rb.x_tail_bound,
-                "condition_holds": rb.condition_holds,
-                "demand_risk_bound": rb.demand_risk_bound,
-            }
+            bound = vars(risk_upper_bound(s, p, ns.threshold))
         except OligoschedError as exc:
-            result["risk_bound"] = {"M": ns.threshold, "error": str(exc)}
-    man = _manifest(argv, {"arch": ns.arch, "params": vars(p), "M": ns.threshold})
-    _emit(_textio.dumps(result) + "\n", ns.out, man)
+            bound = {"error": str(exc)}
+        result["risk_bound"] = {"M": ns.threshold, **bound}
+    _emit(result, ns.out, argv, {"arch": ns.arch, "params": vars(p), "M": ns.threshold})
     return 0
 
 
@@ -201,7 +187,7 @@ def _cmd_l2_simulate(ns, argv):
     )
     stats = simulate_l2(s, p, cfg)
     result = {
-        "strategy": {"a": s.a, "b": s.b, "g": s.g},
+        "strategy": vars(s),
         "mean_u": stats.mean_u,
         "var_u": stats.var_u,
         "second_u": stats.second_u,
@@ -228,20 +214,15 @@ def _cmd_l2_simulate(ns, argv):
             _textio.csv_blocks(["t", "U", "x_sum", "o_flags"], series_columns(stats)),
         )
         extra.append(ns.series_csv)
-    man = _manifest(
-        argv,
-        {
-            "arch": ns.arch,
-            "params": vars(p),
-            "horizon": ns.horizon,
-            "burn_in": ns.burn_in,
-            "replications": ns.replications,
-            "nonneg_demand": ns.nonneg,
-        },
-        seed=seed,
-    )
-    man["sim_backend"] = "numpy"
-    _emit(_textio.dumps(result) + "\n", ns.out, man, extra)
+    config = {
+        "arch": ns.arch,
+        "params": vars(p),
+        "horizon": ns.horizon,
+        "burn_in": ns.burn_in,
+        "replications": ns.replications,
+        "nonneg_demand": ns.nonneg,
+    }
+    _emit(result, ns.out, argv, config, seed, extra, sim_backend="numpy")
     return 0
 
 
@@ -253,11 +234,8 @@ def _cmd_lti_build(ns, argv):
     js_path = os.path.join(ns.out_dir, "state_space.json")
     save_matrix_csv(r1_path, ss.R1, ss)
     save_matrix_csv(r2_path, ss.R2, ss)
-    _textio.atomic_write_text(js_path, state_space_to_json(ss) + "\n")
-    man = _manifest(argv, {"L": ns.L})
-    man["wall_clock_s"] = time.perf_counter() - _T0
-    man["outputs"] = [r1_path, r2_path, js_path]
-    _textio.atomic_write_text(js_path + ".manifest.json", _textio.dumps(man) + "\n")
+    _emit(state_space_to_json(ss) + "\n", js_path, argv, {"L": ns.L},
+          extra_outputs=[r1_path, r2_path])
     sys.stdout.write(f"wrote {r1_path}, {r2_path}, {js_path}\n")
     return 0
 
@@ -270,7 +248,7 @@ def _cmd_lti_h2(ns, argv):
             f"gain shape {mat.shape} does not match D_c={ss.D_c}"
         )
     rep = h2_norms(mat, ss)
-    result = {"L": L, "z1sq": rep.z1sq, "z2sq": rep.z2sq, "z3sq": rep.z3sq}
+    result = {"L": L, **vars(rep)}
     if ns.alpha:
         a1, a2, a3 = (float(v) for v in ns.alpha.split(","))
         w = OutputWeights.normalized(a1, a2, a3)
@@ -278,8 +256,7 @@ def _cmd_lti_h2(ns, argv):
         result["weighted_objective"] = (
             w.alpha1 ** 2 * rep.z1sq + w.alpha2 ** 2 * rep.z2sq + w.alpha3 ** 2 * rep.z3sq
         )
-    man = _manifest(argv, {"gain": ns.gain, "alpha": ns.alpha})
-    _emit(_textio.dumps(result) + "\n", ns.out, man)
+    _emit(result, ns.out, argv, {"gain": ns.gain, "alpha": ns.alpha})
     return 0
 
 
@@ -310,18 +287,15 @@ def _cmd_lti_mpe(ns, argv):
         "stability_margin": sol.stability_margin,
         "sweep": cfg.sweep,
     }
-    man = _manifest(
-        argv,
-        {
-            "L": ns.L,
-            "pricing": {"q1": pricing.q1, "q2": pricing.q2},
-            "tol": ns.tol,
-            "max_iter": ns.max_iter,
-            "damping": ns.damping,
-            "mode": ns.mode,
-        },
-    )
-    _emit(_textio.dumps(result) + "\n", ns.out, man)
+    config = {
+        "L": ns.L,
+        "pricing": vars(pricing),
+        "tol": ns.tol,
+        "max_iter": ns.max_iter,
+        "damping": ns.damping,
+        "mode": ns.mode,
+    }
+    _emit(result, ns.out, argv, config)
     return 0
 
 
@@ -338,26 +312,19 @@ def _cmd_lti_pareto(ns, argv):
             raise InvalidParamsError("grid must be a JSON list of three-number lists")
         grid = [OutputWeights.normalized(*map(float, triple)) for triple in data]
     points = trace_front(grid, ss)
-    front = np.array([[p.weights.alpha1, p.weights.alpha2, p.weights.alpha3,
-                        p.report.z1sq, p.report.z2sq, p.report.z3sq] for p in points])
+    weights = [list(vars(p.weights).values()) for p in points]
+    front = np.array([w + list(vars(p.report).values()) for w, p in zip(weights, points)])
     csv = _textio.csv_text(["alpha1", "alpha2", "alpha3", "z1sq", "z2sq", "z3sq"],
                            front.reshape(-1, 6).T)
-    gains = {
-        f"point_{i}": p.gain.F for i, p in enumerate(points)
-    }
-    man = _manifest(
-        argv,
-        {
-            "L": ns.L,
-            "grid": [[p.weights.alpha1, p.weights.alpha2, p.weights.alpha3] for p in points],
-            "certificates": [
-                {"grad_inf": p.grad_inf, "iterations": p.iterations} for p in points
-            ],
-        },
-    )
+    gains = {f"point_{i}": p.gain.F for i, p in enumerate(points)}
     gains_path = ns.out + ".gains.json"
     _textio.atomic_write_text(gains_path, _textio.dumps(gains) + "\n")
-    _emit(csv, ns.out, man, [gains_path])
+    config = {
+        "L": ns.L,
+        "grid": weights,
+        "certificates": [{"grad_inf": p.grad_inf, "iterations": p.iterations} for p in points],
+    }
+    _emit(csv, ns.out, argv, config, extra_outputs=[gains_path])
     return 0
 
 
@@ -369,19 +336,15 @@ def _cmd_lti_operator(ns, argv):
     )
     result = {
         "L": ns.L,
-        "pricing": {"q1": res.pricing.q1, "q2": res.pricing.q2},
+        "pricing": vars(res.pricing),
         "gain": res.gain.F if res.gain is not None else None,
         "objective": res.objective,
         "baseline_objective": res.baseline_objective,
         "evaluations": res.evaluations,
     }
-    man = _manifest(
-        argv,
-        {"L": ns.L, "alpha1": ns.alpha1, "alpha2": ns.alpha2, "budget": ns.budget},
-        seed=seed,
-    )
-    man["telemetry"] = {"failures": res.failures, "inner_sweeps": res.inner_sweeps}
-    _emit(_textio.dumps(result) + "\n", ns.out, man)
+    config = {"L": ns.L, "alpha1": ns.alpha1, "alpha2": ns.alpha2, "budget": ns.budget}
+    telemetry = {"failures": res.failures, "inner_sweeps": res.inner_sweeps}
+    _emit(result, ns.out, argv, config, seed, telemetry=telemetry)
     return 0
 
 
@@ -393,8 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
     l2 = sub.add_parser("l2", help="two-type market").add_subparsers(
         dest="cmd", required=True
     )
-    for name in ("strategy", "metrics", "simulate"):
+    for name, handler in (("strategy", _cmd_l2_strategy), ("metrics", _cmd_l2_metrics),
+                          ("simulate", _cmd_l2_simulate)):
         sp = l2.add_parser(name)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--arch", required=True)
         sp.add_argument("--params", required=True, help="JSON file or literal")
         sp.add_argument("--out", default=None)
@@ -414,15 +379,18 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="cmd", required=True
     )
     sp = lti.add_parser("build")
+    sp.set_defaults(handler=_cmd_lti_build)
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--out-dir", required=True)
 
     sp = lti.add_parser("h2")
+    sp.set_defaults(handler=_cmd_lti_h2)
     sp.add_argument("--gain", required=True, help="gain CSV (D_c,L header)")
     sp.add_argument("--alpha", default=None, help="a1,a2,a3")
     sp.add_argument("--out", default=None)
 
     sp = lti.add_parser("mpe")
+    sp.set_defaults(handler=_cmd_lti_mpe)
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--pricing", default=None, help="JSON file or literal")
     sp.add_argument("--tol", type=float, default=1e-10)
@@ -432,11 +400,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = lti.add_parser("pareto")
+    sp.set_defaults(handler=_cmd_lti_pareto)
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--grid", default=None, help="JSON list of weight triples")
     sp.add_argument("--out", required=True)
 
     sp = lti.add_parser("operator")
+    sp.set_defaults(handler=_cmd_lti_operator)
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--alpha1", type=float, required=True)
     sp.add_argument("--alpha2", type=float, required=True)
@@ -446,27 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DISPATCH = {
-    ("l2", "strategy"): _cmd_l2_strategy,
-    ("l2", "metrics"): _cmd_l2_metrics,
-    ("l2", "simulate"): _cmd_l2_simulate,
-    ("lti", "build"): _cmd_lti_build,
-    ("lti", "h2"): _cmd_lti_h2,
-    ("lti", "mpe"): _cmd_lti_mpe,
-    ("lti", "pareto"): _cmd_lti_pareto,
-    ("lti", "operator"): _cmd_lti_operator,
-}
-
-
 def main(argv=None) -> int:
     global _T0
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     ap = _build_parser()
     try:
         ns = ap.parse_args(argv)
-        handler = _DISPATCH[(ns.group, ns.cmd)]
         _T0 = time.perf_counter()
-        return handler(ns, argv)
+        return ns.handler(ns, argv)
     except (NotConvergedError, UnstableError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3

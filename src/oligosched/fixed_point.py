@@ -33,9 +33,9 @@ the x and g iterates as columns,
     gamma = argmin ||g_k - dG gamma||_2,
 
 where the mixing parameter beta is ``FixedPointConfig.damping``; with no
-history the step is the damped step x_k + beta g_k.  Deadline rows are
-copied from the map, and convergence is always declared on the residual
-of the undamped map.
+history the step is the damped step x_k + beta g_k.  Deadline rows keep
+the unit rows of the even-split start, which the map also returns, and
+convergence is always declared on the residual of the undamped map.
 
 Some pricings have several stable fixed points; the equilibrium, and so
 the operator objective of ``operator_design``, is the one Anderson reaches
@@ -231,7 +231,8 @@ def f_map(F, pricing: PricingRule, ss: StateSpace, sweep: str = "jacobi") -> np.
     q1, q2 = pricing.q1, pricing.q2
     batch, singles = _row_plans(ss.L)
     out = Fm.copy()
-    out[: ss.L] = np.eye(ss.D_c)[: ss.L]
+    out[: ss.L] = 0.0
+    out.flat[: ss.L * (ss.D_c + 1) : ss.D_c + 1] = 1.0  # unit deadline rows
     if sweep == "gauss-seidel":
         for plan in singles:
             out[plan.rows] = _best_response_rows(out, q1, q2, ss, plan)
@@ -283,7 +284,6 @@ def solve_mpe(
                 step -= (np.column_stack(dX) + cfg.damping * DG) @ gamma
             x_prev, g_prev = x, g
             flex += step.reshape(flex.shape)
-            F[: ss.L] = Fn[: ss.L]
         else:
             raise NotConvergedError(
                 f"no fixed point within {cfg.max_iter} sweeps (tol {cfg.tol:g})",

@@ -146,8 +146,8 @@ def optimize_pricing(
 
     def objective(theta):
         nonlocal count, sweeps, best_val, best_theta, best_gain
+        # bounded Nelder-Mead evaluates only points inside the box
         count += 1
-        theta = np.clip(theta, -_BOX, _BOX)
         val, diag = evaluate_pricing(
             theta_to_pricing(theta), weights, ss, _SEARCH_FP_CFG
         )

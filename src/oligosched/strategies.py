@@ -16,8 +16,9 @@ one as theta -> 0 and beta -> 1.
 
 The risk-sensitive and congestion-fee coefficients are polynomial roots.
 Each is found by one root selection: every root of the polynomial (a
-cancellation-free quadratic formula, or companion-matrix eigenvalues for
-the cubic), then the smallest root that meets the admissibility conditions.
+cancellation-free quadratic formula on an exact discriminant, or
+companion-matrix eigenvalues for the cubic), then the smallest root that
+meets the admissibility conditions.
 The risk-sensitive result carries the residual of its implicit system as a
 certificate; its degenerate cases are decided by exact zeros, not rounding.
 
@@ -170,43 +171,62 @@ def _rs_system_residual(r1, r2, q, beta, T, mu1, mu2):
     return max(abs(res1), abs(res2))
 
 
+def _exact_quadratic_roots(a, b, c) -> list[float]:
+    """Real roots of a*x^2 + b*x + c, with exact Fraction coefficients.
+
+    The discriminant is exact, so the roots t/a and c/t, with
+    t = -(b + sign(b)*sqrt(disc))/2, are each within a few ulps even at a
+    near-double root.  With a = 0 the one root is the linear one.
+    """
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    t = -(float(b) + math.copysign(math.sqrt(disc), b)) / 2.0
+    if t == 0.0:  # b = c = 0: a double root at 0
+        return [0.0, 0.0]
+    return [float(c) / t] + ([t / float(a)] if a else [])
+
+
 def risk_sensitive_coeffs(p: MarketParamsL2, rs: RiskSensitivity) -> RiskSensitiveCoeffs:
     """Coefficients (r1, r2, r3) of the risk-sensitive cooperative problem.
 
     With T = theta*sigma1^2 the implicit system reduces to the quadratic
 
-        (beta+T)*r^2 + (1 - beta - (1-q2)*T)*r - (1-q2) = 0,
+        d*r^2 + c*r - (1-q2) = 0,   d = beta + T,  c = 1 - beta - (1-q2)*T,
 
-    whose roots are taken without cancellation (a linear root when
-    beta + T = 0).  Of two roots, the one with the larger |s| = |1 + T*r|
-    takes s directly, the other from the product beta*(1+T)/(beta+T) of the
-    s-roots, which is exactly 0 at T = -1.  r2 is the smallest root with
-    r2 > 0 and s2 > 0, r3 = beta*r2/s2, and r1 solves the linear equation
-    for the constant term, which vanishes at q2 = 1: there r1 = 0 if
-    mu1 + mu2 = 0 and there is no solution otherwise.  The result is
-    certified against the implicit system to 1e-10; NoSolutionError is
-    raised when no root qualifies, when s2 <= 16 eps (1 + |T*r2|) leaves
-    r3 to rounding (as at the double root q2 = beta of T = -1), or when
-    the certificate fails.  Requires q1 = 1, the regime in which the
-    recursion is derived.
+    and, substituting r = (s-1)/T, s = 1 + T*r solves
+
+        d*s^2 + (c*T - 2*d)*s + beta*(1+T) = 0.
+
+    Both are solved with coefficients exact in the float inputs, so r and
+    s are each within a few ulps, also where a near-double root or the
+    cancellation in 1 + T*r would leave one of them to rounding (at T = -1
+    and q2 near beta the roots are r = 1, s = 0 and r = (1-q2)/(1-beta),
+    s = (q2-beta)/(1-beta)).  The roots pair up in order, as s is monotone
+    in r.  r2 is the smallest root with r2 > 0 and s2 > 0,
+    r3 = beta*r2/s2, and r1 solves the linear equation for the constant
+    term, which vanishes at q2 = 1: there r1 = 0 if mu1 + mu2 = 0 and there
+    is no solution otherwise.  The result is certified against the
+    implicit system to 1e-10; NoSolutionError is raised when no root
+    qualifies, when s2 <= 16 eps (1 + |T*r2|), where a one-ulp change of
+    an input moves s2 by a large fraction of itself, or when the
+    certificate fails.  Requires q1 = 1, the regime in which the recursion
+    is derived.
     """
+    # fractions loads decimal (about 4 ms and 0.35 MB), needed by this rule only
+    from fractions import Fraction
+
     if p.q1 != 1.0:
         raise InvalidParamsError("risk-sensitive coefficients require q1 = 1")
     q = p.q2
     beta = rs.beta
     T = rs.theta * p.sigma1 ** 2
-    c = 1.0 - beta - (1.0 - q) * T
-    d = beta + T
-    disc = c * c + 4.0 * d * (1.0 - q)
-    roots = []
-    if disc >= 0.0:
-        t = -(c + math.copysign(math.sqrt(disc), c)) / 2.0
-        roots = [num / den for num, den in ((-(1.0 - q), t), (t, d)) if den != 0.0]
-    pairs = sorted(((1.0 + T * r, r) for r in roots), key=lambda sr: -abs(sr[0]))
-    if len(pairs) == 2:  # two roots, so d != 0
-        s_big = pairs[0][0]
-        pairs[1] = (0.0 if s_big == 0.0 else beta * (1.0 + T) / (d * s_big), pairs[1][1])
-    admissible = [(r, s) for s, r in pairs if r > 0.0 and s > 0.0]
+    qx, bx, Tx = Fraction(q), Fraction(beta), Fraction(T)
+    c = 1 - bx - (1 - qx) * Tx
+    d = bx + Tx
+    r_roots = sorted(_exact_quadratic_roots(d, c, qx - 1))
+    s_roots = sorted(_exact_quadratic_roots(d, c * Tx - 2 * d, bx * (1 + Tx)), reverse=T < 0.0)
+    admissible = [(r, s) for r, s in zip(r_roots, s_roots) if r > 0.0 and s > 0.0]
     if not admissible:
         raise NoSolutionError(
             f"no positive coefficient r2 exists for theta*sigma1^2={T!r}, "

@@ -2,13 +2,16 @@
 import argparse
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import itertools
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +84,20 @@ class TestL2Commands:
         assert data["moments"]["second_u"] == pytest.approx(m.second_u, rel=1e-14)
         # q1 != 1 here, so the bound must report its precondition failure
         assert "error" in data["risk_bound"]
+
+    def test_metrics_reports_risk_bound_from_literal_or_file(self, tmp_path, capsys):
+        params = {"q1": 1, "q2": 0.9, "mu1": 15, "mu2": 15, "sigma1": 4, "sigma2": 4}
+        argv = ["l2", "metrics", "--arch", "nc", "--threshold", "60", "--params"]
+        assert main(argv + [json.dumps(params)]) == 0
+        out = capsys.readouterr().out
+        p = og.MarketParamsL2(**params)
+        bound = og.risk_upper_bound(og.mpe_strategy(p), p, 60.0)
+        assert bound.condition_holds
+        assert json.loads(out)["risk_bound"] == {"M": 60.0, **dataclasses.asdict(bound)}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        assert main(argv + [str(path)]) == 0
+        assert capsys.readouterr().out == out
 
     def test_rs_at_q2_one_with_mean_is_validation_error(self, capsys):
         # the linear equation for the constant term vanishes at q2 = 1
@@ -159,10 +176,10 @@ class TestL2Commands:
 
     @pytest.mark.parametrize("rows", [0, 3 * _textio._CSV_CHUNK])
     def test_atomic_write_round_trips_csv(self, tmp_path, rows):
-        # 196,608 rows are over 2 MiB, so the text is written in slices
+        # 196,608 rows are over 4 MB, written as one block
         U = np.random.default_rng(4).standard_normal(rows)
         text = _textio.csv_text(["t", "U"], (np.arange(rows), U))
-        assert len(text) > 2 * _textio._WRITE_SLICE or rows == 0
+        assert len(text) > 4e6 or rows == 0
         path = tmp_path / "series.csv"
         _textio.atomic_write_text(str(path), text)
         assert path.read_bytes() == text.encode()
@@ -202,7 +219,7 @@ class TestL2Commands:
 
         def blocks():
             yield "t,U\n"
-            yield "0,1\n" * (2 * _textio._WRITE_SLICE)  # written in slices
+            yield "0,1\n" * (1 << 21)  # 8 MiB written before the failure
             raise OSError("formatting failed")
 
         with pytest.raises(OSError, match="formatting failed"):
@@ -445,6 +462,31 @@ class TestOptionSurface:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestPerfbenchLookups:
+    """Every library name the benchmark harness looks up exists, so a change
+    that would break a benchmark run fails here first."""
+
+    def test_traced_targets_resolve(self):
+        spec = importlib.util.spec_from_file_location("perfbench_child",
+                                                      PERFBENCH / "child.py")
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        assert child.TARGETS
+        for module, attr, _, _ in child.TARGETS:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+    def test_run_lookups_resolve(self):
+        text = (PERFBENCH / "run.py").read_text()
+        names = set(re.findall(r"\bog\.(\w+)", text))
+        assert names
+        for name in names:
+            assert hasattr(og, name), name
+        assert callable(og.simulate._l2_kernel)
 
 
 # Every defaulted parameter of a public function and every defaulted field

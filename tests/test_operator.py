@@ -58,6 +58,32 @@ class TestOperatorObjective:
         assert diag["status"] == "singular-row"
         assert diag["periods_left"] == 2
 
+    @pytest.mark.parametrize("draw, sweeps, radius", [
+        (17, 46, 1.131032), (53, 34, 1.091153), (83, 130, 1.501860), (92, 54, 1.111115),
+        (217, 95, 1.227512), (240, 122, 1.510293), (299, 94, 2.127395),
+    ])
+    def test_unstable_fixed_point_reports_unstable(self, ss3, draw, sweeps, radius):
+        # draws of a seeded pricing scan whose equilibrium, reached by the
+        # search's inner solve, has closed-loop spectral radius above 1
+        rng = np.random.default_rng(1)
+        base = np.array([0.0] * 6 + [1.0] * 6)
+        theta = [base + 1.5 * rng.standard_normal(12) for _ in range(draw + 1)][draw]
+        pricing = og.PricingRule(theta[:6], theta[6:])
+        cfg = operator_design._SEARCH_FP_CFG
+        with pytest.raises(og.FixedPointUnstableError) as exc:
+            og.solve_mpe(pricing, ss3, cfg)
+        sol = exc.value.solution
+        assert sol.iterations == sweeps
+        assert sol.residual <= cfg.tol
+        assert 1.0 - sol.stability_margin == pytest.approx(radius, abs=1e-6)
+        val, diag = og.evaluate_pricing(pricing, og.OperatorWeights(1.0, 1.0), ss3, cfg)
+        assert math.isinf(val)
+        assert diag == {
+            "status": "unstable",
+            "detail": f"fixed point reached but closed-loop spectral radius {radius:.6f} >= 1",
+            "iterations": sweeps,
+        }
+
     @pytest.mark.parametrize("fp_cfg", [operator_design._SEARCH_FP_CFG, None])
     def test_stability_boundary_pricing_reports_unstable(self, ss3, fp_cfg):
         pricing = og.PricingRule(*BOUNDARY_PRICING)
@@ -160,6 +186,39 @@ class TestOptimizePricing:
         }
         assert res.inner_sweeps == 35 * res.evaluations
         assert res.gain is None and math.isinf(res.objective)
+
+    def test_restart_search_runs_and_repeats(self, ss2, monkeypatch):
+        # at budget 1000 the first search meets its tolerances after 397
+        # evaluations, and a second starts from a seeded perturbation of
+        # marginal-cost pricing
+        real = operator_design.minimize
+        starts, nfev = [], []
+
+        def recording(fun, x0, **kwargs):
+            starts.append(x0.copy())
+            res = real(fun, x0, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(operator_design, "minimize", recording)
+        w = og.OperatorWeights(1.0, 1.0)
+        a = og.optimize_pricing(w, ss2, budget=1000, seed=0)
+        baseline = np.concatenate([np.zeros(3), np.ones(3)])
+        gen = og.rngstreams.stream(0, 0)
+        assert np.array_equal(starts[0], baseline)
+        assert np.array_equal(starts[1], np.clip(
+            baseline + 0.25 * gen.standard_normal(6), -operator_design._BOX, operator_design._BOX
+        ))
+        assert nfev == [397, 602]
+        assert a.evaluations == 1000
+        b = og.optimize_pricing(w, ss2, budget=1000, seed=0)
+        assert a.objective == b.objective == 3.2360679774997987
+        assert np.array_equal(a.pricing.q1, b.pricing.q1)
+        assert np.array_equal(a.pricing.q2, b.pricing.q2)
+        # every deadline-respecting policy costs at least L*p, where the golden
+        # ratio p is the positive root of p^2 - alpha2*p - alpha1*alpha2 = 0
+        assert (1.0 + math.sqrt(5.0)) * (1.0 - 1e-12) <= a.objective
+        assert a.objective <= a.baseline_objective == 3.3753452853944816
 
     def test_weights_validation(self):
         with pytest.raises(og.InvalidParamsError):

@@ -2,6 +2,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,11 +337,26 @@ class TestRiskSensitive:
         p = params(q1=1.0, q2=np.linspace(0.0, 1.0, 21)[19])
         with pytest.raises(og.NoSolutionError, match="within rounding of 0"):
             og.risk_sensitive_coeffs(p, og.RiskSensitivity(-1.0, 0.95))
+        # at q2 = beta itself both roots are r = 1, s = 0: none is admissible
+        with pytest.raises(og.NoSolutionError, match="no positive coefficient"):
+            og.risk_sensitive_coeffs(params(q1=1.0, q2=0.95), og.RiskSensitivity(-1.0, 0.95))
         # away from the double root the same branch stays accurate
         p = params(q1=1.0, q2=0.96)
         c = og.risk_sensitive_coeffs(p, og.RiskSensitivity(-1.0, 0.95))
         assert c.r2 == pytest.approx(0.8, rel=1e-14)
         assert c.r3 == pytest.approx(0.95 * 0.8 / 0.2, rel=1e-14)
+
+    @pytest.mark.parametrize("delta", [1e-14, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6])
+    def test_r3_exact_next_to_double_root(self, delta):
+        # at T = -1 the roots are r = 1 (s = 0) and r2 = (1 - q2)/(1 - beta)
+        # with s = (q2 - beta)/(1 - beta); in rationals of the float inputs
+        q2, beta = 0.95 + delta, 0.95
+        r2 = (1 - Fraction(q2)) / (1 - Fraction(beta))
+        s = (Fraction(q2) - Fraction(beta)) / (1 - Fraction(beta))
+        r3 = Fraction(beta) * r2 / s
+        c = og.risk_sensitive_coeffs(params(q1=1.0, q2=q2), og.RiskSensitivity(-1.0, beta))
+        assert c.r2 == pytest.approx(float(r2), rel=1e-15)
+        assert c.r3 == pytest.approx(float(r3), rel=1e-14)
 
     def test_branch_oracle_grid(self):
         # T = theta*sigma1^2 = -1 makes r2 = 1 a root with 1 + T*r2 = 0, and
