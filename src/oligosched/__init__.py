@@ -23,7 +23,6 @@ from .errors import (
     InsufficientSamplesError,
     InvalidMarginError,
     InvalidParamsError,
-    MultipleStableRootsWarning,
     NonStationaryError,
     NoSolutionError,
     NoStableRootError,

@@ -75,19 +75,13 @@ def stationary_moments(s: LinearStrategyL2, p: MarketParamsL2) -> StationaryMome
         + 2.0 * a / (1.0 - q2 * a) * (q2 * c + q1 * q2 * p.mu1) * (q2 * c + q1 * p.mu1)
     ) / (1.0 - q2 * a * a)
     mean_u = q1 * p.mu1 + q2 * p.mu2
-    second_u = -2.0 * _efficiency_from_x(s, p, mean_x, second_x)
-    return StationaryMoments(mean_x, second_x, mean_u, second_u)
-
-
-def _efficiency_from_x(s, p, mean_x, second_x):
-    a, b, g = s.a, s.b, s.g
-    q2 = p.q2
     t = b * p.mu2 + g
-    return -0.5 * (
+    second_u = (
         (1.0 - q2 + q2 * (1.0 - a) ** 2) * second_x
         + 2.0 * q2 * (1.0 - a) * t * mean_x
         + q2 * (t * t + b * b * p.sigma2 ** 2)
     )
+    return StationaryMoments(mean_x, second_x, mean_u, second_u)
 
 
 def efficiency(s: LinearStrategyL2, p: MarketParamsL2) -> float:
@@ -182,6 +176,8 @@ def risk_upper_bound(s: LinearStrategyL2, p: MarketParamsL2, M: float) -> RiskBo
     """
     if p.q1 != 1.0:
         raise InvalidParamsError("the demand-tail bound requires q1 = 1")
+    if not math.isfinite(M):
+        raise InvalidParamsError(f"threshold M={M!r} must be finite")
     a, b = s.a, s.b
     if not 0.0 < a < 1.0:
         raise InvalidParamsError(f"a={a!r} must lie in (0, 1)")

@@ -13,8 +13,9 @@ Subcommand tree:
 
 Exit codes: 0 success, 2 validation error, 3 convergence failure.  The
 environment variable OLIGO_SEED overrides any configured seed.  Every
-file-writing command also writes ``<out>.manifest.json`` (atomically)
-recording the command line, resolved configuration, library version, seed,
+file-writing command also writes ``<out>.manifest.json`` (atomically;
+``<first file>.manifest.json`` when the record goes to stdout) recording
+the command line, resolved configuration, library version, seed,
 wall-clock time, and every file the command wrote; re-running the recorded
 command reproduces the outputs byte for byte.  ``_emit`` is the one writer
 of records and manifests.
@@ -41,7 +42,7 @@ from .errors import (
 from .fixed_point import FixedPointConfig, PricingRule, marginal_cost_pricing, solve_mpe
 from .operator_design import OperatorWeights, optimize_pricing
 from .pareto import default_weight_grid, trace_front
-from .simulate import SimConfig, series_columns, simulate_l2
+from .simulate import SimConfig, simulate_l2
 from .statespace import (
     OutputWeights,
     build_state_space,
@@ -120,18 +121,22 @@ _T0 = time.perf_counter()
 
 
 def _emit(record, out, argv, config: dict, seed=None, extra_outputs=(), **fields):
-    """Print ``record``, or write it to ``out`` and its manifest beside it.
+    """Write ``record`` to ``out`` (print it when ``out`` is None) and, if
+    any file was written, the manifest ``<first file>.manifest.json``.
 
-    A dict or list is written as JSON, a string as it is.  The manifest,
-    ``<out>.manifest.json``, records the command line, ``config``, version,
-    ``seed``, wall-clock time, any further ``fields`` and every file the
-    command wrote: ``out``, then ``extra_outputs``.
+    A dict or list is written as JSON, a string as it is.  The manifest
+    records the command line, ``config``, version, ``seed``, wall-clock
+    time, any further ``fields`` and every file the command wrote: ``out``,
+    then ``extra_outputs``.
     """
     text = record if isinstance(record, str) else _textio.dumps(record) + "\n"
     if out is None:
         sys.stdout.write(text)
+    else:
+        _textio.atomic_write_text(out, text)
+    outputs = [f for f in (out, *extra_outputs) if f is not None]
+    if not outputs:
         return
-    _textio.atomic_write_text(out, text)
     manifest = {
         "command": ["oligosched", *argv],
         "config": config,
@@ -139,9 +144,9 @@ def _emit(record, out, argv, config: dict, seed=None, extra_outputs=(), **fields
         "seed": seed,
         "wall_clock_s": time.perf_counter() - _T0,
         **fields,
-        "outputs": [out, *extra_outputs],
+        "outputs": outputs,
     }
-    _textio.atomic_write_text(out + ".manifest.json", _textio.dumps(manifest) + "\n")
+    _textio.atomic_write_text(outputs[0] + ".manifest.json", _textio.dumps(manifest) + "\n")
 
 
 def _cmd_l2_strategy(ns, argv):
@@ -179,39 +184,23 @@ def _cmd_l2_simulate(ns, argv):
         replications=ns.replications,
         seed=seed,
         nonneg_demand=ns.nonneg,
-        tail_thresholds=tuple(float(v) for v in ns.thresholds.split(",") if v)
-        if ns.thresholds
-        else (),
+        tail_thresholds=tuple(float(v) for v in ns.thresholds.split(",") if v),
         quantile_levels=tuple(float(v) for v in ns.quantiles.split(",") if v),
         keep_series=ns.series_csv is not None,
     )
     stats = simulate_l2(s, p, cfg)
-    result = {
-        "strategy": vars(s),
-        "mean_u": stats.mean_u,
-        "var_u": stats.var_u,
-        "second_u": stats.second_u,
-        "mean_x": stats.mean_x,
-        "second_x": stats.second_x,
-        "quantiles": {f"{k:g}": v for k, v in stats.quantiles.items()},
-        "tail_probs": {f"{k:g}": v for k, v in stats.tail_probs.items()},
-        "mc_stderr": stats.mc_stderr,
-        "n_samples": stats.n_samples,
-    }
+    result = {"strategy": vars(s), **vars(stats)}
+    del result["conditional"], result["series"]
+    for key in ("quantiles", "tail_probs"):
+        result[key] = {f"{k:g}": v for k, v in result[key].items()}
     if stats.conditional is not None:
-        c = stats.conditional
-        result["conditional"] = {
-            "threshold": c.threshold,
-            "p_spike_absent": c.p_spike_absent,
-            "p_spike_present": c.p_spike_present,
-            "p_spike_high_backlog": c.p_spike_high_backlog,
-            "p_spike_low_backlog": c.p_spike_low_backlog,
-        }
+        result["conditional"] = {k: v for k, v in vars(stats.conditional).items()
+                                 if k == "threshold" or k.startswith("p_spike")}
     extra = []
     if ns.series_csv is not None:
         _textio.atomic_write_text(
             ns.series_csv,
-            _textio.csv_blocks(["t", "U", "x_sum", "o_flags"], series_columns(stats)),
+            _textio.csv_blocks(list(stats.series), list(stats.series.values())),
         )
         extra.append(ns.series_csv)
     config = {
@@ -334,10 +323,15 @@ def _cmd_lti_operator(ns, argv):
     res = optimize_pricing(
         OperatorWeights(ns.alpha1, ns.alpha2), ss, budget=ns.budget, seed=seed
     )
+    if res.gain is None:
+        raise NotConvergedError(
+            f"no finite objective in {res.evaluations} evaluations; "
+            f"failures: {res.failures}"
+        )
     result = {
         "L": ns.L,
         "pricing": vars(res.pricing),
-        "gain": res.gain.F if res.gain is not None else None,
+        "gain": res.gain.F,
         "objective": res.objective,
         "baseline_objective": res.baseline_objective,
         "evaluations": res.evaluations,

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the library."""
+"""Exception types shared across the library."""
 
 
 class OligoschedError(Exception):
@@ -18,7 +18,8 @@ class NoSolutionError(OligoschedError):
 
 
 class NoStableRootError(OligoschedError):
-    """The congestion cubic has no real root in (0,1) with a stable recursion."""
+    """The congestion cubic has no real root in (0,1); only at gamma = q2 = 1,
+    where its one real root is a = 1."""
 
 
 class InvalidMarginError(OligoschedError, ValueError):
@@ -63,7 +64,3 @@ class FixedPointUnstableError(UnstableError):
 
 class InsufficientSamplesError(OligoschedError):
     """A conditioning cell holds too few samples for a tail estimate."""
-
-
-class MultipleStableRootsWarning(UserWarning):
-    """More than one cubic root qualified; the smallest was selected."""

@@ -101,8 +101,8 @@ class FixedPointConfig:
     sweep: str = "jacobi"  # or "gauss-seidel"
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise InvalidParamsError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidParamsError("tol must be positive and finite")
         if self.max_iter < 1:
             raise InvalidParamsError("max_iter must be >= 1")
         if not 0.0 < self.damping <= 1.0:
@@ -116,7 +116,7 @@ class MpeSolution:
     gain: FeedbackGain
     iterations: int
     residuals: list = field(repr=False)
-    stability_margin: float = 0.0
+    stability_margin: float
 
     @property
     def residual(self) -> float:

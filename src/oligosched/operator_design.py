@@ -49,8 +49,8 @@ class OperatorWeights:
     alpha2: float
 
     def __post_init__(self):
-        if self.alpha1 < 0.0 or self.alpha2 < 0.0:
-            raise InvalidParamsError("operator weights must be nonnegative")
+        if not (0.0 <= self.alpha1 < np.inf and 0.0 <= self.alpha2 < np.inf):
+            raise InvalidParamsError("operator weights must be finite and nonnegative")
         if self.alpha1 == 0.0 and self.alpha2 == 0.0:
             raise InvalidParamsError("operator weights must not both be zero")
 
@@ -126,7 +126,8 @@ def optimize_pricing(
     constrained to [-_BOX, _BOX].  Returns the best finite evaluation of the
     search; the baseline is evaluated first, so the returned objective
     never exceeds it.  Ties are broken toward the lexicographically
-    smallest coefficient vector.
+    smallest coefficient vector.  A failed inner solve costs the simplex
+    _PENALTY; the result reports it as an objective of inf (gain None).
     """
     if budget < 1:
         raise InvalidParamsError("budget must be >= 1")
@@ -160,7 +161,8 @@ def optimize_pricing(
             best_val, best_theta, best_gain = val, theta.copy(), diag["solution"].gain
         return val
 
-    baseline_val = objective(baseline_theta)
+    objective(baseline_theta)
+    baseline_val = best_val  # inf when the baseline's equilibrium fails
 
     gen = rngstreams.stream(seed, 0)
     start_idx = 0

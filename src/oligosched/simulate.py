@@ -65,6 +65,8 @@ class SimConfig:
             raise InvalidParamsError("replications must be >= 1")
         if any(not 0.0 < q < 1.0 for q in self.quantile_levels):
             raise InvalidParamsError("quantile levels must lie strictly in (0, 1)")
+        if not np.all(np.isfinite(self.tail_thresholds)):
+            raise InvalidParamsError("tail thresholds must be finite")
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,8 @@ class PathStats:
     tail_probs: dict
     mc_stderr: dict
     n_samples: int
-    conditional: ConditionalTailReport | None = None
-    series: dict | None = field(default=None, repr=False)
+    conditional: ConditionalTailReport | None
+    series: dict | None = field(repr=False)
 
 
 def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard):
@@ -182,7 +184,8 @@ def _stderr(vals: np.ndarray) -> float:
     return float(np.std(vals, ddof=1) / np.sqrt(vals.size))
 
 
-def _assemble_stats(U, X, flex, cfg: SimConfig, flags=None) -> PathStats:
+def _assemble_stats(U, X, flags, cfg: SimConfig) -> PathStats:
+    """Pooled statistics; ``flags`` are simulate_l2's arrival bits h1 | h2 << 1, or None."""
     n = U.size
     mean_u = float(np.mean(U))
     second_u = float(np.mean(U * U))
@@ -216,11 +219,11 @@ def _assemble_stats(U, X, flex, cfg: SimConfig, flags=None) -> PathStats:
         stderr[f"tail_{M:g}"] = _stderr((Ub > M).mean(axis=1))
 
     conditional = None
-    if flex is not None:
+    if flags is not None:
         thr = max(cfg.tail_thresholds) if cfg.tail_thresholds else \
             mean_u + 4.0 * np.sqrt(max(var_u, 0.0))
         try:
-            conditional = conditional_tail_report(U, flex, X, thr)
+            conditional = conditional_tail_report(U, flags >= 2, X, thr)
         except InsufficientSamplesError:
             conditional = None
 
@@ -270,33 +273,33 @@ def simulate_l2(s: LinearStrategyL2, p: MarketParamsL2, c: SimConfig) -> PathSta
                 f"(replication {rep}); the strategy does not stabilize the market"
             )
         sl = slice(c.burn_in, None)
-        flags = (h1[sl] | (h2[sl] << 1)).astype(np.uint8)
-        return U[sl], X[sl], h2[sl].astype(bool), flags
+        return U[sl], X[sl], h1[sl] | (h2[sl] << 1)
 
-    parts = [replication(rep) for rep in range(c.replications)]
-    U = np.concatenate([pt[0] for pt in parts])
-    X = np.concatenate([pt[1] for pt in parts])
-    flex = np.concatenate([pt[2] for pt in parts])
-    flags = np.concatenate([pt[3] for pt in parts])
-    return _assemble_stats(U, X, flex, c, flags)
+    # one statement, so no replication's arrays outlive the concatenation
+    U, X, flags = map(np.concatenate, zip(*[replication(r) for r in range(c.replications)]))
+    return _assemble_stats(U, X, flags, c)
 
 
 @dataclass(frozen=True)
 class ArrivalSpec:
-    """Per-type arrival rates and load moments for the general simulator."""
+    """Per-type arrival rates and load moments for the general simulator,
+    each one value or L values; mu defaults to 0 and sigma to 1."""
 
     q: tuple
     mu: tuple | None = None
     sigma: tuple | None = None
 
     def resolved(self, L: int):
-        q = np.broadcast_to(np.asarray(self.q, float), (L,)).copy()
-        mu = np.zeros(L) if self.mu is None else \
-            np.broadcast_to(np.asarray(self.mu, float), (L,)).copy()
-        sg = np.ones(L) if self.sigma is None else \
-            np.broadcast_to(np.asarray(self.sigma, float), (L,)).copy()
-        if np.any((q < 0) | (q > 1)) or np.any(sg < 0):
-            raise InvalidParamsError("arrival rates must be in [0,1], sigmas >= 0")
+        given = (self.q, 0.0 if self.mu is None else self.mu,
+                 1.0 if self.sigma is None else self.sigma)
+        try:
+            q, mu, sg = (np.broadcast_to(np.asarray(v, float), (L,)).copy() for v in given)
+        except ValueError as exc:
+            raise InvalidParamsError(f"arrival values must be one or L={L} numbers") from exc
+        if not (np.all((q >= 0) & (q <= 1)) and np.all(np.isfinite(mu))
+                and np.all((sg >= 0) & (sg < np.inf))):
+            raise InvalidParamsError(
+                "arrival rates must be in [0,1], means finite, sigmas finite and >= 0")
         return q, mu, sg
 
 
@@ -415,16 +418,3 @@ def conditional_tail_report(
         stderr_high_backlog=errs["high"],
         stderr_low_backlog=errs["low"],
     )
-
-
-def series_columns(stats: PathStats):
-    """The kept series as (t, U, x_sum, o_flags) arrays; o_flags are zero
-    when the simulator recorded none."""
-    if stats.series is None:
-        raise InvalidParamsError("simulation was run without keep_series")
-    s = stats.series
-    flags = s.get("o_flags")
-    if flags is None:
-        flags = np.zeros(len(s["t"]), np.uint8)
-    return s["t"], s["U"], s["x_sum"], flags
-

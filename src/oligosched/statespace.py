@@ -114,8 +114,8 @@ class OutputWeights:
 
     def __post_init__(self):
         a = (self.alpha1, self.alpha2, self.alpha3)
-        if any(x < 0.0 for x in a):
-            raise InvalidParamsError(f"weights {a!r} must be nonnegative")
+        if not all(0.0 <= x < math.inf for x in a):
+            raise InvalidParamsError(f"weights {a!r} must be finite and nonnegative")
         n = a[0] ** 2 + a[1] ** 2 + a[2] ** 2
         if abs(n - 1.0) > 1e-12:
             raise InvalidParamsError(f"weights {a!r} must have unit norm")

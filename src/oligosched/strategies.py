@@ -15,10 +15,11 @@ r = 1/2, 1 and K/(K+1); the risk-sensitive rule tends to the cooperative
 one as theta -> 0 and beta -> 1.
 
 The risk-sensitive and congestion-fee coefficients are polynomial roots.
-Each is found by one root selection: every root of the polynomial (a
-cancellation-free quadratic formula on an exact discriminant, or
-companion-matrix eigenvalues for the cubic), then the smallest root that
-meets the admissibility conditions.
+The risk-sensitive rule takes every root of its two quadratics (a
+cancellation-free quadratic formula on an exact discriminant), then the
+smallest root that meets the admissibility conditions.  The congestion
+cubic is strictly increasing on [0, 1], so its companion-matrix
+eigenvalues hold exactly one root in (0, 1), and that root is taken.
 The risk-sensitive result carries the residual of its implicit system as a
 certificate; its degenerate cases are decided by exact zeros, not rounding.
 
@@ -27,17 +28,11 @@ All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidParamsError,
-    MultipleStableRootsWarning,
-    NoSolutionError,
-    NoStableRootError,
-)
+from .errors import InvalidParamsError, NoSolutionError, NoStableRootError
 
 
 @dataclass(frozen=True)
@@ -45,8 +40,8 @@ class MarketParamsL2:
     """Arrival rates and workload moments for the two agent types.
 
     q1, q2      Bernoulli arrival rates in [0, 1]
-    mu1, mu2    mean workload per arrival (resource units)
-    sigma1, sigma2  workload standard deviation, nonnegative
+    mu1, mu2    mean workload per arrival (resource units), finite
+    sigma1, sigma2  workload standard deviation, finite and nonnegative
     """
 
     q1: float
@@ -61,10 +56,12 @@ class MarketParamsL2:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidParamsError(f"{name}={v!r} must lie in [0, 1]")
+        if not (math.isfinite(self.mu1) and math.isfinite(self.mu2)):
+            raise InvalidParamsError(f"mu1={self.mu1!r}, mu2={self.mu2!r} must be finite")
         for name in ("sigma1", "sigma2"):
             v = getattr(self, name)
-            if v < 0.0:
-                raise InvalidParamsError(f"{name}={v!r} must be nonnegative")
+            if not 0.0 <= v < math.inf:
+                raise InvalidParamsError(f"{name}={v!r} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -87,6 +84,8 @@ class RiskSensitivity:
     beta: float
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise InvalidParamsError(f"theta={self.theta!r} must be finite")
         if not 0.0 < self.beta < 1.0:
             raise InvalidParamsError(f"beta={self.beta!r} must lie in (0, 1)")
 
@@ -274,57 +273,37 @@ def risk_sensitive_strategy(p: MarketParamsL2, rs: RiskSensitivity) -> LinearStr
 def congestion_strategy(p: MarketParamsL2, gamma: float) -> LinearStrategyL2:
     """Equilibrium strategy when agents pay a fee share gamma of others' cost.
 
-    The backlog coefficient solves
+    The backlog coefficient is the root in (0, 1) of
 
-        gamma*q*a^3 - (1+gamma)*q*a^2 + 2*a - (1+gamma)/2 = 0,   q = q2,
+        P(a) = gamma*q*a^3 - (1+gamma)*q*a^2 + 2*a - (1+gamma)/2,   q = q2,
 
-    whose roots are the companion-matrix eigenvalues (np.roots drops the
-    vanishing leading terms at gamma*q = 0 or q = 0).  The real ones, each
-    polished by one Newton step, are restricted to (0, 1) and to a
-    stationary backlog recursion (q*a^2 < 1); the smallest such root is
-    selected and a warning is emitted if several qualify.  Then b = 1 - 2a/(1+gamma) and the
-    constant term follows from the companion linear equation.
+    found among the companion-matrix eigenvalues (np.roots drops the
+    vanishing leading terms at gamma*q = 0 or q = 0), the real ones each
+    polished by one Newton step.  That root is unique: P(0) < 0 <=
+    P(1) = (3-gamma)/2 - q, and P' > 0 on [0, 1), since P'(0) = 2,
+    P'(1) = 2 - (2-gamma)*q >= gamma, and P' >= 1/2 at its vertex when
+    gamma > 1/2.  Only at gamma = q2 = 1 does it reach a = 1, where
+    NoStableRootError is raised.  Any a in (0, 1) gives a stationary
+    backlog recursion, as q*a^2 <= q*a < 1.  Then b = 1 - 2a/(1+gamma) and
+    the constant term follows from the companion linear equation.
     """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidParamsError(f"gamma={gamma!r} must lie in [0, 1]")
     q = p.q2
     c3, c2, c1, c0 = gamma * q, -(1.0 + gamma) * q, 2.0, -(1.0 + gamma) / 2.0
-
-    def _poly(a):
-        return ((c3 * a + c2) * a + c1) * a + c0
-
-    def _dpoly(a):
-        return (3.0 * c3 * a + 2.0 * c2) * a + c1
-
-    polished = []
+    inside = []
     for z in np.roots([c3, c2, c1, c0]):
         if abs(z.imag) > 1e-7 * max(1.0, abs(z)):
             continue
         a = float(z.real)
-        d = _dpoly(a)
+        d = (3.0 * c3 * a + 2.0 * c2) * a + c1
         if d != 0.0:
-            a = a - _poly(a) / d
-        polished.append(a)
-    cands = sorted(
-        a for a in polished if 0.0 < a < 1.0 and q * a * a < 1.0 and q * a < 1.0
-    )
-    # collapse a double root that the eigenvalue solve splits in two
-    uniq = []
-    for a in cands:
-        if not uniq or a - uniq[-1] > 1e-9:
-            uniq.append(a)
-    if not uniq:
-        raise NoStableRootError(
-            f"no stable root in (0,1) for gamma={gamma!r}, q={q!r}"
-        )
-    if len(uniq) > 1:
-        warnings.warn(
-            f"{len(uniq)} stable roots for gamma={gamma!r}, q={q!r}; "
-            f"selected the smallest",
-            MultipleStableRootsWarning,
-            stacklevel=2,
-        )
-    a = uniq[0]
+            a = a - (((c3 * a + c2) * a + c1) * a + c0) / d
+        if 0.0 < a < 1.0:
+            inside.append(a)
+    if not inside:
+        raise NoStableRootError(f"no stable root in (0,1) for gamma={gamma!r}, q={q!r}")
+    a = inside[0]
     b = 1.0 - 2.0 * a / (1.0 + gamma)
     t = 2.0 * gamma * a - 1.0 - gamma
     num = ((1.0 - q) * (1.0 + gamma) - q * t * (1.0 - a)) * p.q1 * p.mu1 \

@@ -149,6 +149,8 @@ class TestRiskBound:
             og.risk_upper_bound(s, p, M=0.0)
         with pytest.raises(og.InvalidParamsError):
             og.risk_upper_bound(s, params(q1=0.5, q2=0.6), M=50.0)
+        with pytest.raises(og.InvalidParamsError, match="must lie in"):
+            og.risk_upper_bound(og.LinearStrategyL2(1.0, 0.0, 0.0), p, M=50.0)
 
     def test_zero_variance_market_is_a_param_error(self):
         # the limiting component has no spread to standardize M against
@@ -216,3 +218,14 @@ class TestMixture:
             og.mixture_component_moments(s, params(q1=0.9, q2=0.6), 1)
         with pytest.raises(og.InvalidParamsError):
             og.mixture_component_moments(og.LinearStrategyL2(0.0, 0.5, 0.0), p, 1)
+        with pytest.raises(og.InvalidParamsError, match="nonnegative"):
+            og.mixture_component_moments(s, p, -1)
+
+    def test_q2_zero_is_the_first_component(self):
+        # no flexible agent ever arrives, so the backlog is component 0
+        p = params(q2=0.0, mu1=1.0, mu2=1.0, s1=1.5, s2=1.0)
+        s = og.LinearStrategyL2(0.5, 0.4, 0.0)
+        m0, v0 = og.mixture_component_moments(s, p, 0)
+        M = m0 + 2.0
+        assert og.mixture_tail_probability(s, p, M) == pytest.approx(
+            norm.sf(M, loc=m0, scale=math.sqrt(v0)), rel=1e-14)

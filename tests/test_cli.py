@@ -56,15 +56,19 @@ class TestL2Commands:
     def test_all_arch_forms_parse(self, capsys):
         for arch in ("nc", "coop", "naive", "none", "k:3", "rs:-0.1,0.8", "cong:0.4"):
             assert main(["l2", "strategy", "--arch", arch, "--params", PARAMS]) == 0
+        assert main(["l2", "strategy", "--arch", "k3", "--params", PARAMS]) == 2
+        assert "unknown arch 'k3'" in capsys.readouterr().err
 
     def test_unknown_params_key_is_validation_error(self, capsys):
         bad = '{"q1":1,"q2":0.5,"mu1":0,"mu2":0,"sigma1":1,"sigma2":1,"extra":2}'
         assert main(["l2", "strategy", "--arch", "coop", "--params", bad]) == 2
         assert "unknown params keys" in capsys.readouterr().err
 
-    def test_missing_params_key_is_validation_error(self):
-        bad = '{"q1":1,"q2":0.5}'
-        assert main(["l2", "strategy", "--arch", "coop", "--params", bad]) == 2
+    def test_missing_params_key_is_validation_error(self, capsys):
+        for bad, error in (('{"q1":1,"q2":0.5}', "missing params keys"),
+                           ("[1, 2]", "params must be a JSON object")):
+            assert main(["l2", "strategy", "--arch", "coop", "--params", bad]) == 2
+            assert error in capsys.readouterr().err
 
     def test_non_numeric_params_value_is_validation_error(self, capsys):
         bad = '{"q1":1,"q2":0.75,"mu1":0,"mu2":0,"sigma1":1,"sigma2":[1]}'
@@ -140,6 +144,20 @@ class TestL2Commands:
         lines = series.read_text().strip().splitlines()
         assert lines[0] == "t,U,x_sum,o_flags"
         assert len(lines) == 501
+
+    def test_series_csv_without_out_writes_manifest_beside_it(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        argv = ["l2", "simulate", "--arch", "nc", "--params", PD_PARAMS,
+                "--horizon", "1000", "--seed", "5", "--series-csv", str(series)]
+        assert main(argv) == 0
+        record = capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.manifest.json"]
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert manifest["outputs"] == [str(series)]
+        assert manifest["seed"] == 5 and manifest["command"] == ["oligosched", *argv]
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == record
 
     def test_simulate_manifest_records_backend(self, tmp_path):
         out = tmp_path / "a.json"
@@ -329,6 +347,9 @@ class TestLtiCommands:
 
     def test_pareto_front_csv(self, tmp_path):
         out = tmp_path / "front.csv"
+        # without --grid the 25 weights of the default grid are traced
+        assert main(["lti", "pareto", "--L", "2", "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 26
         grid = json.dumps([[1, 1, 1], [1, 1, 10], [5, 1, 1]])
         code = main(["lti", "pareto", "--L", "2", "--grid", grid, "--out", str(out)])
         assert code == 0
@@ -391,10 +412,26 @@ class TestLtiCommands:
         }
         assert telemetry["inner_sweeps"] >= data["evaluations"]
 
+    def test_operator_without_finite_objective_exits_3(self, capsys):
+        # at L = 9 the marginal-cost equilibrium does not converge in 600 sweeps
+        argv = ["lti", "operator", "--L", "9", "--alpha1", "1", "--alpha2", "1",
+                "--budget", "1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no finite objective in 1 evaluations" in captured.err
+        assert "'not-converged': 1" in captured.err
+
     def test_bad_gain_file_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("nonsense\n")
-        assert main(["lti", "h2", "--gain", str(path)]) == 2
+        for text, error in [
+            ("nonsense\n", "missing 'D_c,L' header"),
+            ("D_c,L\n3,2\n1,0,0\n0,1,0\n", "expected 3 rows, found 2"),
+            ("D_c,L\n3,2\n" + "1,0\n" * 3, "gain shape (3, 2) does not match D_c=3"),
+        ]:
+            path.write_text(text)
+            assert main(["lti", "h2", "--gain", str(path)]) == 2
+            assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize("pricing", ["5", "[1, 2]", '"q1"'])
     def test_non_object_pricing_is_validation_error(self, capsys, pricing):
@@ -406,6 +443,9 @@ class TestLtiCommands:
         assert main(["lti", "mpe", "--L", "2", "--pricing", pricing]) == 2
         err = capsys.readouterr().err
         assert "validation error: pricing coefficients must be numbers" in err
+        pricing = '{"q1": [0, 0, 0], "q2": [1, 1, 1], "q3": [1, 1, 1]}'
+        assert main(["lti", "mpe", "--L", "2", "--pricing", pricing]) == 2
+        assert "unknown pricing keys: ['q3']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "grid", ["[[1, 2]]", "[1, 2]", "[[1, 2, 3, 4]]", "[[1, 2, null]]", "5", '{"123": 1}']
@@ -489,20 +529,92 @@ class TestPerfbenchLookups:
         assert callable(og.simulate._l2_kernel)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+def _nan_params(**values):
+    base = {"q1": 1, "q2": 0.9, "mu1": 15, "mu2": 15, "sigma1": 4, "sigma2": 4}
+    return json.dumps({**base, **values})  # json.dumps spells nan as NaN
+
+
+class TestNonFiniteInputs:
+    """NaN and infinity are refused where each value enters the library,
+    and the CLI reports them as validation errors."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: og.OperatorWeights(INF, 1.0), id="OperatorWeights-inf"),
+        pytest.param(lambda: og.OperatorWeights(1.0, NAN), id="OperatorWeights-nan"),
+        pytest.param(lambda: og.OutputWeights(NAN, 0.0, 0.0), id="OutputWeights-nan"),
+        pytest.param(lambda: og.OutputWeights.normalized(INF, 1.0, 1.0),
+                     id="OutputWeights.normalized-inf"),
+        pytest.param(lambda: og.FixedPointConfig(tol=NAN), id="FixedPointConfig-tol-nan"),
+        pytest.param(lambda: og.FixedPointConfig(tol=INF), id="FixedPointConfig-tol-inf"),
+        pytest.param(lambda: og.MarketParamsL2(1.0, 0.5, mu1=NAN), id="MarketParamsL2-mu1-nan"),
+        pytest.param(lambda: og.MarketParamsL2(1.0, 0.5, mu2=INF), id="MarketParamsL2-mu2-inf"),
+        pytest.param(lambda: og.MarketParamsL2(1.0, 0.5, sigma1=NAN),
+                     id="MarketParamsL2-sigma1-nan"),
+        pytest.param(lambda: og.MarketParamsL2(1.0, 0.5, sigma2=INF),
+                     id="MarketParamsL2-sigma2-inf"),
+        pytest.param(lambda: og.RiskSensitivity(INF, 0.5), id="RiskSensitivity-theta-inf"),
+        pytest.param(lambda: og.RiskSensitivity(NAN, 0.5), id="RiskSensitivity-theta-nan"),
+        pytest.param(lambda: og.SimConfig(horizon=10, tail_thresholds=(50.0, NAN)),
+                     id="SimConfig-threshold-nan"),
+        pytest.param(lambda: og.risk_upper_bound(og.mpe_strategy(og.MarketParamsL2(1.0, 0.5)),
+                                                 og.MarketParamsL2(1.0, 0.5), NAN),
+                     id="risk_upper_bound-M-nan"),
+        pytest.param(lambda: og.ArrivalSpec(q=(NAN,)).resolved(2), id="ArrivalSpec-q-nan"),
+        pytest.param(lambda: og.ArrivalSpec(q=(0.5,), mu=(INF,)).resolved(2),
+                     id="ArrivalSpec-mu-inf"),
+        pytest.param(lambda: og.ArrivalSpec(q=(0.5,), sigma=(NAN,)).resolved(2),
+                     id="ArrivalSpec-sigma-nan"),
+        pytest.param(lambda: og.ArrivalSpec(q=(0.5, 0.5)).resolved(3),
+                     id="ArrivalSpec-q-wrong-length"),
+    ])
+    def test_library_raises_invalid_params(self, make):
+        with pytest.raises(og.InvalidParamsError):
+            make()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["lti", "operator", "--L", "2", "--alpha1", "nan", "--alpha2", "1",
+                      "--budget", "1"], id="operator-alpha1-nan"),
+        pytest.param(["lti", "pareto", "--L", "2", "--grid", "[[NaN, 1, 1]]", "--out", "{out}"],
+                     id="pareto-grid-nan"),
+        pytest.param(["lti", "mpe", "--L", "3", "--tol", "nan"], id="mpe-tol-nan"),
+        pytest.param(["l2", "strategy", "--arch", "rs:inf,0.5", "--params", _nan_params()],
+                     id="strategy-rs-theta-inf"),
+        pytest.param(["l2", "metrics", "--arch", "nc", "--params", _nan_params(sigma1=NAN)],
+                     id="metrics-sigma1-nan"),
+        pytest.param(["l2", "metrics", "--arch", "nc", "--params", _nan_params(mu1=NAN)],
+                     id="metrics-mu1-nan"),
+        pytest.param(["l2", "simulate", "--arch", "nc", "--params", _nan_params(),
+                      "--horizon", "100", "--thresholds", "nan"], id="simulate-thresholds-nan"),
+    ])
+    def test_cli_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "front.csv"
+        assert main([str(out) if a == "{out}" else a for a in argv]) == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_reports_non_finite_threshold_as_bound_error(self, capsys):
+        argv = ["l2", "metrics", "--arch", "nc", "--params", _nan_params(), "--threshold"]
+        assert main(argv + ["nan"]) == 0
+        bound = json.loads(capsys.readouterr().out)["risk_bound"]
+        assert bound["error"] == "threshold M=nan must be finite"
+
+
 # Every defaulted parameter of a public function and every defaulted field
 # of a public dataclass, by public module.  Adding or removing a library
 # knob means editing this table.
 KNOB_SURFACE = {
     "cli.main": ["argv"],
     "fixed_point.FixedPointConfig": ["tol", "max_iter", "damping", "sweep"],
-    "fixed_point.MpeSolution": ["stability_margin"],
     "fixed_point.f_map": ["sweep"],
     "fixed_point.solve_mpe": ["cfg"],
     "operator_design.evaluate_pricing": ["fp_cfg"],
     "operator_design.optimize_pricing": ["seed"],
     "pareto.objective_and_gradient": ["margin"],
     "simulate.ArrivalSpec": ["mu", "sigma"],
-    "simulate.PathStats": ["conditional", "series"],
     "simulate.SimConfig": ["burn_in", "replications", "seed", "nonneg_demand",
                            "tail_thresholds", "quantile_levels", "keep_series"],
     "statespace.solve_lyapunov": ["margin"],

@@ -151,11 +151,20 @@ class TestFMap:
             og.f_map(og.even_split_gain(ss2), pricing, ss2)
         assert exc.value.periods_left > 1
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"max_iter": 0}, {"damping": 0.0}, {"damping": 1.5}, {"sweep": "sor"},
+    ])
+    def test_config_validation(self, kwargs):
+        with pytest.raises(og.InvalidParamsError):
+            og.FixedPointConfig(**kwargs)
+
     def test_shape_validation(self, ss3):
         with pytest.raises(og.InvalidParamsError):
             og.f_map(np.eye(4), og.marginal_cost_pricing(ss3), ss3)
         with pytest.raises(og.InvalidParamsError):
             og.PricingRule(np.zeros(2), np.zeros(3)).validated(ss3)
+        with pytest.raises(og.InvalidParamsError, match="finite"):
+            og.PricingRule(np.zeros(6), np.full(6, np.nan))
 
 
 class TestRankOneKernel:

@@ -105,6 +105,14 @@ class TestOptimizePricing:
         assert np.array_equal(res.pricing.q1, np.zeros(3))
         assert np.array_equal(res.pricing.q2, np.ones(3))
 
+    def test_failed_baseline_reports_inf_not_the_penalty(self):
+        # at L = 9 the marginal-cost equilibrium does not converge in 600 sweeps
+        res = og.optimize_pricing(og.OperatorWeights(1.0, 1.0), og.build_state_space(9),
+                                  budget=1)
+        assert res.baseline_objective == res.objective == math.inf
+        assert res.gain is None
+        assert res.failures == {"singular-row": 0, "not-converged": 1, "unstable": 0}
+
     def test_never_worse_than_baseline_and_deterministic(self, ss2):
         w = og.OperatorWeights(1.0, 1.0)
         a = og.optimize_pricing(w, ss2, budget=150, seed=11)

@@ -566,26 +566,23 @@ class TestConditionalTails:
 class TestConfigValidation:
     def test_bad_configs(self):
         with pytest.raises(og.InvalidParamsError):
+            og.SimConfig(horizon=0)
+        with pytest.raises(og.InvalidParamsError):
             og.SimConfig(horizon=100, burn_in=100)
         with pytest.raises(og.InvalidParamsError):
             og.SimConfig(horizon=100, replications=0)
         with pytest.raises(og.InvalidParamsError):
             og.SimConfig(horizon=100, quantile_levels=(0.0,))
+        for arrival in (og.ArrivalSpec(q=(1.5,)), og.ArrivalSpec(q=(0.5,), sigma=(-1.0,))):
+            with pytest.raises(og.InvalidParamsError, match="arrival rates"):
+                arrival.resolved(2)
 
     def test_series_rows(self):
-        from oligosched.simulate import series_columns
-
         p = params(q2=0.5)
         s = og.coop_strategy(p)
         stats = og.simulate_l2(s, p, og.SimConfig(horizon=50, seed=2, keep_series=True))
-        t, u, x, flags = series_columns(stats)
+        assert list(stats.series) == ["t", "U", "x_sum", "o_flags"]
+        t, u, x, flags = stats.series.values()
         assert len(t) == len(u) == len(x) == len(flags) == 50
         assert t[0] == 0 and u.dtype == float and x.dtype == float
         assert set(np.unique(flags)) <= set(range(4))
-        # the general simulator records no flags; they read as zero
-        ss = og.build_state_space(3)
-        stats = og.simulate_general(og.make_f_br(0.3, ss), ss, og.ArrivalSpec(q=(0.7,)),
-                                    og.SimConfig(horizon=40, seed=2, keep_series=True))
-        t, u, x, flags = series_columns(stats)
-        assert len(flags) == 40 and not flags.any()
-        assert np.array_equal(u, stats.series["U"]) and np.array_equal(x, stats.series["x_sum"])

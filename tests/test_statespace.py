@@ -119,6 +119,18 @@ class TestBuildStateSpace:
     def test_rejects_bad_l(self):
         with pytest.raises(og.InvalidParamsError):
             og.build_state_space(0)
+        with pytest.raises(og.InvalidParamsError, match="no slot"):
+            og.build_state_space(3).position(4, 1)
+
+
+class TestOutputWeights:
+    def test_validation(self):
+        with pytest.raises(og.InvalidParamsError, match="nonnegative"):
+            og.OutputWeights(-0.6, 0.8, 0.0)
+        with pytest.raises(og.InvalidParamsError, match="unit norm"):
+            og.OutputWeights(1.0, 1.0, 0.0)
+        with pytest.raises(og.InvalidParamsError, match="not all be zero"):
+            og.OutputWeights.normalized(0.0, 0.0, 0.0)
 
 
 class TestLyapunov:

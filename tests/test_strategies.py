@@ -1,7 +1,6 @@
 """Closed-form strategy constructors: frozen values, oracles, invariants."""
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -492,6 +491,33 @@ class TestCongestion:
         with pytest.raises(og.NoStableRootError):
             og.congestion_strategy(params(q1=1.0, q2=1.0), 1.0)
 
+    def test_one_root_in_unit_interval(self):
+        # Exact count of the roots in (0, 1): with a = 1/(1+y) they are the
+        # positive roots of (1+y)^3 P(1/(1+y)), whose coefficient signs vary
+        # once (Descartes: exactly one root) or, at gamma = q2 = 1 where
+        # P(1) = 0, not at all.
+        grid = np.linspace(0.0, 1.0, 101)
+        for gamma, q2 in itertools.product(grid, grid):
+            g, q = Fraction(gamma), Fraction(q2)
+            c3, c2, c1, c0 = g * q, -(1 + g) * q, Fraction(2), -(1 + g) / 2
+
+            def P(a):
+                a = Fraction(a)
+                return ((c3 * a + c2) * a + c1) * a + c0
+
+            coeffs = [c0, 3 * c0 + c1, 3 * c0 + 2 * c1 + c2, c0 + c1 + c2 + c3]
+            signs = [x > 0 for x in coeffs if x != 0]
+            variations = sum(s != t for s, t in zip(signs, signs[1:]))
+            p = params(q1=1.0, q2=q2)
+            if gamma == q2 == 1.0:
+                assert variations == 0
+                with pytest.raises(og.NoStableRootError):
+                    og.congestion_strategy(p, gamma)
+                continue
+            assert variations == 1, (gamma, q2)
+            a = og.congestion_strategy(p, gamma).a
+            assert P(a * (1 - 1e-14)) < 0 < P(a * (1 + 1e-14)), (gamma, q2)
+
     def test_cardano_oracle_grid(self):
         # the means and q1 enter only the constant term, so they cycle over
         # the (gamma, q2) grid instead of multiplying it
@@ -499,15 +525,13 @@ class TestCongestion:
         grid = np.linspace(0.0, 1.0, 101)
         for (gamma, q2), (q1, mu1, mu2) in zip(itertools.product(grid, grid), means):
             p = params(q1=q1, q2=q2, mu1=mu1, mu2=mu2)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                new = _outcome(og.congestion_strategy, p, gamma)
+            new = _outcome(og.congestion_strategy, p, gamma)
             old = _outcome(cardano_oracle, p, gamma)
             assert isinstance(new, Exception) == isinstance(old, Exception), (p, gamma)
             if isinstance(new, Exception):
                 continue
             (a, b, g), n_stable = old
-            assert len(caught) == (n_stable > 1), (p, gamma)
+            assert n_stable == 1, (p, gamma)
             assert _close((new.a, new.b, new.g), (a, b, g), 1e-14), (p, gamma)
 
 
@@ -558,3 +582,5 @@ class TestCoefficientInvariants:
             og.MarketParamsL2(0.5, 0.5, sigma1=-1.0)
         with pytest.raises(og.InvalidParamsError):
             og.RiskSensitivity(0.0, 1.0)
+        with pytest.raises(og.InvalidParamsError, match="gamma"):
+            og.congestion_strategy(params(), 1.5)
