@@ -5,8 +5,8 @@ Subcommand tree:
     l2 strategy   print {a, b, g} for a chosen market architecture
     l2 metrics    closed-form moments / welfare / tail bound as JSON
     l2 simulate   Monte Carlo path statistics (JSON) + optional series CSV
-    lti build     write the R1/R2 matrices for a given L
-    lti h2        H2 report of a gain read from CSV
+    lti build     print the R1/R2 matrices for a given L as JSON
+    lti h2        H2 report of a gain given as a JSON matrix
     lti mpe       equilibrium gain under a linear pricing rule
     lti pareto    trace the three-way front over a weight grid
     lti operator  optimize the pricing rule for the operator objective
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -43,14 +44,7 @@ from .fixed_point import FixedPointConfig, PricingRule, marginal_cost_pricing, s
 from .operator_design import OperatorWeights, optimize_pricing
 from .pareto import default_weight_grid, trace_front
 from .simulate import SimConfig, simulate_l2
-from .statespace import (
-    OutputWeights,
-    build_state_space,
-    h2_norms,
-    load_matrix_csv,
-    save_matrix_csv,
-    state_space_to_json,
-)
+from .statespace import OutputWeights, build_state_space, h2_norms
 from .strategies import (
     MarketParamsL2,
     RiskSensitivity,
@@ -217,26 +211,19 @@ def _cmd_l2_simulate(ns, argv):
 
 def _cmd_lti_build(ns, argv):
     ss = build_state_space(ns.L)
-    os.makedirs(ns.out_dir, exist_ok=True)
-    r1_path = os.path.join(ns.out_dir, "R1.csv")
-    r2_path = os.path.join(ns.out_dir, "R2.csv")
-    js_path = os.path.join(ns.out_dir, "state_space.json")
-    save_matrix_csv(r1_path, ss.R1, ss)
-    save_matrix_csv(r2_path, ss.R2, ss)
-    _emit(state_space_to_json(ss) + "\n", js_path, argv, {"L": ns.L},
-          extra_outputs=[r1_path, r2_path])
-    sys.stdout.write(f"wrote {r1_path}, {r2_path}, {js_path}\n")
+    record = {"L": ss.L, "D_c": ss.D_c, "R1": ss.R1.astype(int), "R2": ss.R2.astype(int)}
+    _emit(record, ns.out, argv, {"L": ns.L})
     return 0
 
 
 def _cmd_lti_h2(ns, argv):
-    mat, D, L = load_matrix_csv(ns.gain)
+    gain = _load_json(ns.gain)
+    D = len(gain) if isinstance(gain, list) else 0
+    L = math.isqrt(2 * D)  # D = L(L+1)/2 rows
+    if D == 0 or L * (L + 1) // 2 != D:
+        raise InvalidParamsError("gain must be a JSON list of L(L+1)/2 rows")
     ss = build_state_space(L)
-    if mat.shape != (ss.D_c, ss.D_c):
-        raise InvalidParamsError(
-            f"gain shape {mat.shape} does not match D_c={ss.D_c}"
-        )
-    rep = h2_norms(mat, ss)
+    rep = h2_norms(gain, ss)
     result = {"L": L, **vars(rep)}
     if ns.alpha:
         a1, a2, a3 = (float(v) for v in ns.alpha.split(","))
@@ -375,11 +362,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = lti.add_parser("build")
     sp.set_defaults(handler=_cmd_lti_build)
     sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--out-dir", required=True)
+    sp.add_argument("--out", default=None)
 
     sp = lti.add_parser("h2")
     sp.set_defaults(handler=_cmd_lti_h2)
-    sp.add_argument("--gain", required=True, help="gain CSV (D_c,L header)")
+    sp.add_argument("--gain", required=True, help="JSON file or literal: D_c x D_c gain matrix")
     sp.add_argument("--alpha", default=None, help="a1,a2,a3")
     sp.add_argument("--out", default=None)
 

@@ -57,7 +57,6 @@ from .errors import (
 from .statespace import (
     FeedbackGain,
     StateSpace,
-    _as_matrix,
     build_state_space,
 )
 
@@ -225,7 +224,10 @@ def f_map(F, pricing: PricingRule, ss: StateSpace, sweep: str = "jacobi") -> np.
     time in slot order, each against the gain as updated so far.
     """
     pricing = pricing.validated(ss)
-    Fm = _as_matrix(F)
+    # Shape only, not statespace._as_matrix: solve_mpe feeds diverging
+    # iterates back in and reports them as NotConvergedError, which
+    # evaluate_pricing counts; an InvalidParamsError would end the search.
+    Fm = np.asarray(F.F if isinstance(F, FeedbackGain) else F, dtype=float)
     if Fm.shape != (ss.D_c, ss.D_c):
         raise InvalidParamsError(f"gain must be {ss.D_c} x {ss.D_c}")
     q1, q2 = pricing.q1, pricing.q2

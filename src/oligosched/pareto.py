@@ -100,7 +100,7 @@ def objective_and_gradient(F, weights: OutputWeights, ss: StateSpace, margin: fl
     solve certifies a closed-loop spectral radius below 1 - ``margin``, or
     when either Gramian fails its residual certificate.
     """
-    Fm = _as_matrix(F)
+    Fm = _as_matrix(F, ss)
     Q = solve_lyapunov(Fm, ss, margin)
     C1, D12 = _plant_outputs(weights, ss)
     M, C, P = _adjoint_gramian(Fm, C1, D12, ss)
@@ -189,7 +189,7 @@ def lmi_feasibility_audit(F, weights: OutputWeights, ss: StateSpace) -> dict:
     simultaneously verifies the gain-recovery orientation F = P Q^{-1}.  Returns the minimum
     eigenvalues of both block matrices and the audited trace bound.
     """
-    Fm = _as_matrix(F)
+    Fm = _as_matrix(F, ss)
     D = ss.D_c
     M = ss.R1 @ (np.eye(D) - Fm)
     W = ss.R2 @ ss.R2.T + _LMI_EPS * np.eye(D)

@@ -324,7 +324,7 @@ def simulate_general(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig) -> P
     gens = [[rngstreams.stream_at(c.seed, r, j * n) for r in range(R)] for j in range(2 * L)]
     # One product per period maps z = [x - u of the last period; fresh
     # loads] to y = [x; Fp x], Fp being F with unit deadline rows.
-    Fp = np.vstack([np.eye(D)[:L], _as_matrix(F)[L:]])
+    Fp = np.vstack([np.eye(D)[:L], _as_matrix(F, ss)[L:]])
     shift = np.hstack([ss.R1, ss.R2])
     S = np.vstack([shift, Fp @ shift])
     chunk = min(n, _CHUNK_PERIODS)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _textio
 from .errors import InvalidParamsError, UnstableError
 
 # Doubling steps allowed before a Lyapunov solve is declared divergent; 64
@@ -78,10 +77,17 @@ def build_state_space(L: int) -> StateSpace:
     return StateSpace(L, D, R1, R2, e, e_L, pairs)
 
 
-def _as_matrix(F) -> np.ndarray:
-    if isinstance(F, FeedbackGain):
-        return F.F
-    return np.asarray(F, dtype=float)
+def _as_matrix(F, ss: StateSpace) -> np.ndarray:
+    """The gain F, array-like or FeedbackGain, as a finite D_c x D_c float array."""
+    try:
+        Fm = np.asarray(F.F if isinstance(F, FeedbackGain) else F, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParamsError(f"gain is not a numeric matrix: {exc}") from exc
+    if Fm.shape != (ss.D_c, ss.D_c):
+        raise InvalidParamsError(f"gain shape {Fm.shape} is not {ss.D_c} x {ss.D_c}")
+    if not np.isfinite(Fm).all():
+        raise InvalidParamsError("gain entries must be finite")
+    return Fm
 
 
 @dataclass
@@ -189,7 +195,7 @@ def solve_lyapunov(F, ss: StateSpace, margin: float = 1e-9) -> np.ndarray:
     spectral radius below 1 - ``margin``.  The returned matrix satisfies
     the equation to a relative Frobenius residual of 1e-10.
     """
-    Fm = _as_matrix(F)
+    Fm = _as_matrix(F, ss)
     M = ss.R1 @ (np.eye(ss.D_c) - Fm)
     return _solve_dlyap(M, ss.R2 @ ss.R2.T, margin)
 
@@ -197,7 +203,7 @@ def solve_lyapunov(F, ss: StateSpace, margin: float = 1e-9) -> np.ndarray:
 def h2_norms(F, ss: StateSpace) -> H2Report:
     """Squared H2 norms of the three outputs under feedback F; the mismatch
     row e_L'(I - F) is the backlog that agents leave at their deadline."""
-    Fm = _as_matrix(F)
+    Fm = _as_matrix(F, ss)
     v3 = (np.eye(ss.D_c) - Fm).T @ ss.e_L
     Q = solve_lyapunov(Fm, ss)
     z1 = float(ss.e @ Fm @ Q @ Fm.T @ ss.e)
@@ -208,7 +214,7 @@ def h2_norms(F, ss: StateSpace) -> H2Report:
 
 def make_f_dl_projection(F, ss: StateSpace) -> FeedbackGain:
     """Copy of F with every deadline row replaced by its own unit row."""
-    Fm = _as_matrix(F).copy()
+    Fm = _as_matrix(F, ss).copy()
     for i in range(ss.L):
         Fm[i, :] = 0.0
         Fm[i, i] = 1.0
@@ -248,40 +254,3 @@ def br_demand_volatility_approx(delta: float, L: int) -> float:
     """Large-L expansion of the demand volatility of the BR class:
     4L((delta-1/2)^2 + (delta-2/3)^2 delta^2)."""
     return 4.0 * L * ((delta - 0.5) ** 2 + (delta - 2.0 / 3.0) ** 2 * delta ** 2)
-
-
-# ---------------------------------------------------------------------------
-# matrix import/export
-
-
-def save_matrix_csv(path, mat: np.ndarray, ss: StateSpace) -> None:
-    """Row-major CSV with a leading "D_c,L" header line, written atomically."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    text = f"D_c,L\n{ss.D_c},{ss.L}\n" + _textio.csv_text(None, list(mat.T))
-    _textio.atomic_write_text(path, text)
-
-
-def load_matrix_csv(path) -> tuple[np.ndarray, int, int]:
-    """Read a matrix CSV; returns (matrix, D_c, L)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "D_c,L":
-        raise InvalidParamsError(f"{path}: missing 'D_c,L' header")
-    D, L = (int(v) for v in lines[1].split(","))
-    mat = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
-    if mat.shape[0] != D:
-        raise InvalidParamsError(
-            f"{path}: expected {D} rows, found {mat.shape[0]}"
-        )
-    return mat, D, L
-
-
-def state_space_to_json(ss: StateSpace) -> str:
-    return _textio.dumps(
-        {
-            "L": ss.L,
-            "D_c": ss.D_c,
-            "R1": ss.R1.astype(int).tolist(),
-            "R2": ss.R2.astype(int).tolist(),
-        }
-    )

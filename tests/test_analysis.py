@@ -229,3 +229,6 @@ class TestMixture:
         M = m0 + 2.0
         assert og.mixture_tail_probability(s, p, M) == pytest.approx(
             norm.sf(M, loc=m0, scale=math.sqrt(v0)), rel=1e-14)
+        # with no load variance component 0 is a point mass: no tail is defined
+        p = params(q2=0.0, mu1=1.0, mu2=1.0, s1=0.0, s2=0.0)
+        assert math.isnan(og.mixture_tail_probability(s, p, M))

@@ -9,6 +9,7 @@ import json
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -192,6 +193,17 @@ class TestL2Commands:
                               f"{n - 2},Infinity,{x[-2]:.17g},{(n - 2) % 4}",
                               f"{n - 1},-Infinity,{x[-1]:.17g},{(n - 1) % 4}"]
 
+    def test_dumps_spells_each_kind(self):
+        record = {"empty": [], "none": {}, "flag": np.bool_(True), "n": np.int64(3),
+                  "x": np.array([np.nan, -np.inf, 0.1]), "s": 'é"'}
+        assert _textio.dumps(record).splitlines() == [
+            "{", '  "empty": [],', '  "none": {},', '  "flag": true,', '  "n": 3,',
+            '  "x": [', "    NaN,", "    -Infinity,", "    0.10000000000000001", "  ],",
+            '  "s": "é\\""', "}",
+        ]
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _textio.dumps({"obj": object()})
+
     @pytest.mark.parametrize("rows", [0, 3 * _textio._CSV_CHUNK])
     def test_atomic_write_round_trips_csv(self, tmp_path, rows):
         # 196,608 rows are over 4 MB, written as one block
@@ -307,33 +319,67 @@ class TestL2Commands:
 
 class TestLtiCommands:
     def test_build_matches_construction(self, tmp_path, capsys):
-        assert main(["lti", "build", "--L", "3", "--out-dir", str(tmp_path)]) == 0
-        mat, D, L = og.statespace.load_matrix_csv(tmp_path / "R1.csv")
+        out = tmp_path / "state_space.json"
+        assert main(["lti", "build", "--L", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        stored = json.loads(out.read_text())
         ss = og.build_state_space(3)
-        assert (D, L) == (6, 3)
-        assert np.array_equal(mat, ss.R1)
-        mat2, _, _ = og.statespace.load_matrix_csv(tmp_path / "R2.csv")
-        assert np.array_equal(mat2, ss.R2)
-        stored = json.loads((tmp_path / "state_space.json").read_text())
+        assert list(stored) == ["L", "D_c", "R1", "R2"]
         assert stored["L"] == 3 and stored["D_c"] == 6
         assert np.array_equal(stored["R1"], ss.R1)
         assert np.array_equal(stored["R2"], ss.R2)
+        assert all(isinstance(v, int) for row in stored["R1"] + stored["R2"] for v in row)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "state_space.json", "state_space.json.manifest.json"
+        ]
 
     def test_h2_roundtrip(self, tmp_path, capsys):
         ss = og.build_state_space(3)
-        gain_path = tmp_path / "gain.csv"
+        gain_path = tmp_path / "gain.json"
         br = og.make_f_br(0.3, ss)
-        og.statespace.save_matrix_csv(gain_path, br.F, ss)
+        gain_path.write_text(_textio.dumps(br.F))
         code = main(
             ["lti", "h2", "--gain", str(gain_path), "--alpha", "1,1,1"]
         )
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        data = json.loads(out)
         rep = og.h2_norms(br, ss)
-        assert data["z1sq"] == pytest.approx(rep.z1sq, rel=1e-14)
+        assert data["L"] == 3
+        assert data["z1sq"] == rep.z1sq
         assert data["weighted_objective"] == pytest.approx(
             (rep.z1sq + rep.z2sq + rep.z3sq) / 3.0, rel=1e-12
         )
+        # the same matrix given as a literal
+        assert main(["lti", "h2", "--gain", gain_path.read_text(), "--alpha", "1,1,1"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_mpe_gain_roundtrips_through_h2(self, tmp_path, capsys):
+        out = tmp_path / "mpe.json"
+        assert main(["lti", "mpe", "--L", "3", "--out", str(out)]) == 0
+        gain = json.loads(out.read_text())["gain"]
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(json.dumps(gain))
+        assert main(["lti", "h2", "--gain", str(gain_path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        ss = og.build_state_space(3)
+        rep = og.h2_norms(og.solve_mpe(og.marginal_cost_pricing(ss), ss).gain, ss)
+        assert data == {"L": 3, **dataclasses.asdict(rep)}
+
+    def test_pareto_gain_roundtrips_through_h2(self, tmp_path, capsys):
+        out = tmp_path / "front.csv"
+        grid = json.dumps([[1, 1, 1], [0.9, 0.1, 10]])
+        assert main(["lti", "pareto", "--L", "3", "--grid", grid, "--out", str(out)]) == 0
+        front = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        gains = json.loads((tmp_path / "front.csv.gains.json").read_text())
+        for i, row in enumerate(front):
+            gain_path = tmp_path / f"point_{i}.json"
+            gain_path.write_text(json.dumps(gains[f"point_{i}"]))
+            alpha = ",".join(repr(v) for v in row[:3].tolist())
+            assert main(["lti", "h2", "--gain", str(gain_path), "--alpha", alpha]) == 0
+            data = json.loads(capsys.readouterr().out)
+            J = float(np.sum(row[:3] ** 2 * row[3:]))
+            assert data["weighted_objective"] == pytest.approx(J, rel=1e-12)
 
     def test_mpe_command(self, capsys):
         assert main(["lti", "mpe", "--L", "2"]) == 0
@@ -423,15 +469,32 @@ class TestLtiCommands:
         assert "'not-converged': 1" in captured.err
 
     def test_bad_gain_file_is_validation_error(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
+        path = tmp_path / "bad.json"
         for text, error in [
-            ("nonsense\n", "missing 'D_c,L' header"),
-            ("D_c,L\n3,2\n1,0,0\n0,1,0\n", "expected 3 rows, found 2"),
-            ("D_c,L\n3,2\n" + "1,0\n" * 3, "gain shape (3, 2) does not match D_c=3"),
+            ("nonsense\n", "validation error: Expecting value"),
+            ("[[1, 0], [0, 1]]\n", "gain must be a JSON list of L(L+1)/2 rows"),
+            ("[" + "[1, 0], " * 2 + "[1, 0]]\n", "gain shape (3, 2) is not 3 x 3"),
         ]:
             path.write_text(text)
             assert main(["lti", "h2", "--gain", str(path)]) == 2
             assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gain", [
+        pytest.param("[[1, 0, 0], [0, 1, 0], [-0.15, NaN, 0.7]]", id="nan"),
+        pytest.param("[[1, 0, 0], [0, 1, 0], [-0.15, -0.15, Infinity]]", id="infinity"),
+        pytest.param("[[1, 0], [0, 1], [0, 0]]", id="non-square"),
+        pytest.param(json.dumps(np.eye(4).tolist()), id="4x4-not-triangular"),
+        pytest.param("[[1, 0, 0], [0, 1], [0, 0, 1]]", id="ragged"),
+        pytest.param('[["a", 0, 0], [0, 1, 0], [0, 0, 1]]', id="string-entry"),
+        pytest.param('"gain"', id="string"),
+        pytest.param('{"gain": [[1]]}', id="object"),
+        pytest.param("[]", id="empty"),
+    ])
+    def test_malformed_gain_is_validation_error(self, capsys, gain):
+        assert main(["lti", "h2", "--gain", gain]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error" in captured.err
 
     @pytest.mark.parametrize("pricing", ["5", "[1, 2]", '"q1"'])
     def test_non_object_pricing_is_validation_error(self, capsys, pricing):
@@ -457,6 +520,59 @@ class TestLtiCommands:
         assert "validation error: grid must be" in capsys.readouterr().err
 
 
+BR_GAIN_L2 = json.dumps(og.make_f_br(0.3, og.build_state_space(2)).F.tolist())
+
+
+class TestOutputConvention:
+    """A record prints to stdout without --out; with --out it goes to <out>,
+    beside <out>.manifest.json, whose outputs list starts with <out>."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["l2", "strategy", "--arch", "coop", "--params", PARAMS], id="l2-strategy"),
+        pytest.param(["l2", "metrics", "--arch", "nc", "--params", PARAMS], id="l2-metrics"),
+        pytest.param(["lti", "build", "--L", "2"], id="lti-build"),
+        pytest.param(["lti", "h2", "--gain", BR_GAIN_L2, "--alpha", "1,1,1"], id="lti-h2"),
+        pytest.param(["lti", "mpe", "--L", "2"], id="lti-mpe"),
+    ])
+    def test_stdout_or_out_and_manifest(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        record = capsys.readouterr().out
+        assert json.loads(record)
+        assert os.listdir(tmp_path) == []
+        assert main(argv + ["--out", "r.json"]) == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(os.listdir(tmp_path)) == ["r.json", "r.json.manifest.json"]
+        assert (tmp_path / "r.json").read_text() == record
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["outputs"][0] == "r.json"
+        assert manifest["command"] == ["oligosched", *argv, "--out", "r.json"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands(*commands):
+    """argv of each line of README's CLI code block that runs one of
+    ``commands``, continuation lines joined."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("\n```", 1)[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith(tuple(f"oligosched {c} " for c in commands))]
+
+
+class TestReadmeExamples:
+    def test_lti_build_and_h2_lines_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        gain = og.make_f_br(0.3, og.build_state_space(3)).F
+        (tmp_path / "gain.json").write_text(json.dumps(gain.tolist()))
+        argvs = readme_commands("lti build", "lti h2")
+        assert [argv[:2] for argv in argvs] == [["lti", "build"], ["lti", "h2"], ["lti", "h2"]]
+        for argv in argvs:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
+        assert (tmp_path / "state_space.json.manifest.json").exists()
+
+
 # Every option string of every (sub)command besides -h/--help.  Adding or
 # removing a flag means editing this table.
 OPTION_SURFACE = {
@@ -468,7 +584,7 @@ OPTION_SURFACE = {
                     "--quantiles", "--replications", "--seed", "--series-csv",
                     "--thresholds"],
     "lti": [],
-    "lti build": ["--L", "--out-dir"],
+    "lti build": ["--L", "--out"],
     "lti h2": ["--alpha", "--gain", "--out"],
     "lti mpe": ["--L", "--damping", "--max-iter", "--mode", "--out", "--pricing", "--tol"],
     "lti pareto": ["--L", "--grid", "--out"],
@@ -494,7 +610,7 @@ class TestOptionSurface:
 
     @pytest.mark.parametrize("argv", [
         ["l2", "strategy", "--arch", "coop", "--params", PARAMS, "--rs-constant", "headline"],
-        ["lti", "h2", "--gain", "gain.csv", "--mismatch", "unmasked"],
+        ["lti", "h2", "--gain", "gain.json", "--mismatch", "unmasked"],
         ["lti", "pareto", "--L", "2", "--out", "front.csv", "--tol-grad", "1e-6"],
     ])
     def test_retired_flags_exit_2(self, argv, capsys):

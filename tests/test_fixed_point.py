@@ -161,6 +161,11 @@ class TestFMap:
     def test_shape_validation(self, ss3):
         with pytest.raises(og.InvalidParamsError):
             og.f_map(np.eye(4), og.marginal_cost_pricing(ss3), ss3)
+        # shape only: solve_mpe reports a diverging iterate as NotConvergedError
+        F = og.even_split_gain(ss3)
+        F[4, 2] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert og.f_map(F, og.marginal_cost_pricing(ss3), ss3).shape == (6, 6)
         with pytest.raises(og.InvalidParamsError):
             og.PricingRule(np.zeros(2), np.zeros(3)).validated(ss3)
         with pytest.raises(og.InvalidParamsError, match="finite"):

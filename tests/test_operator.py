@@ -227,6 +227,16 @@ class TestOptimizePricing:
         # ratio p is the positive root of p^2 - alpha2*p - alpha1*alpha2 = 0
         assert (1.0 + math.sqrt(5.0)) * (1.0 - 1e-12) <= a.objective
         assert a.objective <= a.baseline_objective == 3.3753452853944816
+        # a search that never sees a finite objective stops after 17 starts,
+        # budget left over
+        monkeypatch.setattr(operator_design, "evaluate_pricing",
+                            lambda *args: (math.inf, {"status": "not-converged"}))
+        starts.clear()
+        c = og.optimize_pricing(w, ss2, budget=10 ** 6, seed=0)
+        assert len(starts) == 17
+        assert c.evaluations < 10 ** 6
+        assert c.failures["not-converged"] == c.evaluations
+        assert c.gain is None and c.objective == c.baseline_objective == math.inf
 
     def test_weights_validation(self):
         with pytest.raises(og.InvalidParamsError):

@@ -207,12 +207,22 @@ class TestLyapunov:
         with pytest.raises(og.UnstableError, match=failure):
             _solve_dlyap(M, ss3.R2 @ ss3.R2.T)
 
-    def test_unstable_rejected(self, ss2):
+    def test_unstable_rejected(self, ss2, ss3):
         # the surviving flexible slot amplifies itself through the shift
         F = np.zeros((3, 3))
         F[2, 1] = -1.5
         with pytest.raises(og.UnstableError):
             og.solve_lyapunov(F, ss2)
+        # M = R1(I - F) = 1e5 u w' with w'u = 2.8e-17 in floats: the loop is
+        # stable (eigvals, perturbed by the same cancellation, reads 5e-4),
+        # but M X M' cancels terms 1e10 times the size of X, so the doubling
+        # sum misses the equation by 1.4e-4 and the residual refuses it
+        u = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 0.0])
+        w = np.array([1.0, 0.1, 0.2, 1.0, -0.5 / 3.0, 1.0])
+        F = np.eye(6) - np.linalg.pinv(ss3.R1) @ (1e5 * np.outer(u, w))
+        assert og.FeedbackGain(F, ss3).spectral_radius < 1e-3
+        with pytest.raises(og.UnstableError, match="Lyapunov residual"):
+            og.solve_lyapunov(F, ss3)
 
 
 class TestSpectralCertificate:
@@ -402,23 +412,51 @@ class TestBrTradeoff:
         assert np.all(np.sign(np.diff(exact)) == np.sign(np.diff(approx)))
 
 
-class TestMatrixIO:
-    def test_csv_roundtrip(self, tmp_path, ss3):
-        path = tmp_path / "gain.csv"
-        F = og.make_f_br(0.3, ss3).F
-        og.statespace.save_matrix_csv(path, F, ss3)
-        mat, D, L = og.statespace.load_matrix_csv(path)
-        assert (D, L) == (6, 3)
-        assert np.array_equal(mat, F)
+def _bad_gains(ss):
+    """Gains every entry point refuses, by defect: the make_f_br(0.3) gain
+    at L = 3 with one bad entry, a missing column or a short row, and a
+    matrix of strings."""
+    F = og.make_f_br(0.3, ss).F
+    nan, inf = F.copy(), F.copy()
+    nan[4, 2] = np.nan  # a flexible row, which the simulator does not overwrite
+    inf[5, 0] = -np.inf
+    ragged = F.tolist()
+    ragged[4] = ragged[4][:-1]
+    return {
+        "nan": nan,
+        "inf": inf,
+        "shape": F[:, :-1],
+        "ragged": ragged,
+        "strings": [["x"] * ss.D_c] * ss.D_c,
+    }
 
-    def test_csv_roundtrip_non_finite_and_signed_zero(self, tmp_path, ss2):
-        path = tmp_path / "gain.csv"
-        F = np.array([[np.nan, np.inf, -0.0], [-np.inf, 1e-300, 1 / 3], [0.0, -2.5, 7.0]])
-        og.statespace.save_matrix_csv(path, F, ss2)
-        assert path.read_text().splitlines() == [
-            "D_c,L", "3,2", "NaN,Infinity,-0", "-Infinity,1e-300,0.33333333333333331", "0,-2.5,7"
-        ]
-        mat, _, _ = og.statespace.load_matrix_csv(path)
-        assert np.array_equal(mat, F, equal_nan=True)
-        assert np.signbit(mat[0, 2])
-        assert [p.name for p in tmp_path.iterdir()] == ["gain.csv"]
+
+ENTRY_POINTS = {
+    "h2_norms": lambda F, ss: og.h2_norms(F, ss),
+    "solve_lyapunov": lambda F, ss: og.solve_lyapunov(F, ss),
+    "objective_and_gradient": lambda F, ss: og.objective_and_gradient(
+        F, og.OutputWeights.normalized(1.0, 1.0, 1.0), ss),
+    "simulate_general": lambda F, ss: og.simulate_general(
+        F, ss, og.ArrivalSpec(q=(0.7,)), og.SimConfig(horizon=200, seed=1)),
+    "lmi_feasibility_audit": lambda F, ss: og.lmi_feasibility_audit(
+        F, og.OutputWeights.normalized(1.0, 1.0, 1.0), ss),
+    "make_f_dl_projection": lambda F, ss: og.make_f_dl_projection(F, ss),
+}
+
+
+class TestGainCheck:
+    """Every library entry point that takes a gain refuses a non-numeric,
+    wrongly shaped or non-finite one with InvalidParamsError."""
+
+    @pytest.mark.parametrize("defect", ["nan", "inf", "shape", "ragged", "strings"])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_entry_point_refuses_bad_gain(self, ss3, entry, defect):
+        with pytest.raises(og.InvalidParamsError, match="gain"):
+            ENTRY_POINTS[entry](_bad_gains(ss3)[defect], ss3)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_entry_point_accepts_gain_forms(self, ss3, entry):
+        # a FeedbackGain, its array and the array's nested lists agree
+        gain = og.make_f_br(0.3, ss3)
+        results = [ENTRY_POINTS[entry](F, ss3) for F in (gain, gain.F, gain.F.tolist())]
+        assert len({repr(r) for r in results}) == 1

@@ -312,6 +312,27 @@ class TestRiskSensitive:
         assert c.system_residual <= 1e-10
         assert c.r2 > 0
         assert c.r3 == pytest.approx(0.5 * c.r2 / (1.0 - 0.1 * c.r2), abs=1e-14)
+        # r2 = 0 or 1 + T*r2 <= 0 is outside the system's domain; a root
+        # that passed the selection never gets here: r2 > 0, and s2 > 16 eps
+        # (1 + |T*r2|) keeps the computed 1 + T*r2 positive
+        residual = og.strategies._rs_system_residual
+        assert residual(0.0, 0.0, 0.5, 0.5, -0.1, 1.0, 2.0) == math.inf
+        assert residual(0.0, 0.5, 0.5, 0.5, -2.0, 1.0, 2.0) == math.inf
+
+    def test_late_no_solution_errors(self, monkeypatch):
+        # at a root of the system the r1 equation's coefficient is
+        # (1 - q2)(1 + r3)/r2 > 0, so no input makes it 0: patched roots
+        # force it; a patched residual forces the certificate's failure
+        p = params(q1=1.0, q2=0.5, mu1=1.0, mu2=2.0)
+        rs = og.RiskSensitivity(-0.1, 0.5)
+        roots = iter([[0.25], [0.125]])  # r2, s2 with 1 + r3 = q2*r3/r2, r3 = 1
+        with monkeypatch.context() as m:
+            m.setattr(og.strategies, "_exact_quadratic_roots", lambda *args: next(roots))
+            with pytest.raises(og.NoSolutionError, match="degenerate linear equation"):
+                og.risk_sensitive_coeffs(p, rs)
+        monkeypatch.setattr(og.strategies, "_rs_system_residual", lambda *args: 2e-10)
+        with pytest.raises(og.NoSolutionError, match="residual 2.000e-10"):
+            og.risk_sensitive_coeffs(p, rs)
 
     def test_large_theta_selects_admissible_root(self):
         # at large positive theta the root a fixed-sign quadratic formula
