@@ -258,14 +258,17 @@ def solve_mpe(
     pricing = pricing.validated(ss)
     F = even_split_gain(ss)
     flex = F[ss.L :]  # view: the rows Anderson updates
-    dX, dG = [], []  # columns of the history, oldest first
+    # the history's columns, oldest first; the first k are filled
+    dX = np.empty((flex.size, _ANDERSON_DEPTH))
+    dG = np.empty_like(dX)
+    k = 0
     x_prev = g_prev = None
     residuals = []
     # a diverging iterate overflows; it is caught below by the finite check
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iter + 1):
             Fn = f_map(F, pricing, ss, cfg.sweep)
-            res = float(np.max(np.abs(Fn - F)))
+            res = float(np.abs(Fn - F).max())
             residuals.append(res)
             if not np.isfinite(res):
                 raise NotConvergedError(
@@ -277,13 +280,16 @@ def solve_mpe(
             g = Fn[ss.L :].ravel() - x
             step = cfg.damping * g
             if x_prev is not None:
-                dX.append(x - x_prev)
-                dG.append(g - g_prev)
-                if len(dX) > _ANDERSON_DEPTH:
-                    del dX[0], dG[0]
-                DG = np.column_stack(dG)
+                if k == _ANDERSON_DEPTH:  # drop the oldest column
+                    dX[:, :-1] = dX[:, 1:]
+                    dG[:, :-1] = dG[:, 1:]
+                else:
+                    k += 1
+                np.subtract(x, x_prev, out=dX[:, k - 1])
+                np.subtract(g, g_prev, out=dG[:, k - 1])
+                DG = dG[:, :k]
                 gamma = np.linalg.lstsq(DG, g, rcond=None)[0]
-                step -= (np.column_stack(dX) + cfg.damping * DG) @ gamma
+                step -= (dX[:, :k] + cfg.damping * DG) @ gamma
             x_prev, g_prev = x, g
             flex += step.reshape(flex.shape)
         else:

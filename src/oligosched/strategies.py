@@ -94,8 +94,9 @@ class RiskSensitivity:
 class RiskSensitiveCoeffs:
     """Coefficients of the recursive quadratic cost and induced strategy.
 
-    ``system_residual`` is the max abs residual of the implicit coefficient
-    system at (r1, r2), the certificate of the root selection.
+    ``system_residual`` is the max residual of the implicit coefficient
+    system at (r1, r2), the r1 equation's relative to the size of its
+    terms once that exceeds 1: the certificate of the root selection.
     """
 
     r1: float
@@ -160,14 +161,22 @@ def k_agent_strategy(p: MarketParamsL2, K: int) -> LinearStrategyL2:
 
 
 def _rs_system_residual(r1, r2, q, beta, T, mu1, mu2):
-    """Max abs residual of the implicit coefficient system."""
+    """Max residual of the implicit coefficient system.
+
+    The r2 equation's residual is absolute (its terms lie in (0, 1)); the
+    r1 equation's is relative to the size of its terms once that
+    exceeds 1, since r1 grows with the means and one ulp of it would
+    otherwise fail an absolute test.
+    """
     den = 1.0 + T * r2
     if den <= 0.0 or r2 == 0.0:
         return math.inf
     w = 1.0 + beta * r2 / den
+    k = (q / w) * beta * r2
     res2 = r2 - (1.0 - q / w)
-    res1 = r1 - (q / w) * beta * r2 * (2.0 * mu1 + 2.0 * mu2 + r1 / r2) / den
-    return max(abs(res1), abs(res2))
+    res1 = r1 - k * (2.0 * mu1 + 2.0 * mu2 + r1 / r2) / den
+    size1 = abs(r1) + abs(k) * (2.0 * abs(mu1) + 2.0 * abs(mu2) + abs(r1 / r2)) / den
+    return max(abs(res1) / max(1.0, size1), abs(res2))
 
 
 def _exact_quadratic_roots(a, b, c) -> list[float]:
@@ -206,11 +215,12 @@ def risk_sensitive_coeffs(p: MarketParamsL2, rs: RiskSensitivity) -> RiskSensiti
     r3 = beta*r2/s2, and r1 solves the linear equation for the constant
     term, which vanishes at q2 = 1: there r1 = 0 if mu1 + mu2 = 0 and there
     is no solution otherwise.  The result is certified against the
-    implicit system to 1e-10; NoSolutionError is raised when no root
-    qualifies, when s2 <= 16 eps (1 + |T*r2|), where a one-ulp change of
-    an input moves s2 by a large fraction of itself, or when the
-    certificate fails.  Requires q1 = 1, the regime in which the recursion
-    is derived.
+    implicit system to 1e-10, the r1 equation relative to the size of its
+    terms; NoSolutionError is raised when no root qualifies, when
+    s2 <= 16 eps (1 + |T*r2|), where a one-ulp change of an input moves s2
+    by a large fraction of itself, when theta*sigma1^2 or a root overflows
+    a float, or when the certificate fails.  Requires q1 = 1, the regime
+    in which the recursion is derived.
     """
     # fractions loads decimal (about 4 ms and 0.35 MB), needed by this rule only
     from fractions import Fraction
@@ -219,12 +229,19 @@ def risk_sensitive_coeffs(p: MarketParamsL2, rs: RiskSensitivity) -> RiskSensiti
         raise InvalidParamsError("risk-sensitive coefficients require q1 = 1")
     q = p.q2
     beta = rs.beta
-    T = rs.theta * p.sigma1 ** 2
-    qx, bx, Tx = Fraction(q), Fraction(beta), Fraction(T)
-    c = 1 - bx - (1 - qx) * Tx
-    d = bx + Tx
-    r_roots = sorted(_exact_quadratic_roots(d, c, qx - 1))
-    s_roots = sorted(_exact_quadratic_roots(d, c * Tx - 2 * d, bx * (1 + Tx)), reverse=T < 0.0)
+    try:  # T, the quadratics' discriminants or roots can leave the float range
+        T = rs.theta * p.sigma1 ** 2
+        qx, bx, Tx = Fraction(q), Fraction(beta), Fraction(T)
+        c = 1 - bx - (1 - qx) * Tx
+        d = bx + Tx
+        r_roots = sorted(_exact_quadratic_roots(d, c, qx - 1))
+        s_roots = sorted(_exact_quadratic_roots(d, c * Tx - 2 * d, bx * (1 + Tx)),
+                         reverse=T < 0.0)
+    except OverflowError as exc:
+        raise NoSolutionError(
+            f"the coefficient quadratics overflow a float ({exc}) for "
+            f"theta={rs.theta!r}, sigma1={p.sigma1!r}, beta={beta!r}, q={q!r}"
+        ) from exc
     admissible = [(r, s) for r, s in zip(r_roots, s_roots) if r > 0.0 and s > 0.0]
     if not admissible:
         raise NoSolutionError(

@@ -431,6 +431,21 @@ class TestLtiCommands:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_operator_and_mpe_load_no_scipy(self):
+        # the pricing search and the equilibrium solve need only numpy;
+        # scipy.optimize alone costs about 0.7 s and 42 MB
+        code = (
+            "import sys; from oligosched.cli import main; "
+            "main(['lti', 'operator', '--L', '2', '--alpha1', '1', '--alpha2', '1', "
+            "'--budget', '50']); "
+            "main(['lti', 'mpe', '--L', '3']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+
     def test_operator_command(self, capsys):
         code = main(
             ["lti", "operator", "--L", "2", "--alpha1", "1", "--alpha2", "1",
@@ -711,6 +726,15 @@ class TestNonFiniteInputs:
         assert main([str(out) if a == "{out}" else a for a in argv]) == 2
         assert "validation error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("arch, sigma1", [("rs:-1e300,0.5", 1.0), ("rs:-1,0.5", 1e200)],
+                             ids=["theta-1e300", "sigma1-1e200"])
+    def test_risk_sensitive_overflow_exits_2(self, capsys, arch, sigma1):
+        # finite, but theta*sigma1^2 or the exact roots leave the float range
+        params = json.dumps({"q1": 1, "q2": 0.5, "mu1": 0, "mu2": 0,
+                             "sigma1": sigma1, "sigma2": 1})
+        assert main(["l2", "strategy", "--arch", arch, "--params", params]) == 2
+        assert "overflow a float" in capsys.readouterr().err
 
     def test_metrics_reports_non_finite_threshold_as_bound_error(self, capsys):
         argv = ["l2", "metrics", "--arch", "nc", "--params", _nan_params(), "--threshold"]

@@ -1,5 +1,8 @@
-"""Operator pricing design: objective wiring, baseline guard, determinism."""
+"""Operator pricing design: objective wiring, baseline guard, determinism,
+and the bounded Nelder-Mead search against scipy's."""
+import dis
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -202,11 +205,11 @@ class TestOptimizePricing:
         real = operator_design.minimize
         starts, nfev = [], []
 
-        def recording(fun, x0, **kwargs):
+        def recording(fun, x0, maxfev):
             starts.append(x0.copy())
-            res = real(fun, x0, **kwargs)
-            nfev.append(res.nfev)
-            return res
+            count = real(fun, x0, maxfev)
+            nfev.append(count)
+            return count
 
         monkeypatch.setattr(operator_design, "minimize", recording)
         w = og.OperatorWeights(1.0, 1.0)
@@ -247,3 +250,97 @@ class TestOptimizePricing:
     def test_budget_validation(self, ss2):
         with pytest.raises(og.InvalidParamsError):
             og.optimize_pricing(og.OperatorWeights(1.0, 1.0), ss2, budget=0)
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _plateau(x):
+    # the search's penalty on a half space, which holds all but the first
+    # vertex of the initial simplex from x0 = 0.5: they tie at 1e12, and the
+    # order of the shrinks' evaluations follows how the sort breaks the ties
+    return operator_design._PENALTY if x.sum() > 10.01 else float(np.sum((x - 0.1) ** 2))
+
+
+def _operator_l2(x):
+    ss = og.build_state_space(2)
+    val = og.evaluate_pricing(og.PricingRule(x[:3], x[3:]), og.OperatorWeights(1.0, 1.0), ss,
+                              operator_design._SEARCH_FP_CFG)[0]
+    return val if math.isfinite(val) else operator_design._PENALTY
+
+
+# (objective, x0, maxfev): together they take every step of the search
+NELDER_MEAD_CASES = {
+    # expansions, reflections, both contractions; stops on the tolerances
+    "rosenbrock": (_rosenbrock, [-1.2, 1.0, 0.0, 0.5], 5000),
+    # the minimum lies outside the box: trial points are clipped
+    "outside-box": (lambda x: float(np.sum((x - 7.0) ** 2)), [4.0, -1.0, 0.0], 400),
+    # x0 on the upper bound: its initial vertex is reflected into the box
+    "upper-bound-start": (_rosenbrock, [5.0, 0.0, -5.0], 300),
+    # a flat function shrinks every iteration, here cut inside a shrink
+    "flat-cut-in-shrink": (lambda x: 1.0, [0.5, -0.5, 0.0, 2.0], 9),
+    # cut inside the initial simplex
+    "cut-in-initial-simplex": (_rosenbrock, [0.1, 0.2, 0.3, 0.4, 0.5], 3),
+    # tied penalties among 21 vertices, the simplex size of an L = 4 search
+    "plateau-ties": (_plateau, [0.5] * 20, 600),
+    # the pricing search's own objective at L = 2
+    "operator-l2": (_operator_l2, [0.0] * 3 + [1.0] * 3, 120),
+}
+
+# the cases that stop on the tolerances; the others spend maxfev
+TOLERANCE_STOPS = {"rosenbrock", "outside-box", "upper-bound-start"}
+
+
+def _record(fun, points):
+    def recorded(x):
+        points.append(np.array(x, copy=True))
+        return fun(x)
+
+    return recorded
+
+
+class TestNelderMead:
+    """``operator_design.minimize`` takes scipy's steps, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(NELDER_MEAD_CASES))
+    def test_same_points_as_scipy(self, name):
+        from scipy.optimize import minimize as scipy_minimize
+
+        fun, x0, maxfev = NELDER_MEAD_CASES[name]
+        x0 = np.asarray(x0, dtype=float)
+        ours, theirs = [], []
+        count = operator_design.minimize(_record(fun, ours), x0.copy(), maxfev)
+        box = operator_design._BOX
+        res = scipy_minimize(
+            _record(fun, theirs), x0.copy(), method="Nelder-Mead",
+            bounds=[(-box, box)] * len(x0),
+            options={"maxfev": maxfev, "xatol": operator_design._XATOL,
+                     "fatol": operator_design._FATOL, "adaptive": True},
+        )
+        assert count == res.nfev == len(ours) == len(theirs)
+        assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+        assert (count < maxfev) == (name in TOLERANCE_STOPS)
+
+    def test_cases_run_every_line(self):
+        # every line of the search and its helpers runs in some case above
+        codes = [operator_design.minimize.__code__]
+        codes += [c for c in codes[0].co_consts if hasattr(c, "co_code")]
+        lines = {ln for code in codes for _, ln in dis.findlinestarts(code)}
+        lines -= {code.co_firstlineno for code in codes}
+        ran = set()
+
+        def tracer(frame, event, arg):
+            if frame.f_code not in codes:
+                return None
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            for fun, x0, maxfev in NELDER_MEAD_CASES.values():
+                operator_design.minimize(fun, np.asarray(x0, dtype=float), maxfev)
+        finally:
+            sys.settrace(None)
+        assert lines - ran == set()

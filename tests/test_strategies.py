@@ -319,6 +319,22 @@ class TestRiskSensitive:
         assert residual(0.0, 0.0, 0.5, 0.5, -0.1, 1.0, 2.0) == math.inf
         assert residual(0.0, 0.5, 0.5, 0.5, -2.0, 1.0, 2.0) == math.inf
 
+    def test_certificate_scales_r1_with_the_means(self):
+        # r1 = 6.25e6 here, and one ulp of it (9.3e-10) failed the former
+        # absolute 1e-10 test
+        p = params(q1=1.0, q2=0.5, mu1=1e7, mu2=1e7)
+        c = og.risk_sensitive_coeffs(p, og.RiskSensitivity(-0.1, 0.5))
+        assert c.system_residual <= 1e-10
+        # r1 = k (2 mu1 + 2 mu2 + r1/r2), k = (q2/w) beta r2/(1 + T r2),
+        # solved exactly at the returned r2
+        q, beta, T, r2 = (Fraction(v) for v in (0.5, 0.5, -0.1, c.r2))
+        den = 1 + T * r2
+        k = q / (1 + beta * r2 / den) * beta * r2 / den
+        assert c.r1 == pytest.approx(float(4 * Fraction(1e7) * k / (1 - k / r2)), rel=1e-14)
+        # an r1 off by 1e-8 relative is still refused
+        residual = og.strategies._rs_system_residual
+        assert residual(c.r1 * (1 + 1e-8), c.r2, 0.5, 0.5, -0.1, 1e7, 1e7) > 1e-10
+
     def test_late_no_solution_errors(self, monkeypatch):
         # at a root of the system the r1 equation's coefficient is
         # (1 - q2)(1 + r3)/r2 > 0, so no input makes it 0: patched roots
@@ -382,6 +398,7 @@ class TestRiskSensitive:
         # T = theta*sigma1^2 = -1 makes r2 = 1 a root with 1 + T*r2 = 0, and
         # at q2 = 1 the linear equation for r1 vanishes; the oracle decides
         # both by rounding, so they are asserted exactly instead
+        accepted = 0
         for q2, beta, theta, s1, mu1, mu2 in itertools.product(
             np.linspace(0.0, 1.0, 21),
             (0.05, 0.2, 0.5, 0.8, 0.95, 1.0 - 1e-8),
@@ -392,6 +409,7 @@ class TestRiskSensitive:
             p = params(q1=1.0, q2=q2, mu1=mu1, mu2=mu2, s1=s1)
             rs = og.RiskSensitivity(theta, beta)
             new = _outcome(og.risk_sensitive_coeffs, p, rs)
+            accepted += not isinstance(new, Exception)
             if T == -1.0:
                 # the roots are 1 (s = 0) and (1 - q2)/(1 - beta), whose
                 # s = (q2 - beta)/(1 - beta) is within rounding of 0 at
@@ -416,6 +434,9 @@ class TestRiskSensitive:
             if isinstance(new, Exception) or abs(c * c + 4.0 * (beta + T) * (1.0 - q2)) < 1e-9:
                 continue
             assert _close((new.r1, new.r2, new.r3), old, 1e-12), (p, rs)
+        # the oracle shares the certificate; this count is the one an
+        # absolute r1 residual gave, so scaling it moved no grid point
+        assert accepted == 26604
 
     def test_no_solution_band(self):
         p = params(q1=1.0, q2=0.5)
