@@ -7,9 +7,13 @@ batch-means standard errors, quantiles, tail probabilities, and spike
 diagnostics.
 
 Reproducibility contract: replication ``i`` draws from the Philox stream
-keyed by ``mix64(seed, i)`` (see rngstreams), with a fixed draw order per
-replication, so results are bit-identical for a given (seed, config).  Both
-simulators are numpy code.
+keyed by ``mix64(seed, i)`` (see rngstreams).  The stream is laid out in
+columns of ``horizon`` draws, column j read from ``stream_at(seed, i, j *
+horizon)``: for L = 2 the columns are h1, h2, d1 and d2, for general L the
+L arrival columns and then the L load columns.  So results are bit-identical
+for a given (seed, config), whatever the chunk sizes.  Both simulators are
+numpy code that draws and runs the horizon in chunks; simulate_l2 holds only
+its pooled outputs and one chunk's working set.
 
 For general L, a gain computed for the everyone-arrives world is applied to
 the sparse-arrival world by masking: rows and columns of absent agents are
@@ -31,6 +35,8 @@ from .strategies import LinearStrategyL2, MarketParamsL2
 _DIVERGENCE_GUARD = 1e9
 # periods simulate_general draws, sums and checks at a time
 _CHUNK_PERIODS = 1024
+# periods simulate_l2 draws and runs at a time
+_L2_CHUNK = 65_536
 # _l2_kernel replays runs in numpy waves while at least this many are active;
 # below it a wave's fixed cost exceeds that of the scalar recurrence
 _WAVE_MIN_RUNS = 32
@@ -109,23 +115,24 @@ class PathStats:
     series: dict | None = field(repr=False)
 
 
-def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard):
-    """The two-type recurrence over one replication: (U, X, first bad period).
+def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard, carry_in):
+    """The two-type recurrence over one chunk: (U, X, first bad period, carry out).
 
     Period t takes x = carry (+ d1 if h1); a present flexible agent demands
     u = -a x + b d2 + g (zero if ``clamp`` and negative) and carries d2 - u,
     otherwise u = 0 and the carry resets to 0.  So the path splits into
-    runs: each starts at t = 0 or after h2 = 0, with no carry in, and ends
-    at its first h2 = 0.  Wave 0 holds every run's first period, wave k + 1
-    the next period of each run still going after wave k.  A wave is one set
-    of elementwise numpy operations in the order above, so every value is
-    bit-identical to a period-by-period loop.  Once fewer than
-    ``_WAVE_MIN_RUNS`` (K) runs are active, each finishes by the scalar
-    recurrence from its carry; a wave thus covers at least K periods, and
-    there are at most n / K numpy passes.
+    runs: the first starts at t = 0 with ``carry_in``, each other after
+    h2 = 0 with no carry in, and each ends at its first h2 = 0.  Wave 0
+    holds every run's first period, wave k + 1 the next period of each run
+    still going after wave k.  A wave is one set of elementwise numpy
+    operations in the order above, so every value is bit-identical to a
+    period-by-period loop.  Once fewer than ``_WAVE_MIN_RUNS`` (K) runs are
+    active, each finishes by the scalar recurrence from its carry; a wave
+    thus covers at least K periods, and there are at most n / K numpy passes.
 
     ``bad`` is the first period in time order with |x| > guard, or -1;
-    periods after it may be left unset.
+    periods after it may be left unset.  The carry out is the carry after
+    the last period, 0 when that period has h2 = 0.
     """
     n = h1.shape[0]
     U = np.empty(n)
@@ -136,6 +143,8 @@ def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard):
     with np.errstate(over="ignore", invalid="ignore"):
         idx = np.flatnonzero(np.concatenate(([True], ~h2[:-1])))
         carry = np.zeros(idx.size)
+        carry[0] = carry_in
+        carry_out = 0.0
         while idx.size >= _WAVE_MIN_RUNS:
             x = carry
             np.add(x, d1[idx], out=x, where=h1[idx])
@@ -152,6 +161,7 @@ def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard):
             carry = (d2i - u)[going]
             idx = idx[going] + 1
             if idx.size and idx[-1] == n:
+                carry_out = carry[-1]
                 idx, carry = idx[:-1], carry[:-1]
         # the scalar tail: each run left goes on to its first h2 = 0, or to n
         ends = np.flatnonzero(~h2)
@@ -169,13 +179,16 @@ def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard):
                     carry = e2 - u
                 else:
                     u = 0.0
+                    carry = 0.0
                 U[t] = x + u
                 X[t] = x
                 if x > guard or x < -guard:
                     break
                 t += 1
+            if t == n:  # the run holding the last period finished
+                carry_out = carry
         over = np.flatnonzero(np.abs(X) > guard)
-    return U, X, int(over[0]) if over.size else -1
+    return U, X, int(over[0]) if over.size else -1, carry_out
 
 
 def _stderr(vals: np.ndarray) -> float:
@@ -256,27 +269,38 @@ def simulate_l2(s: LinearStrategyL2, p: MarketParamsL2, c: SimConfig) -> PathSta
     u(x, d2) (clamped at zero when ``nonneg_demand``, with the shortfall
     carried; the deadline consumption is never clamped).  Aggregate demand
     is U(t) = x(t) + u.
+
+    Replication ``rep`` reads h1, h2, d1 and d2 from ``stream_at(seed, rep,
+    j * horizon)`` for j = 0, 1, 2, 3.  Draws and kernel go ``_L2_CHUNK``
+    periods at a time, the flexible carry passing from chunk to chunk, and
+    each chunk's kept periods go straight into the pooled U, X and flags:
+    memory is those 17 bytes per kept period plus one chunk's working set.
     """
-
-    def replication(rep):
-        gen = rngstreams.stream(c.seed, rep)
-        h1 = rngstreams.bernoulli(gen, p.q1, c.horizon)
-        h2 = rngstreams.bernoulli(gen, p.q2, c.horizon)
-        d1 = p.mu1 + p.sigma1 * rngstreams.standard_normals(gen, c.horizon)
-        d2 = p.mu2 + p.sigma2 * rngstreams.standard_normals(gen, c.horizon)
-        U, X, bad = _l2_kernel(
-            h1, h2, d1, d2, s.a, s.b, s.g, c.nonneg_demand, _DIVERGENCE_GUARD
-        )
-        if bad >= 0:
-            raise NonStationaryError(
-                f"|x| exceeded {_DIVERGENCE_GUARD:g} at period {bad} "
-                f"(replication {rep}); the strategy does not stabilize the market"
+    n, pooled = c.horizon, c.replications * (c.horizon - c.burn_in)
+    U, X, flags = np.empty(pooled), np.empty(pooled), np.empty(pooled, np.uint8)
+    w = 0  # pooled periods written
+    for rep in range(c.replications):
+        gens = [rngstreams.stream_at(c.seed, rep, j * n) for j in range(4)]
+        carry = 0.0
+        for t0 in range(0, n, _L2_CHUNK):
+            m = min(_L2_CHUNK, n - t0)
+            h1 = rngstreams.bernoulli(gens[0], p.q1, m)
+            h2 = rngstreams.bernoulli(gens[1], p.q2, m)
+            d1 = p.mu1 + p.sigma1 * rngstreams.standard_normals(gens[2], m)
+            d2 = p.mu2 + p.sigma2 * rngstreams.standard_normals(gens[3], m)
+            u, x, bad, carry = _l2_kernel(
+                h1, h2, d1, d2, s.a, s.b, s.g, c.nonneg_demand, _DIVERGENCE_GUARD, carry
             )
-        sl = slice(c.burn_in, None)
-        return U[sl], X[sl], h1[sl] | (h2[sl] << 1)
-
-    # one statement, so no replication's arrays outlive the concatenation
-    U, X, flags = map(np.concatenate, zip(*[replication(r) for r in range(c.replications)]))
+            if bad >= 0:
+                raise NonStationaryError(
+                    f"|x| exceeded {_DIVERGENCE_GUARD:g} at period {t0 + bad} "
+                    f"(replication {rep}); the strategy does not stabilize the market"
+                )
+            lo = max(c.burn_in - t0, 0)  # the chunk's first kept period
+            end = w + max(m - lo, 0)
+            U[w:end], X[w:end] = u[lo:], x[lo:]
+            flags[w:end] = h1[lo:] | (h2[lo:] << 1)
+            w = end
     return _assemble_stats(U, X, flags, c)
 
 
@@ -396,12 +420,12 @@ def conditional_tail_report(
     errs = {}
     counts = {}
     for name, mask in cells.items():
-        n = int(mask.sum())
+        n = int(np.count_nonzero(mask))
         if n < 100:
             raise InsufficientSamplesError(
                 f"conditioning cell {name!r} has only {n} samples (< 100)"
             )
-        ph = float(spike[mask].mean())
+        ph = float(np.count_nonzero(spike & mask) / n)
         probs[name] = ph
         errs[name] = float(np.sqrt(ph * (1.0 - ph) / n))
         counts[name] = n

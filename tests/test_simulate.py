@@ -1,5 +1,6 @@
 """Monte Carlo simulator: kernel fidelity, determinism, statistical checks."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -69,9 +70,9 @@ def l2_loop_oracle(h1, h2, d1, d2, a, b, g, clamp, guard):
     return U, X, bad
 
 
-def l2_draws(p, seed, horizon):
-    """Replication 0's (h1, h2, d1, d2) in simulate_l2's draw order."""
-    gen = rngstreams.stream(seed, 0)
+def l2_draws(p, seed, horizon, rep=0):
+    """Replication ``rep``'s (h1, h2, d1, d2) in simulate_l2's draw order."""
+    gen = rngstreams.stream(seed, rep)
     h1 = rngstreams.bernoulli(gen, p.q1, horizon)
     h2 = rngstreams.bernoulli(gen, p.q2, horizon)
     d1 = p.mu1 + p.sigma1 * rngstreams.standard_normals(gen, horizon)
@@ -205,11 +206,77 @@ class TestKernelFidelity:
         lengths = np.sort(np.diff(np.append(starts, horizon)))[::-1]
         assert lengths.size >= K and lengths[0] > lengths[K - 1]
         assert np.sum(np.maximum(lengths[:K - 1] - lengths[K - 1], 0)) > 1000
-        U, X, bad = simulate._l2_kernel(h1, h2, d1, d2, s.a, s.b, s.g, clamp, 1e9)
+        U, X, bad, _ = simulate._l2_kernel(h1, h2, d1, d2, s.a, s.b, s.g, clamp, 1e9, 0.0)
         rU, rX, _ = reference_l2_path(s, p, h1, h2, d1, d2, clamp=clamp)
         assert bad == -1
         assert np.array_equal(bits(U), bits(rU))
         assert np.array_equal(bits(X), bits(rX))
+
+
+class TestChunks:
+    """simulate_l2 draws and runs ``_L2_CHUNK`` periods at a time; no chunk
+    size changes a value."""
+
+    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_series_match_reference_across_chunks(self, monkeypatch, chunk, clamp):
+        # q2 = 1 is one run through every chunk.  At q2 = 0.6 chunks end
+        # on h2 = 0, where the carry out must be 0.  The burn-in is longer
+        # than a 4,096 chunk and not a multiple of 7 or 4,096.
+        monkeypatch.setattr(simulate, "_L2_CHUNK", chunk)
+        horizon, burn_in, reps = 10_000, 4100, 2
+        keep = horizon - burn_in
+        s = og.LinearStrategyL2(0.6, 0.5, -0.3)  # negative u is common
+        for q2 in (0.6, 1.0):
+            p = params(q1=0.8, q2=q2, mu1=1.0, mu2=0.5, s1=1.0, s2=1.5)
+            cfg = og.SimConfig(horizon=horizon, burn_in=burn_in, replications=reps,
+                               seed=0, nonneg_demand=clamp, keep_series=True)
+            got = og.simulate_l2(s, p, cfg).series
+            chunk_ends = []
+            for rep in range(reps):
+                h1, h2, d1, d2 = l2_draws(p, cfg.seed, horizon, rep)
+                U, X, _ = reference_l2_path(s, p, h1, h2, d1, d2, clamp=clamp)
+                part = slice(rep * keep, (rep + 1) * keep)
+                assert np.array_equal(bits(got["U"][part]), bits(U[burn_in:])), (q2, rep)
+                assert np.array_equal(bits(got["x_sum"][part]), bits(X[burn_in:])), (q2, rep)
+                assert np.array_equal(got["o_flags"][part], (h1 | h2 << 1)[burn_in:])
+                chunk_ends += h2[chunk - 1:horizon - 1:chunk].tolist()
+            assert (0 in chunk_ends) == (q2 < 1.0)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_divergence_in_a_later_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(simulate, "_L2_CHUNK", chunk)
+        p = params(q2=0.6)
+        runaway = og.LinearStrategyL2(-3.0, 1.0, 1.0)  # amplifies backlog
+        cfg = og.SimConfig(horizon=40_000, seed=2)
+        *_, bad = l2_loop_oracle(*l2_draws(p, cfg.seed, cfg.horizon),
+                                 runaway.a, runaway.b, runaway.g, False, 1e9)
+        assert bad >= 4096  # past the first chunk at every size tested
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(og.NonStationaryError) as info:
+                og.simulate_l2(runaway, p, cfg)
+        assert f"at period {bad} (replication 0)" in str(info.value)
+
+    def test_peak_memory_is_pooled_outputs_plus_one_chunk(self, monkeypatch):
+        # The statistics that follow are left out: they work on the pooled
+        # outputs whatever the chunk size.
+        pooled = {}
+        monkeypatch.setattr(simulate, "_assemble_stats",
+                            lambda U, X, flags, c: pooled.update(U=U, X=X, flags=flags))
+        p = params(q1=0.6, q2=0.6, mu1=15.0, mu2=15.0, s1=6.0, s2=6.0)
+        cfg = og.SimConfig(horizon=400_000, replications=2, seed=5)
+        og.simulate_l2(og.coop_strategy(p), p, og.SimConfig(horizon=10))  # loads scipy.special
+        tracemalloc.start()
+        try:
+            og.simulate_l2(og.coop_strategy(p), p, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in pooled.values())
+        assert outputs == 17 * cfg.replications * cfg.horizon
+        # about 71 bytes per chunk period are live at once
+        assert peak < outputs + 128 * simulate._L2_CHUNK
 
 
 def same_stats(a, b):
@@ -554,6 +621,21 @@ class TestConditionalTails:
             stats.mean_u + 2.5 * sd,
         )
         assert rep.p_spike_present > rep.p_spike_absent
+
+    @pytest.mark.parametrize("n, present", [(200, 100), (5_000, 1_500), (100_001, 70_000)])
+    def test_cells_match_the_mean_of_the_selected_spikes(self, n, present):
+        # each cell divides an exact count once, as spike[mask].mean() did;
+        # at n = 200 every cell holds exactly 100 samples
+        rng = np.random.default_rng(n)
+        u, x = rng.standard_normal(n), rng.standard_normal(n)
+        flex = rng.permutation(np.arange(n) < present)
+        spike, med = u > 0.8, np.median(x)
+        rep = og.conditional_tail_report(u, flex, x, 0.8)
+        for got, mask in ((rep.p_spike_absent, ~flex), (rep.p_spike_present, flex),
+                          (rep.p_spike_high_backlog, x > med),
+                          (rep.p_spike_low_backlog, x <= med)):
+            assert bits(got) == bits(float(spike[mask].mean()))
+        assert (rep.n_absent, rep.n_present) == (n - present, present)
 
     def test_insufficient_samples(self):
         u = np.random.default_rng(0).standard_normal(500)
