@@ -55,7 +55,7 @@ class NotConvergedError(OligoschedError):
 
 
 class FixedPointUnstableError(UnstableError):
-    """A fixed point was found but its closed loop is not stable."""
+    """A fixed point was found but not certified stable; ``solution`` carries it."""
 
     def __init__(self, message: str, solution=None):
         self.solution = solution

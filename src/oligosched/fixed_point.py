@@ -39,7 +39,7 @@ convergence is always declared on the residual of the undamped map.
 
 Some pricings have several stable fixed points; the equilibrium, and so
 the operator objective of ``operator_design``, is the one Anderson reaches
-from the even-split gain.
+from the even-split gain, accepted when its Gramian certifies stability.
 """
 from __future__ import annotations
 
@@ -53,14 +53,18 @@ from .errors import (
     InvalidParamsError,
     NotConvergedError,
     SingularRowError,
+    UnstableError,
 )
 from .statespace import (
     FeedbackGain,
     StateSpace,
+    _solve_dlyap,
+    _unit_deadline_rows,
     build_state_space,
 )
 
 _ANDERSON_DEPTH = 5  # m: differences kept in the Anderson history
+_STABILITY_MARGIN = 1e-9  # the certified spectral bound must be below 1 - this
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,10 @@ class MpeSolution:
     gain: FeedbackGain
     iterations: int
     residuals: list = field(repr=False)
+    # 1 - the certified bound on the closed-loop spectral radius, and the
+    # Gramian Q_F that certified it; NaN and None where the certificate failed
     stability_margin: float
+    gramian: np.ndarray | None = field(repr=False)
 
     @property
     def residual(self) -> float:
@@ -232,9 +239,7 @@ def f_map(F, pricing: PricingRule, ss: StateSpace, sweep: str = "jacobi") -> np.
         raise InvalidParamsError(f"gain must be {ss.D_c} x {ss.D_c}")
     q1, q2 = pricing.q1, pricing.q2
     batch, singles = _row_plans(ss.L)
-    out = Fm.copy()
-    out[: ss.L] = 0.0
-    out.flat[: ss.L * (ss.D_c + 1) : ss.D_c + 1] = 1.0  # unit deadline rows
+    out = _unit_deadline_rows(Fm, ss.L)
     if sweep == "gauss-seidel":
         for plan in singles:
             out[plan.rows] = _best_response_rows(out, q1, q2, ss, plan)
@@ -249,10 +254,10 @@ def solve_mpe(
     """Anderson-accelerate the map from even-split to a symmetric equilibrium gain.
 
     Returns the gain with undamped residual at most ``cfg.tol`` in sup
-    norm; raises NotConvergedError (with the residual trace) when the
-    budget is exhausted or the iterates stop being finite, and
-    FixedPointUnstableError when a fixed point is reached whose closed
-    loop is not stable.
+    norm and a Gramian whose doubling solve certifies a spectral bound
+    below 1 - ``_STABILITY_MARGIN``.  Raises NotConvergedError (with the
+    residual trace) when the budget is exhausted or the iterates stop being
+    finite, and FixedPointUnstableError when the certificate fails.
     """
     cfg = cfg or FixedPointConfig()
     pricing = pricing.validated(ss)
@@ -297,11 +302,13 @@ def solve_mpe(
                 f"no fixed point within {cfg.max_iter} sweeps (tol {cfg.tol:g})",
                 residuals,
             )
-    sr = FeedbackGain(F, ss).spectral_radius
-    sol = MpeSolution(FeedbackGain(F, ss), it, residuals, 1.0 - sr)
-    if sr >= 1.0:
+    gain = FeedbackGain(F, ss)
+    M = ss.R1 @ (np.eye(ss.D_c) - F)
+    try:
+        Q, bound = _solve_dlyap(M, ss.R2 @ ss.R2.T, _STABILITY_MARGIN)
+    except UnstableError as exc:
         raise FixedPointUnstableError(
-            f"fixed point reached but closed-loop spectral radius {sr:.6f} >= 1",
-            sol,
-        )
-    return sol
+            f"fixed point reached, but its closed loop is not certified stable: {exc}",
+            MpeSolution(gain, it, residuals, float("nan"), None),
+        ) from exc
+    return MpeSolution(gain, it, residuals, 1.0 - bound, Q)

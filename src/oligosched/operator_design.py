@@ -18,12 +18,13 @@ import numpy as np
 
 from . import rngstreams
 from .errors import (
+    FixedPointUnstableError,
     InvalidParamsError,
     NotConvergedError,
     SingularRowError,
-    UnstableError,
 )
-from .fixed_point import FixedPointConfig, MpeSolution, PricingRule, solve_mpe
+from .fixed_point import FixedPointConfig, PricingRule, solve_mpe
+# unused here; perfbench/child.py TARGETS and TestPerfbenchLookups look solve_lyapunov up here
 from .statespace import FeedbackGain, StateSpace, solve_lyapunov
 
 _PENALTY = 1e12
@@ -149,17 +150,15 @@ def evaluate_pricing(
 ) -> tuple[float, dict]:
     """Objective value and diagnostics for one pricing rule.
 
-    Returns (inf, diagnostics) when the inner equilibrium solve fails or
-    the Gramian solve cannot certify the equilibrium's spectral radius
-    below 1 - 1e-9; the diagnostics record the failure kind
-    ("singular-row", "not-converged" or "unstable"), and every solve that
-    ran to a verdict records its ``iterations`` (sweeps).
+    The objective is read off the equilibrium gain and the Gramian that
+    certified it.  Returns (inf, diagnostics) when the inner equilibrium
+    solve fails, its certificate included (spectral bound below 1 - 1e-9);
+    the diagnostics record the failure kind ("singular-row",
+    "not-converged" or "unstable"), and every solve that ran to a verdict
+    records its ``iterations`` (sweeps).
     """
-    sol = None
     try:
         sol = solve_mpe(pricing, ss, fp_cfg)
-        F = sol.gain.F
-        Q = solve_lyapunov(F, ss)
     except SingularRowError as exc:
         return float("inf"), {
             "status": "singular-row",
@@ -172,12 +171,13 @@ def evaluate_pricing(
             "residuals": exc.residuals[-5:],
             "iterations": len(exc.residuals),
         }
-    except UnstableError as exc:  # from solve_mpe or solve_lyapunov
+    except FixedPointUnstableError as exc:
         return float("inf"), {
             "status": "unstable",
             "detail": str(exc),
-            "iterations": (exc.solution if sol is None else sol).iterations,
+            "iterations": exc.solution.iterations,
         }
+    F, Q = sol.gain.F, sol.gramian
     val = float(
         weights.alpha1 * (ss.e @ F @ Q @ F.T @ ss.e)
         + weights.alpha2 * (ss.e @ Q @ ss.e)

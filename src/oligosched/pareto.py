@@ -87,7 +87,7 @@ def _adjoint_gramian(F, C1, D12, ss: StateSpace):
     Gramian P solving M'P M - P + C'C = 0, so that J = trace(R2'P R2)."""
     M = ss.R1 @ (np.eye(ss.D_c) - F)
     C = C1 + D12 @ F
-    return M, C, _solve_dlyap(M.T, C.T @ C)
+    return M, C, _solve_dlyap(M.T, C.T @ C)[0]
 
 
 def objective_and_gradient(F, weights: OutputWeights, ss: StateSpace, margin: float = 1e-9):
@@ -193,7 +193,7 @@ def lmi_feasibility_audit(F, weights: OutputWeights, ss: StateSpace) -> dict:
     D = ss.D_c
     M = ss.R1 @ (np.eye(D) - Fm)
     W = ss.R2 @ ss.R2.T + _LMI_EPS * np.eye(D)
-    Q = _solve_dlyap(M, W)
+    Q = _solve_dlyap(M, W)[0]
     P = Fm @ Q
     C1, D12 = _plant_outputs(weights, ss)
     AQ_B2P = ss.R1 @ Q - ss.R1 @ P

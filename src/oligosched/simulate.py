@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rngstreams
 from .errors import InsufficientSamplesError, InvalidParamsError, NonStationaryError
-from .statespace import StateSpace, _as_matrix
+from .statespace import StateSpace, _as_matrix, _unit_deadline_rows
 from .strategies import LinearStrategyL2, MarketParamsL2
 
 _DIVERGENCE_GUARD = 1e9
@@ -338,8 +338,9 @@ def simulate_general(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig) -> P
     All replications advance together as D x R arrays.  Slot (l, tau) is
     occupied at t iff type l arrived at t - (l - tau); with unit deadline
     rows in F, u = (F x) * mask makes deadline agents consume their backlog.
-    Draws, sums and the guard go 1,024 periods at a time: besides the (horizon,
-    R) U and sum-x arrays the working memory is about 1,024 (4 D + L) R doubles.
+    Draws, sums and the guard go 1,024 periods at a time, each chunk's kept sums
+    straight into the pooled, replication-major U and sum x; besides those a
+    run holds one chunk: 1,024 (4 D + L + 2) R doubles and 1.2 MB of views.
     """
     L, D, R, n = ss.L, ss.D_c, c.replications, c.horizon
     q, mu, sg = arrival.resolved(L)
@@ -348,7 +349,7 @@ def simulate_general(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig) -> P
     gens = [[rngstreams.stream_at(c.seed, r, j * n) for r in range(R)] for j in range(2 * L)]
     # One product per period maps z = [x - u of the last period; fresh
     # loads] to y = [x; Fp x], Fp being F with unit deadline rows.
-    Fp = np.vstack([np.eye(D)[:L], _as_matrix(F, ss)[L:]])
+    Fp = _unit_deadline_rows(_as_matrix(F, ss), L)
     shift = np.hstack([ss.R1, ss.R2])
     S = np.vstack([shift, Fp @ shift])
     chunk = min(n, _CHUNK_PERIODS)
@@ -358,7 +359,7 @@ def simulate_general(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig) -> P
     views = [(z, y, y[:D], y[D:], y[D + L:], nxt[:D]) for z, y, nxt in zip(Z, Y, Z[1:])]
     rows = np.arange(chunk)[:, None] + [L - 1 - l + tau for l, tau in ss.pairs]
     cols = [l - 1 for l, _ in ss.pairs]
-    U, Z2, bad = np.empty((n, R)), np.empty((n, R)), np.full(R, -1)
+    U, Z2, bad = np.empty((R, n - c.burn_in)), np.empty((R, n - c.burn_in)), np.full(R, -1)
     # The guard reports a diverging replication; overflow warnings from the
     # rest of its chunk would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -379,9 +380,11 @@ def simulate_general(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig) -> P
                     np.maximum(tail, 0.0, out=tail)
                 np.subtract(top, bot, out=nxt)
             Z[0, :D] = Z[m, :D]
-            U[t0:t0 + m] = Y[:m, D:].sum(axis=1)
-            Z2[t0:t0 + m] = Y[:m, :D].sum(axis=1)
-            over = np.abs(Z2[t0:t0 + m]) > _DIVERGENCE_GUARD
+            u_sum, x_sum = Y[:m, D:].sum(axis=1), Y[:m, :D].sum(axis=1)
+            # the chunk's last end - w periods are kept, as pooled columns w:end
+            w, end = max(t0 - c.burn_in, 0), max(t0 + m - c.burn_in, 0)
+            U[:, w:end], Z2[:, w:end] = u_sum[m - end + w:].T, x_sum[m - end + w:].T
+            over = np.abs(x_sum) > _DIVERGENCE_GUARD
             hit = over.any(axis=0) & (bad < 0)
             bad[hit] = t0 + over[:, hit].argmax(axis=0)
             if bad[0] >= 0:  # serial order reports the lowest replication
@@ -392,7 +395,7 @@ def simulate_general(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig) -> P
             f"|sum x| exceeded {_DIVERGENCE_GUARD:g} at period {bad[rep]} "
             f"(replication {rep}); the gain does not stabilize the market"
         )
-    return _assemble_stats(U[c.burn_in:].T.ravel(), Z2[c.burn_in:].T.ravel(), None, c)
+    return _assemble_stats(U.ravel(), Z2.ravel(), None, c)
 
 
 def conditional_tail_report(

@@ -92,22 +92,18 @@ def _as_matrix(F, ss: StateSpace) -> np.ndarray:
 
 @dataclass
 class FeedbackGain:
-    """Static feedback u(t) = F x(t); stability is recomputed on access."""
+    """Static feedback u(t) = F x(t); ``solve_lyapunov`` certifies its stability."""
 
     F: np.ndarray
     ss: StateSpace
 
-    @property
-    def closed_loop(self) -> np.ndarray:
-        return self.ss.R1 @ (np.eye(self.ss.D_c) - self.F)
 
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.closed_loop))))
-
-    @property
-    def stable(self) -> bool:
-        return self.spectral_radius < 1.0
+def _unit_deadline_rows(F: np.ndarray, L: int) -> np.ndarray:
+    """Copy of F with unit deadline rows; unchecked, as f_map passes diverging iterates."""
+    out = np.array(F, dtype=float)
+    out[:L] = 0.0
+    out.flat[: L * (out.shape[0] + 1) : out.shape[0] + 1] = 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,8 +139,8 @@ class H2Report:
     z3sq: float
 
 
-def _solve_dlyap(M: np.ndarray, W: np.ndarray, margin: float = 0.0) -> np.ndarray:
-    """Solve M X M' - X + W = 0 by Smith's doubling iteration.
+def _solve_dlyap(M: np.ndarray, W: np.ndarray, margin: float = 0.0):
+    """Solve M X M' - X + W = 0 by Smith's doubling iteration: (X, bound).
 
     X sums the series W + M W M' + M^2 W M^2' + ...; each step doubles the
     number of terms (X <- X + P X P', then P <- P^2 with P = M^(2^k)) and
@@ -185,7 +181,7 @@ def _solve_dlyap(M: np.ndarray, W: np.ndarray, margin: float = 0.0) -> np.ndarra
     res = np.linalg.norm(M @ X @ M.T - X + W) / (1.0 + np.linalg.norm(X))
     if res > 1e-10:
         raise UnstableError(f"Lyapunov residual {res:.3e} exceeds 1e-10")
-    return X
+    return X, bound
 
 
 def solve_lyapunov(F, ss: StateSpace, margin: float = 1e-9) -> np.ndarray:
@@ -197,7 +193,7 @@ def solve_lyapunov(F, ss: StateSpace, margin: float = 1e-9) -> np.ndarray:
     """
     Fm = _as_matrix(F, ss)
     M = ss.R1 @ (np.eye(ss.D_c) - Fm)
-    return _solve_dlyap(M, ss.R2 @ ss.R2.T, margin)
+    return _solve_dlyap(M, ss.R2 @ ss.R2.T, margin)[0]
 
 
 def h2_norms(F, ss: StateSpace) -> H2Report:
@@ -214,11 +210,7 @@ def h2_norms(F, ss: StateSpace) -> H2Report:
 
 def make_f_dl_projection(F, ss: StateSpace) -> FeedbackGain:
     """Copy of F with every deadline row replaced by its own unit row."""
-    Fm = _as_matrix(F, ss).copy()
-    for i in range(ss.L):
-        Fm[i, :] = 0.0
-        Fm[i, i] = 1.0
-    return FeedbackGain(Fm, ss)
+    return FeedbackGain(_unit_deadline_rows(_as_matrix(F, ss), ss.L), ss)
 
 
 def make_f_alpha(alpha: float, ss: StateSpace) -> FeedbackGain:
@@ -244,10 +236,7 @@ def make_f_br(delta: float, ss: StateSpace) -> FeedbackGain:
     D = ss.D_c
     F = np.full((D, D), -delta / (D - 1) if D > 1 else 0.0)
     np.fill_diagonal(F, 1.0 - delta)
-    for i in range(ss.L):
-        F[i, :] = 0.0
-        F[i, i] = 1.0
-    return FeedbackGain(F, ss)
+    return FeedbackGain(_unit_deadline_rows(F, ss.L), ss)
 
 
 def br_demand_volatility_approx(delta: float, L: int) -> float:

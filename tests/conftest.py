@@ -61,12 +61,18 @@ def best_response_oracle(x, d2, profile, p, gamma=0.0):
     return -c1 / (2.0 * c2)
 
 
+def spectral_radius(F, ss):
+    """Oracle: spectral radius of the closed loop R1(I - F), from its eigenvalues."""
+    M = ss.R1 @ (np.eye(ss.D_c) - np.asarray(F, dtype=float))
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
+
+
 def random_stable_gain(ss, rng, scale=0.08):
     """Even-split gain plus a perturbation, rescaled until stable."""
     base = og.even_split_gain(ss)
     for _ in range(40):
         F = base + scale * rng.standard_normal((ss.D_c, ss.D_c))
-        if og.FeedbackGain(F, ss).spectral_radius < 0.95:
+        if spectral_radius(F, ss) < 0.95:
             return F
         scale *= 0.5
     return base

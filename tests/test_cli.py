@@ -290,12 +290,16 @@ class TestL2Commands:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("arch", ["cong:0.5", "rs:-0.1,0.5"])
-    def test_root_selection_strategies_load_no_scipy(self, arch):
-        # both root selections need only numpy
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["l2", "strategy", "--arch", arch, "--params", PARAMS], id=arch)
+        for arch in ("cong:0.5", "rs:-0.1,0.5")
+    ] + [pytest.param(["l2", "metrics", "--arch", "nc", "--threshold", "3", "--params", PARAMS],
+                      id="metrics-threshold")])
+    def test_root_selection_strategies_load_no_scipy(self, argv):
+        # both root selections, and the tail bound of --threshold, need only numpy
         code = (
             "import sys; from oligosched.cli import main; "
-            f"main(['l2', 'strategy', '--arch', {arch!r}, '--params', {PARAMS!r}]); "
+            f"main({argv!r}); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

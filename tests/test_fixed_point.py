@@ -5,6 +5,7 @@ import pytest
 import oligosched as og
 from oligosched import fixed_point
 from oligosched.fixed_point import FixedPointConfig
+from conftest import spectral_radius
 
 
 def one_shot_cost(u, x, F, pricing, ss, slot, tau):
@@ -85,7 +86,7 @@ def random_stable_gain(ss, rng):
     while True:
         F = og.even_split_gain(ss) + 0.05 * rng.standard_normal((ss.D_c, ss.D_c))
         F[: ss.L] = np.eye(ss.D_c)[: ss.L]
-        if og.FeedbackGain(F, ss).stable:
+        if spectral_radius(F, ss) < 1.0:
             return F
 
 
@@ -271,7 +272,7 @@ class TestSolveMpe:
             og.marginal_cost_pricing(ss3), ss3, FixedPointConfig(tol=1e-9)
         )
         assert sol.residual <= 1e-8
-        assert sol.gain.stable
+        assert spectral_radius(sol.gain.F, ss3) < 1.0
         # regression values recorded from the first converged run
         assert sol.gain.F[5, 5] == pytest.approx(0.237026196877034, abs=1e-6)
         assert sol.gain.F[4, 4] == pytest.approx(0.32788504298045384, abs=1e-6)
@@ -301,6 +302,16 @@ class TestSolveMpe:
         assert sol.stability_margin > 0
         mapped = og.f_map(sol.gain.F, pricing, ss)
         assert np.max(np.abs(mapped - sol.gain.F)) <= 1e-9
+
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_stability_margin_is_a_tight_certified_bound(self, L):
+        # 1 - stability_margin is the doubling bound on the spectral radius:
+        # never below the eigenvalue oracle, and within 10% of it
+        ss = og.build_state_space(L)
+        sol = og.solve_mpe(og.marginal_cost_pricing(ss), ss)
+        rho = spectral_radius(sol.gain.F, ss)
+        assert rho <= 1.0 - sol.stability_margin <= 1.1 * rho
+        assert np.array_equal(sol.gramian, og.solve_lyapunov(sol.gain, ss))
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_raises_only_not_converged(self, capfd):
@@ -341,7 +352,7 @@ class TestSolveMpe:
         b = og.solve_mpe(scaled, ss3)
         drift = float(np.max(np.abs(a.gain.F - b.gain.F)))
         print(f"pricing-scale drift (x2): {drift:.3e}")
-        assert a.gain.stable and b.gain.stable
+        assert spectral_radius(a.gain.F, ss3) < 1.0 and spectral_radius(b.gain.F, ss3) < 1.0
 
 
 class TestEquilibriumSelection:
@@ -392,14 +403,14 @@ class TestEquilibriumSelection:
     def test_anderson_and_newton_select_different_equilibria(self, ss3):
         pricing = self.pricing()
         sol = og.solve_mpe(pricing, ss3)
-        assert sol.gain.spectral_radius == pytest.approx(0.2867, abs=1e-4)
+        assert spectral_radius(sol.gain.F, ss3) == pytest.approx(0.2867, abs=1e-4)
         val, _ = og.evaluate_pricing(pricing, og.OperatorWeights(1.0, 1.0), ss3)
         assert val == pytest.approx(23.3876, abs=1e-4)
         assert val == pytest.approx(self.operator_objective(sol.gain.F, ss3), rel=1e-12)
 
         F = self.newton_fixed_point(pricing, ss3)
         assert np.max(np.abs(og.f_map(F, pricing, ss3) - F)) <= 1e-13
-        assert og.FeedbackGain(F, ss3).spectral_radius == pytest.approx(0.8586, abs=1e-4)
+        assert spectral_radius(F, ss3) == pytest.approx(0.8586, abs=1e-4)
         assert np.max(np.abs(F - sol.gain.F)) == pytest.approx(4.79, abs=5e-3)
         # a different equilibrium, so a different operator objective
         assert self.operator_objective(F, ss3) > 2.0 * val

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import oligosched as og
+from conftest import spectral_radius
 from oligosched import fixed_point, operator_design
 
 # An L = 3 pricing whose equilibrium (35 sweeps of the search's inner
-# solve) has spectral radius within 1e-9 of 1: the equilibrium solve
-# accepts it, and the Gramian solve of the objective cannot certify it.
+# solve) has spectral radius within 1e-9 of 1: its certificate fails.
 BOUNDARY_PRICING = (
     [-0.9602784567973864, -0.09603787588144555, -1.955489991442598,
      2.764005992123827, -1.2798574489039642, -0.6241122286781979],
@@ -78,26 +78,59 @@ class TestOperatorObjective:
         sol = exc.value.solution
         assert sol.iterations == sweeps
         assert sol.residual <= cfg.tol
-        assert 1.0 - sol.stability_margin == pytest.approx(radius, abs=1e-6)
+        assert spectral_radius(sol.gain.F, ss3) == pytest.approx(radius, abs=1e-6)
+        assert math.isnan(sol.stability_margin) and sol.gramian is None
+        certificate = exc.value.__cause__
+        assert isinstance(certificate, og.UnstableError)
         val, diag = og.evaluate_pricing(pricing, og.OperatorWeights(1.0, 1.0), ss3, cfg)
         assert math.isinf(val)
-        assert diag == {
-            "status": "unstable",
-            "detail": f"fixed point reached but closed-loop spectral radius {radius:.6f} >= 1",
-            "iterations": sweeps,
-        }
+        assert diag == {"status": "unstable", "detail": str(exc.value), "iterations": sweeps}
+        assert str(certificate) in diag["detail"]
 
     @pytest.mark.parametrize("fp_cfg", [operator_design._SEARCH_FP_CFG, None])
     def test_stability_boundary_pricing_reports_unstable(self, ss3, fp_cfg):
+        # the closed loop is stable, but inside the certificate's margin
         pricing = og.PricingRule(*BOUNDARY_PRICING)
-        sol = og.solve_mpe(pricing, ss3, fp_cfg)
-        assert 0.0 < sol.stability_margin < 1e-9
+        with pytest.raises(og.FixedPointUnstableError, match="not below 1 - 1e-09") as exc:
+            og.solve_mpe(pricing, ss3, fp_cfg)
+        sol = exc.value.solution
+        assert 0.0 < 1.0 - spectral_radius(sol.gain.F, ss3) < 1e-9
         w = og.OperatorWeights(1.0, 1.0)
         val, diag = og.evaluate_pricing(pricing, w, ss3, fp_cfg)
         assert math.isinf(val)
         assert diag["status"] == "unstable"
         assert diag["iterations"] == sol.iterations
         assert "not below 1 - 1e-09" in diag["detail"]
+
+    def test_certificate_decides_stability_on_a_pricing_scan(self, ss3):
+        # solve_mpe refuses a fixed point exactly when the eigenvalue oracle
+        # puts its closed loop on or outside the unit circle, or the Gramian
+        # solve refuses it; of these 300 draws 7 are refused and 13 do not
+        # converge
+        rng = np.random.default_rng(1)
+        base = np.array([0.0] * 6 + [1.0] * 6)
+        verdicts = []
+        for _ in range(300):
+            theta = base + 1.5 * rng.standard_normal(12)
+            try:
+                sol = og.solve_mpe(og.PricingRule(theta[:6], theta[6:]), ss3,
+                                   operator_design._SEARCH_FP_CFG)
+                refused = False
+            except og.FixedPointUnstableError as exc:
+                sol, refused = exc.solution, True
+            except (og.NotConvergedError, og.SingularRowError):
+                continue
+            F = sol.gain.F
+            try:
+                Q = og.solve_lyapunov(F, ss3)
+            except og.UnstableError:
+                Q = None
+            assert refused == (spectral_radius(F, ss3) >= 1.0 or Q is None)
+            if not refused:
+                assert np.array_equal(sol.gramian, Q)
+                assert spectral_radius(F, ss3) <= 1.0 - sol.stability_margin
+            verdicts.append(refused)
+        assert (verdicts.count(True), verdicts.count(False)) == (7, 280)
 
 
 class TestOptimizePricing:

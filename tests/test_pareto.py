@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import oligosched as og
-from conftest import random_stable_gain
+from conftest import random_stable_gain, spectral_radius
 from oligosched import pareto
 from oligosched.fixed_point import even_split_gain
 
@@ -220,7 +220,7 @@ class TestSynthesize:
         w = og.OutputWeights.normalized(0.6, 0.4, 100.0)
         pt = og.synthesize(w, ss2)
         assert pt.report.z3sq <= 1e-3 * (pt.report.z1sq + pt.report.z2sq)
-        assert pt.gain.stable
+        assert spectral_radius(pt.gain.F, ss2) < 1.0
 
     def test_objective_recomputable_from_report(self, ss2):
         w = og.OutputWeights.normalized(1.0, 2.0, 3.0)

@@ -8,7 +8,7 @@ import pytest
 
 import oligosched as og
 from oligosched import rngstreams, simulate
-from conftest import random_stable_gain
+from conftest import random_stable_gain, spectral_radius
 
 K = simulate._WAVE_MIN_RUNS
 
@@ -494,6 +494,39 @@ class TestGeneralSimulator:
         var_z2 = stats.second_x - stats.mean_x ** 2
         assert abs(var_z2 - 3.0) <= 3 * stats.mc_stderr["second_x"]
 
+    @pytest.mark.parametrize("burn_in", [1023, 1024, 1025, 2500])
+    def test_burn_in_across_chunks_keeps_the_tail(self, burn_in, ss3):
+        # the kept periods are the tail of the run with no burn-in, bit for
+        # bit, wherever the burn-in ends against the 1,024-period chunks
+        F, arrival = og.make_f_br(0.3, ss3), og.ArrivalSpec(q=(0.7,))
+        runs = [og.simulate_general(F, ss3, arrival, og.SimConfig(
+            horizon=4000, burn_in=b, replications=2, seed=9, keep_series=True)).series
+            for b in (0, burn_in)]
+        for key in ("U", "x_sum"):
+            full, kept = runs[0][key].reshape(2, -1), runs[1][key].reshape(2, -1)
+            assert np.array_equal(bits(kept), bits(full[:, burn_in:])), key
+
+    def test_peak_memory_is_pooled_outputs_plus_one_chunk(self, monkeypatch, ss3):
+        # The statistics that follow are left out: they work on the pooled
+        # outputs whatever the chunk size.
+        pooled = {}
+        monkeypatch.setattr(simulate, "_assemble_stats",
+                            lambda U, X, flags, c: pooled.update(U=U, X=X))
+        F, arrival = og.make_f_br(0.3, ss3), og.ArrivalSpec(q=(0.7,))
+        cfg = og.SimConfig(horizon=400_000, burn_in=1000, replications=2, seed=5)
+        og.simulate_general(F, ss3, arrival, og.SimConfig(horizon=10))  # loads scipy.special
+        tracemalloc.start()
+        try:
+            og.simulate_general(F, ss3, arrival, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in pooled.values())
+        assert outputs == 16 * cfg.replications * (cfg.horizon - cfg.burn_in)
+        # about 1,550 bytes per chunk period are live at once, most of them
+        # the per-period views
+        assert peak < outputs + 2048 * simulate._CHUNK_PERIODS
+
 
 class TestGeneralVectorized:
     """simulate_general against the loop oracle, replication by replication."""
@@ -533,7 +566,7 @@ class TestGeneralVectorized:
         # within the first chunk.
         F = np.eye(3)
         F[2] = [0.0, -3.0, 0.5]
-        assert og.FeedbackGain(F, ss2).spectral_radius > 1.0
+        assert spectral_radius(F, ss2) > 1.0
         arrival = og.ArrivalSpec(q=(0.9, q2))
         cfg = og.SimConfig(horizon=20_000, replications=4, seed=seed)
         first = [
