@@ -12,8 +12,10 @@ columns of ``horizon`` draws, column j read from ``stream_at(seed, i, j *
 horizon)``: for L = 2 the columns are h1, h2, d1 and d2, for general L the
 L arrival columns and then the L load columns.  So results are bit-identical
 for a given (seed, config), whatever the chunk sizes.  Both simulators are
-numpy code that draws and runs the horizon in chunks; simulate_l2 holds only
-its pooled outputs and one chunk's working set.
+numpy code that draws and runs the horizon in chunks.  Each holds only its
+pooled outputs and one chunk's working set, through the statistics too:
+they take their per-batch values a group of batches at a time and select
+quantiles and the median in place (a copy per selection with keep_series).
 
 For general L, a gain computed for the everyone-arrives world is applied to
 the sparse-arrival world by masking: rows and columns of absent agents are
@@ -73,6 +75,17 @@ class SimConfig:
             raise InvalidParamsError("quantile levels must lie strictly in (0, 1)")
         if not np.all(np.isfinite(self.tail_thresholds)):
             raise InvalidParamsError("tail thresholds must be finite")
+        # mc_stderr, and the CLI's quantiles and tail_probs, key each value
+        # by its %g form; a second value with the same key would overwrite it
+        for prefix, values in (("tail", self.tail_thresholds),
+                               ("quantile", self.quantile_levels)):
+            seen = {}
+            for v in values:
+                key = f"{prefix}_{v:g}"
+                if key in seen:
+                    raise InvalidParamsError(
+                        f"{prefix} values {seen[key]!r} and {v!r} share the record key {key}")
+                seen[key] = v
 
 
 @dataclass(frozen=True)
@@ -198,47 +211,86 @@ def _stderr(vals: np.ndarray) -> float:
 
 
 def _assemble_stats(U, X, flags, cfg: SimConfig) -> PathStats:
-    """Pooled statistics; ``flags`` are simulate_l2's arrival bits h1 | h2 << 1, or None."""
-    n = U.size
-    mean_u = float(np.mean(U))
-    second_u = float(np.mean(U * U))
-    var_u = second_u - mean_u ** 2
-    mean_x = float(np.mean(X))
-    second_x = float(np.mean(X * X))
+    """Pooled statistics of the kept periods U and X (the backlog sum).
 
+    ``flags`` are simulate_l2's arrival bits h1 | h2 << 1, or None.  Besides
+    U, X and flags the scratch space is one group of samples, not the
+    horizon: per-batch values (means, second moments, variances, quantiles
+    and tail indicators) are taken a group of about ``_L2_CHUNK`` samples of
+    whole batches at a time, each batch reduced on its own.  The conditional
+    cells come from counts plus the backlog at spike periods.  Selection
+    comes last: the quantiles of U and the median of X are taken in place,
+    so this may reorder U and X, unless ``cfg.keep_series`` hands them to
+    the caller; then each selection works on its own copy, one at a time.
+    """
+    n = U.size
+    mean_u, mean_x = float(np.mean(U)), float(np.mean(X))
     batch_len = max(200, n // (64 * cfg.replications))
     nb = n // batch_len  # batch means; fewer than two give a nan stderr
-    Ub = U[: nb * batch_len].reshape(nb, batch_len)
-    Xb = X[: nb * batch_len].reshape(nb, batch_len)
-    stderr = {
-        "mean_u": _stderr(Ub.mean(axis=1)),
-        "second_u": _stderr((Ub * Ub).mean(axis=1)),
-        "var_u": _stderr(Ub.var(axis=1)),
-        "mean_x": _stderr(Xb.mean(axis=1)),
-        "second_x": _stderr((Xb * Xb).mean(axis=1)),
-    }
-    levels = list(cfg.quantile_levels)
-    quantiles = dict(zip(levels, np.quantile(U, levels).tolist()))
+    levels, thresholds = list(cfg.quantile_levels), list(cfg.tail_thresholds)
     # batch quantiles resolve a level only with >= 20 samples above it
-    resolved = [lv for lv in levels if (1.0 - lv) * batch_len >= 20]
-    batch_q = {}
-    if resolved and nb >= 2:
-        batch_q = dict(zip(resolved, np.quantile(Ub, resolved, axis=1)))
+    resolved = [lv for lv in levels if (1.0 - lv) * batch_len >= 20] if nb >= 2 else []
+    # one row per batch statistic: mean_u, second_u, var_u, mean_x,
+    # second_x, then the resolved quantiles, then the tails
+    per = np.empty((5 + len(resolved) + len(thresholds), nb))
+    step = max(1, _L2_CHUNK // batch_len) * batch_len  # samples in a group
+    sq = np.empty(min(step, n))
+    sum_uu = sum_xx = 0.0
+    above = [0] * len(thresholds)
+
+    def batches(a):  # the whole batches of a group, one per row
+        return a[:a.size // batch_len * batch_len].reshape(-1, batch_len)
+
+    for lo in range(0, n, step):
+        u, x = U[lo:lo + step], X[lo:lo + step]
+        ub = batches(u)
+        group = per[:, lo // batch_len:lo // batch_len + ub.shape[0]]
+        uu = np.multiply(u, u, out=sq[:u.size])
+        sum_uu += float(uu.sum())
+        group[0], group[1], group[2] = ub.mean(axis=1), batches(uu).mean(axis=1), ub.var(axis=1)
+        xx = np.multiply(x, x, out=sq[:x.size])
+        sum_xx += float(xx.sum())
+        group[3], group[4] = batches(x).mean(axis=1), batches(xx).mean(axis=1)
+        if resolved and ub.size:
+            group[5:5 + len(resolved)] = np.quantile(ub, resolved, axis=1)
+        for i, M in enumerate(thresholds):
+            hit = u > M
+            above[i] += np.count_nonzero(hit)
+            group[5 + len(resolved) + i] = batches(hit).mean(axis=1)
+    second_u, second_x = sum_uu / n, sum_xx / n
+    var_u = second_u - mean_u ** 2
+
+    stderr = {k: _stderr(v) for k, v in
+              zip(("mean_u", "second_u", "var_u", "mean_x", "second_x"), per)}
+    batch_q = dict(zip(resolved, per[5:]))
     for lv in levels:
         stderr[f"quantile_{lv:g}"] = _stderr(batch_q.get(lv, np.array([])))
     tails = {}
-    for M in cfg.tail_thresholds:
-        tails[M] = float(np.mean(U > M))
-        stderr[f"tail_{M:g}"] = _stderr((Ub > M).mean(axis=1))
+    for M, count, vals in zip(thresholds, above, per[5 + len(resolved):]):
+        tails[M] = float(count / n)
+        stderr[f"tail_{M:g}"] = _stderr(vals)
 
+    own = not cfg.keep_series  # U and X may be reordered
     conditional = None
     if flags is not None:
-        thr = max(cfg.tail_thresholds) if cfg.tail_thresholds else \
-            mean_u + 4.0 * np.sqrt(max(var_u, 0.0))
+        thr = max(thresholds) if thresholds else mean_u + 4.0 * np.sqrt(max(var_u, 0.0))
+        present = spikes = spikes_present = 0
+        x_at_spikes = []  # the backlog at spike periods, taken while X is in order
+        for lo in range(0, n, step):
+            spike, flex = U[lo:lo + step] > thr, flags[lo:lo + step] >= 2
+            present += np.count_nonzero(flex)
+            spikes += np.count_nonzero(spike)
+            spikes_present += np.count_nonzero(spike & flex)
+            x_at_spikes.append(X[lo:lo + step][spike])
+        med = np.median(X, overwrite_input=own)
+        high = sum(np.count_nonzero(X[lo:lo + step] > med) for lo in range(0, n, step))
+        spikes_high = sum(np.count_nonzero(xs > med) for xs in x_at_spikes)
         try:
-            conditional = conditional_tail_report(U, flags >= 2, X, thr)
+            conditional = _tail_report(thr, n, present, high, spikes, spikes_present,
+                                       spikes_high)
         except InsufficientSamplesError:
             conditional = None
+    quantiles = dict(zip(levels, np.quantile(U, levels, overwrite_input=own).tolist()))
 
     series = None
     if cfg.keep_series:
@@ -274,7 +326,9 @@ def simulate_l2(s: LinearStrategyL2, p: MarketParamsL2, c: SimConfig) -> PathSta
     j * horizon)`` for j = 0, 1, 2, 3.  Draws and kernel go ``_L2_CHUNK``
     periods at a time, the flexible carry passing from chunk to chunk, and
     each chunk's kept periods go straight into the pooled U, X and flags:
-    memory is those 17 bytes per kept period plus one chunk's working set.
+    memory is those 17 bytes per kept period plus one chunk's working set,
+    the statistics included.  Without ``keep_series`` the statistics select
+    in place and leave U and X reordered; they are not returned then.
     """
     n, pooled = c.horizon, c.replications * (c.horizon - c.burn_in)
     U, X, flags = np.empty(pooled), np.empty(pooled), np.empty(pooled, np.uint8)
@@ -341,7 +395,14 @@ def simulate_general(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig) -> P
     Draws, sums and the guard go 1,024 periods at a time, each chunk's kept sums
     straight into the pooled, replication-major U and sum x; besides those a
     run holds one chunk: 1,024 (4 D + L + 2) R doubles and 1.2 MB of views.
+    That chunk is gone before the statistics take their own scratch space.
     """
+    U, Z2 = _general_paths(F, ss, arrival, c)
+    return _assemble_stats(U.ravel(), Z2.ravel(), None, c)
+
+
+def _general_paths(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig):
+    """simulate_general's pooled U and sum x, each (replications, horizon - burn_in)."""
     L, D, R, n = ss.L, ss.D_c, c.replications, c.horizon
     q, mu, sg = arrival.resolved(L)
     # A replication's stream holds n arrivals of each type, then n loads of
@@ -395,7 +456,7 @@ def simulate_general(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig) -> P
             f"|sum x| exceeded {_DIVERGENCE_GUARD:g} at period {bad[rep]} "
             f"(replication {rep}); the gain does not stabilize the market"
         )
-    return _assemble_stats(U.ravel(), Z2.ravel(), None, c)
+    return U, Z2
 
 
 def conditional_tail_report(
@@ -406,40 +467,49 @@ def conditional_tail_report(
     Backlog conditioning splits at the empirical median of x.  Raises
     InsufficientSamplesError when any conditioning cell holds fewer than
     100 samples.  Cell standard errors are binomial (spike events at high
-    thresholds are nearly independent).
+    thresholds are nearly independent).  The arguments are not modified.
     """
     u = np.asarray(u, float)
     flex = np.asarray(flex_present, bool)
     x = np.asarray(x, float)
     spike = u > threshold
-    med = np.median(x)
+    high = x > np.median(x)
+    return _tail_report(
+        threshold, flex.size, np.count_nonzero(flex), np.count_nonzero(high),
+        np.count_nonzero(spike), np.count_nonzero(spike & flex),
+        np.count_nonzero(spike & high),
+    )
+
+
+def _tail_report(threshold, n, present, high, spikes, spikes_present, spikes_high):
+    """The conditional cells from counts over n samples: flexible arrivals
+    present, backlog above its median, spikes, and spikes in each of those."""
+    n, present, high, spikes, spikes_present, spikes_high = map(
+        int, (n, present, high, spikes, spikes_present, spikes_high))
     cells = {
-        "absent": ~flex,
-        "present": flex,
-        "high": x > med,
-        "low": x <= med,
+        "absent": (n - present, spikes - spikes_present),
+        "present": (present, spikes_present),
+        "high": (high, spikes_high),
+        "low": (n - high, spikes - spikes_high),
     }
     probs = {}
     errs = {}
-    counts = {}
-    for name, mask in cells.items():
-        n = int(np.count_nonzero(mask))
-        if n < 100:
+    for name, (size, hits) in cells.items():
+        if size < 100:
             raise InsufficientSamplesError(
-                f"conditioning cell {name!r} has only {n} samples (< 100)"
+                f"conditioning cell {name!r} has only {size} samples (< 100)"
             )
-        ph = float(np.count_nonzero(spike & mask) / n)
+        ph = float(hits / size)
         probs[name] = ph
-        errs[name] = float(np.sqrt(ph * (1.0 - ph) / n))
-        counts[name] = n
+        errs[name] = float(np.sqrt(ph * (1.0 - ph) / size))
     return ConditionalTailReport(
         threshold=float(threshold),
         p_spike_absent=probs["absent"],
         p_spike_present=probs["present"],
         p_spike_high_backlog=probs["high"],
         p_spike_low_backlog=probs["low"],
-        n_absent=counts["absent"],
-        n_present=counts["present"],
+        n_absent=cells["absent"][0],
+        n_present=present,
         stderr_absent=errs["absent"],
         stderr_present=errs["present"],
         stderr_high_backlog=errs["high"],

@@ -1,4 +1,6 @@
 """Shared fixtures and independent oracles used across the test suite."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,18 @@ def random_stable_gain(ss, rng, scale=0.08):
             return F
         scale *= 0.5
     return base
+
+
+def traced_peak(run, warm_up):
+    """Peak bytes that tracemalloc sees allocated during ``run()``.
+
+    ``warm_up()`` runs first, untraced, so that what loads on first use
+    (``scipy.special`` for the normal draws) is not counted.
+    """
+    warm_up()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -724,6 +724,10 @@ class TestNonFiniteInputs:
                      id="metrics-mu1-nan"),
         pytest.param(["l2", "simulate", "--arch", "nc", "--params", _nan_params(),
                       "--horizon", "100", "--thresholds", "nan"], id="simulate-thresholds-nan"),
+        pytest.param(["l2", "simulate", "--arch", "nc", "--params", PARAMS, "--horizon", "100",
+                      "--thresholds", "30.0000001,30.0000004"], id="simulate-thresholds-one-key"),
+        pytest.param(["l2", "simulate", "--arch", "nc", "--params", PARAMS, "--horizon", "100",
+                      "--quantiles", "0.5,0.50000001"], id="simulate-quantiles-one-key"),
     ])
     def test_cli_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "front.csv"

@@ -1,6 +1,5 @@
 """Monte Carlo simulator: kernel fidelity, determinism, statistical checks."""
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 import oligosched as og
 from oligosched import rngstreams, simulate
-from conftest import random_stable_gain, spectral_radius
+from conftest import random_stable_gain, spectral_radius, traced_peak
 
 K = simulate._WAVE_MIN_RUNS
 
@@ -265,17 +264,25 @@ class TestChunks:
         monkeypatch.setattr(simulate, "_assemble_stats",
                             lambda U, X, flags, c: pooled.update(U=U, X=X, flags=flags))
         p = params(q1=0.6, q2=0.6, mu1=15.0, mu2=15.0, s1=6.0, s2=6.0)
-        cfg = og.SimConfig(horizon=400_000, replications=2, seed=5)
-        og.simulate_l2(og.coop_strategy(p), p, og.SimConfig(horizon=10))  # loads scipy.special
-        tracemalloc.start()
-        try:
-            og.simulate_l2(og.coop_strategy(p), p, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        s, cfg = og.coop_strategy(p), og.SimConfig(horizon=400_000, replications=2, seed=5)
+        peak = traced_peak(lambda: og.simulate_l2(s, p, cfg),
+                           lambda: og.simulate_l2(s, p, og.SimConfig(horizon=10)))
         outputs = sum(a.nbytes for a in pooled.values())
         assert outputs == 17 * cfg.replications * cfg.horizon
         # about 71 bytes per chunk period are live at once
+        assert peak < outputs + 128 * simulate._L2_CHUNK
+
+    def test_peak_memory_with_statistics_is_pooled_outputs_plus_one_chunk(self):
+        # the same run with the statistics and two tail thresholds: their
+        # scratch space is one group of batches, below the chunk's
+        p = params(q1=0.6, q2=0.6, mu1=15.0, mu2=15.0, s1=6.0, s2=6.0)
+        s = og.coop_strategy(p)
+        cfg = og.SimConfig(horizon=400_000, replications=2, seed=5, tail_thresholds=(45, 50))
+        got = []
+        peak = traced_peak(lambda: got.append(og.simulate_l2(s, p, cfg)),
+                           lambda: og.simulate_l2(s, p, og.SimConfig(horizon=10)))
+        assert got[0].conditional is not None and got[0].tail_probs[50] > 0.0
+        outputs = 17 * cfg.replications * cfg.horizon
         assert peak < outputs + 128 * simulate._L2_CHUNK
 
 
@@ -312,7 +319,7 @@ class TestStatistics:
         U = rng.gamma(2.0, 10.0, n)
         X = rng.gamma(2.0, 5.0, n)
         cfg = og.SimConfig(horizon=n, tail_thresholds=(20.0, 50.0))
-        st = simulate._assemble_stats(U, X, None, cfg)
+        st = simulate._assemble_stats(U.copy(), X.copy(), None, cfg)  # may reorder them
         batch_len = max(200, n // 64)
         nb = n // batch_len
 
@@ -335,6 +342,17 @@ class TestStatistics:
         for key, want in expected.items():
             got = st.mc_stderr[key]
             assert got == want or (math.isnan(got) and math.isnan(want)), key
+
+    @pytest.mark.parametrize("n", [399, 123_457, 800_001])
+    def test_second_moments_match_whole_sample_mean(self, n):
+        # summed a group at a time, not in one pairwise pass over the whole
+        # sample: the order differs, so agreement is to rounding only
+        rng = np.random.default_rng(n)
+        U, X = rng.gamma(2.0, 10.0, n), rng.standard_normal(n)
+        st = simulate._assemble_stats(U.copy(), X.copy(), None, og.SimConfig(horizon=n))
+        assert st.second_u == pytest.approx(np.mean(U * U), rel=1e-13, abs=0.0)
+        assert st.second_x == pytest.approx(np.mean(X * X), rel=1e-13, abs=0.0)
+        assert (st.mean_u, st.mean_x) == (np.mean(U), np.mean(X))
 
     def test_independent_sum_variance(self):
         # u = d2 with all agents present: U = d1 + d2, Var = 2
@@ -514,17 +532,22 @@ class TestGeneralSimulator:
                             lambda U, X, flags, c: pooled.update(U=U, X=X))
         F, arrival = og.make_f_br(0.3, ss3), og.ArrivalSpec(q=(0.7,))
         cfg = og.SimConfig(horizon=400_000, burn_in=1000, replications=2, seed=5)
-        og.simulate_general(F, ss3, arrival, og.SimConfig(horizon=10))  # loads scipy.special
-        tracemalloc.start()
-        try:
-            og.simulate_general(F, ss3, arrival, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: og.simulate_general(F, ss3, arrival, cfg),
+                           lambda: og.simulate_general(F, ss3, arrival, og.SimConfig(horizon=10)))
         outputs = sum(a.nbytes for a in pooled.values())
         assert outputs == 16 * cfg.replications * (cfg.horizon - cfg.burn_in)
         # about 1,550 bytes per chunk period are live at once, most of them
         # the per-period views
+        assert peak < outputs + 2048 * simulate._CHUNK_PERIODS
+
+    def test_peak_memory_with_statistics_is_pooled_outputs_plus_one_chunk(self, ss3):
+        # the chunk is gone before the statistics take their scratch space
+        F, arrival = og.make_f_br(0.3, ss3), og.ArrivalSpec(q=(0.7,))
+        cfg = og.SimConfig(horizon=400_000, burn_in=1000, replications=2, seed=5,
+                           tail_thresholds=(3.0,))
+        peak = traced_peak(lambda: og.simulate_general(F, ss3, arrival, cfg),
+                           lambda: og.simulate_general(F, ss3, arrival, og.SimConfig(horizon=10)))
+        outputs = 16 * cfg.replications * (cfg.horizon - cfg.burn_in)
         assert peak < outputs + 2048 * simulate._CHUNK_PERIODS
 
 
@@ -678,6 +701,71 @@ class TestConditionalTails:
             og.conditional_tail_report(u, flex, u, 1.0)
 
 
+class TestInPlaceStatistics:
+    """Without keep_series the statistics select quantiles and the median in
+    place on the pooled outputs; no caller ever sees them reordered."""
+
+    def test_scratch_is_one_group_of_batches(self):
+        # 800,000 pooled samples (6.4 MB a column) in batches of 6,250
+        rng = np.random.default_rng(3)
+        n = 800_000
+        U, X = rng.gamma(2.0, 10.0, n), rng.gamma(2.0, 5.0, n)
+        flags = rng.integers(0, 4, n, dtype=np.uint8)
+        cfg = og.SimConfig(horizon=n // 2, replications=2, tail_thresholds=(45.0, 50.0))
+        small = og.SimConfig(horizon=1000)
+        peak = traced_peak(
+            lambda: simulate._assemble_stats(U, X, flags, cfg),
+            lambda: simulate._assemble_stats(U[:1000].copy(), X[:1000].copy(), flags[:1000], small),
+        )
+        assert peak < 32 * simulate._L2_CHUNK
+
+    @staticmethod
+    def run(general, ss3, keep_series, tail_thresholds=(40.0,)):
+        cfg = og.SimConfig(horizon=60_000, burn_in=100, replications=2, seed=11,
+                           tail_thresholds=tail_thresholds, keep_series=keep_series)
+        if general:
+            return og.simulate_general(og.make_f_br(0.3, ss3), ss3,
+                                       og.ArrivalSpec(q=(0.7,)), cfg)
+        p = params(q1=0.6, q2=0.6, mu1=15.0, mu2=15.0, s1=6.0, s2=6.0)
+        return og.simulate_l2(og.coop_strategy(p), p, cfg)
+
+    @pytest.mark.parametrize("general", [False, True], ids=["l2", "general"])
+    def test_keep_series_changes_no_statistic(self, general, ss3):
+        kept, dropped = (self.run(general, ss3, keep) for keep in (True, False))
+        assert same_stats(kept, dropped)
+        assert kept.conditional == dropped.conditional
+        assert (kept.conditional is None) == general
+        assert dropped.series is None
+
+    @pytest.mark.parametrize("general", [False, True], ids=["l2", "general"])
+    def test_kept_series_stays_in_time_order(self, monkeypatch, general, ss3):
+        pooled = {}
+        assemble = simulate._assemble_stats
+
+        def copy_then_assemble(U, X, flags, c):
+            pooled.update(U=U.copy(), X=X.copy())
+            return assemble(U, X, flags, c)
+
+        monkeypatch.setattr(simulate, "_assemble_stats", copy_then_assemble)
+        series = self.run(general, ss3, True).series
+        assert np.array_equal(bits(series["U"]), bits(pooled["U"]))
+        assert np.array_equal(bits(series["x_sum"]), bits(pooled["X"]))
+
+    @pytest.mark.parametrize("tail_thresholds", [(), (35.0, 40.0)], ids=["4sd", "max-M"])
+    def test_conditional_tail_report_leaves_its_arguments(self, tail_thresholds, ss3):
+        stats = self.run(False, ss3, True, tail_thresholds)
+        u, x = stats.series["U"], stats.series["x_sum"]
+        flex = stats.series["o_flags"] >= 2
+        before = [a.copy() for a in (u, flex, x)]
+        rep = og.conditional_tail_report(u, flex, x, stats.conditional.threshold)
+        for arg, was in zip((u, flex, x), before):
+            assert np.array_equal(arg, was) and np.array_equal(bits(arg), bits(was))
+        assert rep.p_spike_absent > 0.0 and rep.p_spike_high_backlog > 0.0
+        for name, got in vars(rep).items():
+            want = getattr(stats.conditional, name)
+            assert type(got) is type(want) and bits(got) == bits(want), name
+
+
 class TestConfigValidation:
     def test_bad_configs(self):
         with pytest.raises(og.InvalidParamsError):
@@ -691,6 +779,17 @@ class TestConfigValidation:
         for arrival in (og.ArrivalSpec(q=(1.5,)), og.ArrivalSpec(q=(0.5,), sigma=(-1.0,))):
             with pytest.raises(og.InvalidParamsError, match="arrival rates"):
                 arrival.resolved(2)
+
+    @pytest.mark.parametrize("field, values, key", [
+        ("tail_thresholds", (30.0000001, 30.0000004), "tail_30"),
+        ("tail_thresholds", (45.0, 50.0, 45.0), "tail_45"),
+        ("quantile_levels", (0.5, 0.95, 0.9500001), "quantile_0.95"),
+    ])
+    def test_values_with_one_record_key_are_refused(self, field, values, key):
+        # each value names an mc_stderr entry, and a second would overwrite it
+        with pytest.raises(og.InvalidParamsError, match=f"share the record key {key}$"):
+            og.SimConfig(horizon=100, **{field: values})
+        og.SimConfig(horizon=100, **{field: values[:-1]})
 
     def test_series_rows(self):
         p = params(q2=0.5)
