@@ -66,16 +66,19 @@ def _load_json(arg: str):
     return json.loads(arg)
 
 
-def _parse_params(arg: str) -> MarketParamsL2:
+def _load_object(arg: str, what: str, keys) -> dict:
+    """The JSON object ``arg`` (file or literal), holding exactly ``keys``."""
     data = _load_json(arg)
     if not isinstance(data, dict):
-        raise InvalidParamsError("params must be a JSON object")
-    unknown = set(data) - set(_PARAM_KEYS)
-    if unknown:
-        raise InvalidParamsError(f"unknown params keys: {sorted(unknown)}")
-    missing = set(_PARAM_KEYS) - set(data)
-    if missing:
-        raise InvalidParamsError(f"missing params keys: {sorted(missing)}")
+        raise InvalidParamsError(f"{what} must be a JSON object")
+    for kind, extra in (("unknown", set(data) - set(keys)), ("missing", set(keys) - set(data))):
+        if extra:
+            raise InvalidParamsError(f"{kind} {what} keys: {sorted(extra)}")
+    return data
+
+
+def _parse_params(arg: str) -> MarketParamsL2:
+    data = _load_object(arg, "params", _PARAM_KEYS)
     try:
         values = {k: float(data[k]) for k in _PARAM_KEYS}
     except (TypeError, ValueError) as exc:
@@ -241,13 +244,7 @@ def _cmd_lti_mpe(ns, argv):
     if ns.pricing is None:
         pricing = marginal_cost_pricing(ss)
     else:
-        data = _load_json(ns.pricing)
-        if not isinstance(data, dict):
-            raise InvalidParamsError("pricing must be a JSON object")
-        unknown = set(data) - {"q1", "q2"}
-        if unknown:
-            raise InvalidParamsError(f"unknown pricing keys: {sorted(unknown)}")
-        pricing = PricingRule(data["q1"], data["q2"])
+        pricing = PricingRule(**_load_object(ns.pricing, "pricing", ("q1", "q2")))
     cfg = FixedPointConfig(
         tol=ns.tol,
         max_iter=ns.max_iter,
@@ -348,11 +345,11 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--threshold", type=float, default=None, metavar="M")
         if name == "simulate":
             sp.add_argument("--horizon", type=int, required=True)
-            sp.add_argument("--burn-in", type=int, default=0)
-            sp.add_argument("--replications", type=int, default=1)
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--burn-in", type=int, default=SimConfig.burn_in)
+            sp.add_argument("--replications", type=int, default=SimConfig.replications)
+            sp.add_argument("--seed", type=int, default=SimConfig.seed)
             sp.add_argument("--thresholds", default="")
-            sp.add_argument("--quantiles", default="0.5,0.95,0.999")
+            sp.add_argument("--quantiles", default=",".join(map(str, SimConfig.quantile_levels)))
             sp.add_argument("--nonneg", action="store_true")
             sp.add_argument("--series-csv", default=None)
 
@@ -374,9 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_lti_mpe)
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--pricing", default=None, help="JSON file or literal")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=2000)
-    sp.add_argument("--damping", type=float, default=0.5)
+    sp.add_argument("--tol", type=float, default=FixedPointConfig.tol)
+    sp.add_argument("--max-iter", type=int, default=FixedPointConfig.max_iter)
+    sp.add_argument("--damping", type=float, default=FixedPointConfig.damping)
     sp.add_argument("--mode", default="jacobi", choices=["jacobi", "gs"])
     sp.add_argument("--out", default=None)
 

@@ -58,13 +58,12 @@ from .errors import (
 from .statespace import (
     FeedbackGain,
     StateSpace,
-    _solve_dlyap,
+    _gramian,
     _unit_deadline_rows,
     build_state_space,
 )
 
 _ANDERSON_DEPTH = 5  # m: differences kept in the Anderson history
-_STABILITY_MARGIN = 1e-9  # the certified spectral bound must be below 1 - this
 
 
 @dataclass(frozen=True)
@@ -255,9 +254,9 @@ def solve_mpe(
 
     Returns the gain with undamped residual at most ``cfg.tol`` in sup
     norm and a Gramian whose doubling solve certifies a spectral bound
-    below 1 - ``_STABILITY_MARGIN``.  Raises NotConvergedError (with the
-    residual trace) when the budget is exhausted or the iterates stop being
-    finite, and FixedPointUnstableError when the certificate fails.
+    below 1 - ``statespace._STABILITY_MARGIN``.  Raises NotConvergedError
+    (with the residual trace) when the budget is exhausted or the iterates
+    stop being finite, and FixedPointUnstableError when the certificate fails.
     """
     cfg = cfg or FixedPointConfig()
     pricing = pricing.validated(ss)
@@ -303,9 +302,8 @@ def solve_mpe(
                 residuals,
             )
     gain = FeedbackGain(F, ss)
-    M = ss.R1 @ (np.eye(ss.D_c) - F)
     try:
-        Q, bound = _solve_dlyap(M, ss.R2 @ ss.R2.T, _STABILITY_MARGIN)
+        Q, bound = _gramian(F, ss)
     except UnstableError as exc:
         raise FixedPointUnstableError(
             f"fixed point reached, but its closed loop is not certified stable: {exc}",

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fixed_point import FixedPointConfig, PricingRule, solve_mpe
 # unused here; perfbench/child.py TARGETS and TestPerfbenchLookups look solve_lyapunov up here
-from .statespace import FeedbackGain, StateSpace, solve_lyapunov
+from .statespace import FeedbackGain, StateSpace, _h2_readout, solve_lyapunov
 
 _PENALTY = 1e12
 _BOX = 5.0  # every pricing coefficient is held in [-_BOX, _BOX]
@@ -150,12 +150,12 @@ def evaluate_pricing(
 ) -> tuple[float, dict]:
     """Objective value and diagnostics for one pricing rule.
 
-    The objective is read off the equilibrium gain and the Gramian that
-    certified it.  Returns (inf, diagnostics) when the inner equilibrium
-    solve fails, its certificate included (spectral bound below 1 - 1e-9);
-    the diagnostics record the failure kind ("singular-row",
-    "not-converged" or "unstable"), and every solve that ran to a verdict
-    records its ``iterations`` (sweeps).
+    The objective alpha1 z1sq + alpha2 z2sq is read off the equilibrium
+    gain and the Gramian that certified it by ``h2_norms``' read-out.
+    Returns (inf, diagnostics) when the inner equilibrium solve fails, its
+    stability certificate included; the diagnostics record the failure
+    kind ("singular-row", "not-converged" or "unstable"), and every solve
+    that ran to a verdict records its ``iterations`` (sweeps).
     """
     try:
         sol = solve_mpe(pricing, ss, fp_cfg)
@@ -177,11 +177,8 @@ def evaluate_pricing(
             "detail": str(exc),
             "iterations": exc.solution.iterations,
         }
-    F, Q = sol.gain.F, sol.gramian
-    val = float(
-        weights.alpha1 * (ss.e @ F @ Q @ F.T @ ss.e)
-        + weights.alpha2 * (ss.e @ Q @ ss.e)
-    )
+    rep = _h2_readout(sol.gain.F, sol.gramian, ss)
+    val = weights.alpha1 * rep.z1sq + weights.alpha2 * rep.z2sq
     return val, {"status": "ok", "iterations": sol.iterations, "solution": sol}
 
 

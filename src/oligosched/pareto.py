@@ -44,8 +44,6 @@ log = logging.getLogger(__name__)
 # Policy-improvement steps allowed per weight; the default grid at L = 2-14
 # stops within 12 and the edge weight normalized(1, 0.001, 1) within 15.
 _POLICY_CAP = 100
-# Spectral-radius margin 1 - rho that the gradient certificate requires.
-_STABILITY_MARGIN = 1e-6
 # Largest |G|inf of the exact gradient that certifies a gain stationary;
 # the default grid at L = 2-14 certifies below 5.5e-9.
 _TOL_GRAD = 1e-6
@@ -90,18 +88,18 @@ def _adjoint_gramian(F, C1, D12, ss: StateSpace):
     return M, C, _solve_dlyap(M.T, C.T @ C)[0]
 
 
-def objective_and_gradient(F, weights: OutputWeights, ss: StateSpace, margin: float = 1e-9):
+def objective_and_gradient(F, weights: OutputWeights, ss: StateSpace):
     """Scalarized H2 objective and its exact gradient in F.
 
     J = trace((C1 + D12 F) Q (C1 + D12 F)') with Q the closed-loop
     controllability Gramian; the gradient uses the adjoint Gramian P of the
     observability equation and reads 2 (D12'(C1 + D12 F) + B2' P M) Q with
     M = R1(I - F) and B2 = -R1.  Raises UnstableError unless the Gramian
-    solve certifies a closed-loop spectral radius below 1 - ``margin``, or
+    solve certifies stability at ``statespace._STABILITY_MARGIN``, or
     when either Gramian fails its residual certificate.
     """
     Fm = _as_matrix(F, ss)
-    Q = solve_lyapunov(Fm, ss, margin)
+    Q = solve_lyapunov(Fm, ss)
     C1, D12 = _plant_outputs(weights, ss)
     M, C, P = _adjoint_gramian(Fm, C1, D12, ss)
     J = float(np.trace(C @ Q @ C.T))
@@ -118,7 +116,7 @@ def synthesize(weights: OutputWeights, ss: StateSpace) -> ParetoPoint:
     adjoint Gramian, and improvement until a step no longer lowers J; the
     gain before that step is kept.  Raises NotConvergedError, carrying the
     J of every evaluated gain, unless the exact gradient certifies
-    |G|inf <= ``_TOL_GRAD`` at the margin ``_STABILITY_MARGIN``.
+    |G|inf <= ``_TOL_GRAD`` at the margin ``statespace._STABILITY_MARGIN``.
     """
     C1, D12 = _plant_outputs(weights, ss)
     A, B = ss.R1, -ss.R1
@@ -139,7 +137,7 @@ def synthesize(weights: OutputWeights, ss: StateSpace) -> ParetoPoint:
         if not J_next < J:
             break
         F, P, J = F_next, P_next, J_next
-    _, G = objective_and_gradient(F, weights, ss, _STABILITY_MARGIN)
+    _, G = objective_and_gradient(F, weights, ss)
     grad_inf = float(np.max(np.abs(G)))
     if grad_inf > _TOL_GRAD:
         raise NotConvergedError(

@@ -17,7 +17,8 @@ and the three performance measures are quadratic forms in Q_F: aggregate
 demand e'F Q F'e, aggregate backlog e'Q e, and deadline mismatch
 (e_L'(I-F)) Q (e_L'(I-F))', whose alpha^2-weighted sum is the objective the
 Pareto synthesis minimizes.  Every Lyapunov equation, at any dimension, is
-solved by Smith's doubling iteration and certified by its residual and a spectral bound.
+solved by Smith's doubling iteration and certified by its residual and a
+spectral bound below 1 - ``_STABILITY_MARGIN``, the one margin of every gain.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .errors import InvalidParamsError, UnstableError
 # steps sum 2**64 terms of the series, far past any stable closed loop.
 _DOUBLING_CAP = 64
 _UNDERFLOW_FLOOR = 1e-150  # an uncertified M^(2^k) this small may square to a false 0
+_STABILITY_MARGIN = 1e-9  # a gain is certified when its spectral bound is below 1 - this
 
 
 @dataclass(frozen=True)
@@ -184,28 +186,36 @@ def _solve_dlyap(M: np.ndarray, W: np.ndarray, margin: float = 0.0):
     return X, bound
 
 
-def solve_lyapunov(F, ss: StateSpace, margin: float = 1e-9) -> np.ndarray:
+def _gramian(Fm: np.ndarray, ss: StateSpace):
+    """(Q_F, spectral bound) of the gain Fm, the bound below 1 - ``_STABILITY_MARGIN``."""
+    M = ss.R1 @ (np.eye(ss.D_c) - Fm)
+    return _solve_dlyap(M, ss.R2 @ ss.R2.T, _STABILITY_MARGIN)
+
+
+def solve_lyapunov(F, ss: StateSpace) -> np.ndarray:
     """Stationary covariance Q_F of the closed loop driven by unit loads.
 
     Raises UnstableError unless the doubling iterates certify a closed-loop
-    spectral radius below 1 - ``margin``.  The returned matrix satisfies
-    the equation to a relative Frobenius residual of 1e-10.
+    spectral radius below 1 - ``_STABILITY_MARGIN``.  The returned matrix
+    satisfies the equation to a relative Frobenius residual of 1e-10.
     """
-    Fm = _as_matrix(F, ss)
-    M = ss.R1 @ (np.eye(ss.D_c) - Fm)
-    return _solve_dlyap(M, ss.R2 @ ss.R2.T, margin)[0]
+    return _gramian(_as_matrix(F, ss), ss)[0]
+
+
+def _h2_readout(Fm: np.ndarray, Q: np.ndarray, ss: StateSpace) -> H2Report:
+    """The three squared H2 norms read off the Gramian Q of the gain Fm."""
+    v3 = (np.eye(ss.D_c) - Fm).T @ ss.e_L
+    z1 = float(ss.e @ Fm @ Q @ Fm.T @ ss.e)
+    z2 = float(ss.e @ Q @ ss.e)
+    z3 = float(v3 @ Q @ v3)
+    return H2Report(max(z1, 0.0), max(z2, 0.0), max(z3, 0.0))
 
 
 def h2_norms(F, ss: StateSpace) -> H2Report:
     """Squared H2 norms of the three outputs under feedback F; the mismatch
     row e_L'(I - F) is the backlog that agents leave at their deadline."""
     Fm = _as_matrix(F, ss)
-    v3 = (np.eye(ss.D_c) - Fm).T @ ss.e_L
-    Q = solve_lyapunov(Fm, ss)
-    z1 = float(ss.e @ Fm @ Q @ Fm.T @ ss.e)
-    z2 = float(ss.e @ Q @ ss.e)
-    z3 = float(v3 @ Q @ v3)
-    return H2Report(max(z1, 0.0), max(z2, 0.0), max(z3, 0.0))
+    return _h2_readout(Fm, solve_lyapunov(Fm, ss), ss)
 
 
 def make_f_dl_projection(F, ss: StateSpace) -> FeedbackGain:

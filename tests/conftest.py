@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oligosched as og
+from oligosched.statespace import _solve_dlyap
 
 
 @pytest.fixture(scope="session")
@@ -67,6 +68,13 @@ def spectral_radius(F, ss):
     """Oracle: spectral radius of the closed loop R1(I - F), from its eigenvalues."""
     M = ss.R1 @ (np.eye(ss.D_c) - np.asarray(F, dtype=float))
     return float(np.max(np.abs(np.linalg.eigvals(M))))
+
+
+def guard_stable(F, ss, margin=1e-6):
+    """Raise UnstableError unless the doubling solve certifies the closed loop
+    R1(I - F) below 1 - ``margin``: the oracles' guard, wider than the library's."""
+    M = ss.R1 @ (np.eye(ss.D_c) - np.asarray(F, dtype=float))
+    _solve_dlyap(M, ss.R2 @ ss.R2.T, margin)
 
 
 def random_stable_gain(ss, rng, scale=0.08):

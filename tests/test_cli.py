@@ -529,6 +529,10 @@ class TestLtiCommands:
         assert main(["lti", "mpe", "--L", "2", "--pricing", pricing]) == 2
         assert "unknown pricing keys: ['q3']" in capsys.readouterr().err
 
+    def test_missing_pricing_key_is_validation_error(self, capsys):
+        assert main(["lti", "mpe", "--L", "2", "--pricing", '{"q1": [0, 0, 0]}']) == 2
+        assert "validation error: missing pricing keys: ['q2']" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "grid", ["[[1, 2]]", "[1, 2]", "[[1, 2, 3, 4]]", "[[1, 2, null]]", "5", '{"123": 1}']
     )
@@ -626,6 +630,19 @@ def _option_table(parser, prefix=()):
 class TestOptionSurface:
     def test_matches_table(self):
         assert _option_table(_build_parser()) == OPTION_SURFACE
+
+    def test_defaults_are_library_defaults(self):
+        ap = _build_parser()
+        sim = ap.parse_args(["l2", "simulate", "--arch", "nc", "--params", PARAMS,
+                             "--horizon", "10"])
+        defaults = {f.name: f.default for f in dataclasses.fields(og.SimConfig)}
+        for name in ("burn_in", "replications", "seed"):
+            assert getattr(sim, name) == defaults[name], name
+        levels = tuple(float(v) for v in sim.quantiles.split(","))
+        assert levels == defaults["quantile_levels"]
+        mpe = ap.parse_args(["lti", "mpe", "--L", "2"])
+        cfg = og.FixedPointConfig()
+        assert (mpe.tol, mpe.max_iter, mpe.damping) == (cfg.tol, cfg.max_iter, cfg.damping)
 
     @pytest.mark.parametrize("argv", [
         ["l2", "strategy", "--arch", "coop", "--params", PARAMS, "--rs-constant", "headline"],
@@ -761,11 +778,9 @@ KNOB_SURFACE = {
     "fixed_point.solve_mpe": ["cfg"],
     "operator_design.evaluate_pricing": ["fp_cfg"],
     "operator_design.optimize_pricing": ["seed"],
-    "pareto.objective_and_gradient": ["margin"],
     "simulate.ArrivalSpec": ["mu", "sigma"],
     "simulate.SimConfig": ["burn_in", "replications", "seed", "nonneg_demand",
                            "tail_thresholds", "quantile_levels", "keep_series"],
-    "statespace.solve_lyapunov": ["margin"],
     "strategies.MarketParamsL2": ["mu1", "mu2", "sigma1", "sigma2"],
 }
 

@@ -27,7 +27,14 @@ class TestOperatorObjective:
         val = og.evaluate_pricing(og.marginal_cost_pricing(ss2), w, ss2)[0]
         sol = og.solve_mpe(og.marginal_cost_pricing(ss2), ss2)
         rep = og.h2_norms(sol.gain, ss2)
-        assert val == pytest.approx(rep.z1sq + rep.z2sq, rel=1e-10)
+        assert val == rep.z1sq + rep.z2sq
+
+    def test_other_pricing_and_weights_match_h2(self, ss2):
+        # the objective is h2_norms' read-out of the certified Gramian, bit for bit
+        pricing = og.PricingRule(np.full(3, 0.2), np.full(3, 1.5))
+        val = og.evaluate_pricing(pricing, og.OperatorWeights(0.3, 2.0), ss2)[0]
+        rep = og.h2_norms(og.solve_mpe(pricing, ss2).gain, ss2)
+        assert val == 0.3 * rep.z1sq + 2.0 * rep.z2sq
 
     def test_weight_orderings_follow_components(self, ss2):
         mc = og.marginal_cost_pricing(ss2)

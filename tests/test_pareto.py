@@ -3,23 +3,28 @@ import numpy as np
 import pytest
 
 import oligosched as og
-from conftest import random_stable_gain, spectral_radius
+from conftest import guard_stable, random_stable_gain, spectral_radius
 from oligosched import pareto
 from oligosched.fixed_point import even_split_gain
 
 
-def descend_oracle(F0, weights, ss, tol_grad=1e-6, max_iter=5000, shrink=0.5,
-                   margin=1e-6):
+def guarded_objective(F, weights, ss):
+    """objective_and_gradient of a gain that first passes the 1e-6 guard."""
+    guard_stable(F, ss)
+    return og.objective_and_gradient(F, weights, ss)
+
+
+def descend_oracle(F0, weights, ss, tol_grad=1e-6, max_iter=5000, shrink=0.5):
     """Independent oracle: exact-gradient descent on J(F) from a stable F0.
 
     Barzilai-Borwein trial steps with Armijo backtracking; every trial gain
-    passes the spectral-radius guard inside objective_and_gradient.  Stops
+    passes the 1e-6 spectral-radius guard of guarded_objective.  Stops
     at |G|inf <= tol_grad, after max_iter steps or when no step is
     accepted.  Returns the final gain, objective, gradient and the
     objective after each accepted step.
     """
     F = F0.copy()
-    J, G = og.objective_and_gradient(F, weights, ss, margin)
+    J, G = guarded_objective(F, weights, ss)
     objectives = [J]
     t = 1.0 / (1.0 + float(np.linalg.norm(G)))
     for _ in range(max_iter):
@@ -30,7 +35,7 @@ def descend_oracle(F0, weights, ss, tol_grad=1e-6, max_iter=5000, shrink=0.5,
         while t >= 1e-18:
             Fn = F - t * G
             try:
-                Jn, Gn = og.objective_and_gradient(Fn, weights, ss, margin)
+                Jn, Gn = guarded_objective(Fn, weights, ss)
             except og.UnstableError:
                 Jn = np.inf
             if Jn <= J - 1e-4 * t * gsq:
@@ -71,7 +76,7 @@ def dare_oracle(weights, ss):
         try:
             X = solve_discrete_are(A, B, C1.T @ C1, R, s=S)
             F = -np.linalg.solve(R + B.T @ X @ B, B.T @ X @ A + S.T)
-            J, G = og.objective_and_gradient(F, weights, ss, pareto._STABILITY_MARGIN)
+            J, G = guarded_objective(F, weights, ss)
         except (ValueError, og.UnstableError):  # ordqz failures are ValueErrors
             continue
         if np.max(np.abs(G)) <= pareto._TOL_GRAD:
@@ -140,7 +145,7 @@ class TestSynthesize:
             w = og.OutputWeights.normalized(m, 1.0 - m, r)
             pt = og.synthesize(w, ss)
             _, J_oracle, _, _ = descend_oracle(even_split_gain(ss), w, ss)
-            J, G = og.objective_and_gradient(pt.gain, w, ss, pareto._STABILITY_MARGIN)
+            J, G = guarded_objective(pt.gain.F, w, ss)
             assert np.max(np.abs(G)) <= pareto._TOL_GRAD
             assert pt.grad_inf == pytest.approx(np.max(np.abs(G)), rel=1e-12)
             assert 1 <= pt.iterations <= pareto._POLICY_CAP
@@ -165,7 +170,7 @@ class TestSynthesize:
         ss = og.build_state_space(12)
         w = og.OutputWeights.normalized(0.1, 0.9, 10.0)
         pt = og.synthesize(w, ss)
-        _, G = og.objective_and_gradient(pt.gain, w, ss, pareto._STABILITY_MARGIN)
+        _, G = guarded_objective(pt.gain.F, w, ss)
         assert np.max(np.abs(G)) <= pareto._TOL_GRAD
 
     @pytest.mark.parametrize("L", [2, 8])
@@ -174,7 +179,7 @@ class TestSynthesize:
         ss = og.build_state_space(L)
         w = og.OutputWeights.normalized(1.0, 0.001, 1.0)
         pt = og.synthesize(w, ss)
-        _, G = og.objective_and_gradient(pt.gain, w, ss, pareto._STABILITY_MARGIN)
+        _, G = guarded_objective(pt.gain.F, w, ss)
         assert pt.grad_inf == pytest.approx(np.max(np.abs(G)), rel=1e-12)
         assert pt.grad_inf <= pareto._TOL_GRAD
 

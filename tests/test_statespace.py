@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import oligosched as og
-from conftest import random_stable_gain, spectral_radius
+from conftest import guard_stable, random_stable_gain, spectral_radius
 from oligosched.statespace import _solve_dlyap
 
 # six-slot system matrices for L=3, checked bit for bit
@@ -46,7 +46,7 @@ def gain_near_margin(ss, target=1.0 - 1.5e-6):
     """Dense gain -t*11' whose closed-loop spectral radius is just below ``target``.
 
     The radius is 0 at t = 0 and above one at t = 5; bisection on t lands
-    just inside the 1e-6 stability margin of the synthesis.
+    just inside the oracles' 1e-6 guard (conftest.guard_stable).
     """
     ones = np.ones((ss.D_c, ss.D_c))
     lo, hi = 0.0, 5.0
@@ -275,7 +275,7 @@ class TestSpectralCertificate:
         for w in og.default_weight_grid():
             pt = og.synthesize(w, ss)
             assert spectral_radius(pt.gain.F, ss) < 1.0 - 1e-6
-            og.solve_lyapunov(pt.gain, ss, 1e-6)
+            guard_stable(pt.gain.F, ss)
 
     def test_criterion_12_mpe_gains_accepted(self):
         cases = [(2, og.FixedPointConfig(tol=1e-10))]
@@ -288,7 +288,7 @@ class TestSpectralCertificate:
     @pytest.mark.parametrize("L", [2, 3, 5, 6, 11])
     def test_gain_near_margin_accepted(self, L):
         ss = og.build_state_space(L)
-        og.solve_lyapunov(gain_near_margin(ss), ss, 1e-6)
+        guard_stable(gain_near_margin(ss), ss)
 
 
 class TestH2Norms:
