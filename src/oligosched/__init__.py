@@ -49,7 +49,6 @@ from .operator_design import (
 from .pareto import (
     ParetoPoint,
     default_weight_grid,
-    lmi_feasibility_audit,
     objective_and_gradient,
     synthesize,
     trace_front,

@@ -81,7 +81,7 @@ def _parse_params(arg: str) -> MarketParamsL2:
     data = _load_object(arg, "params", _PARAM_KEYS)
     try:
         values = {k: float(data[k]) for k in _PARAM_KEYS}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParamsError(f"params values must be numbers: {exc}") from exc
     return MarketParamsL2(**values)
 
@@ -295,7 +295,8 @@ def _cmd_lti_pareto(ns, argv):
     config = {
         "L": ns.L,
         "grid": weights,
-        "certificates": [{"grad_inf": p.grad_inf, "iterations": p.iterations} for p in points],
+        "certificates": [{"grad_inf": p.grad_inf, "lower_bound": p.lower_bound, "gap": p.gap}
+                         for p in points],
     }
     _emit(csv, ns.out, argv, config, extra_outputs=[gains_path])
     return 0

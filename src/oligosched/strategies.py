@@ -42,6 +42,7 @@ class MarketParamsL2:
     q1, q2      Bernoulli arrival rates in [0, 1]
     mu1, mu2    mean workload per arrival (resource units), finite
     sigma1, sigma2  workload standard deviation, finite and nonnegative
+    Each of the four moments must have a finite square.
     """
 
     q1: float
@@ -62,6 +63,10 @@ class MarketParamsL2:
             v = getattr(self, name)
             if not 0.0 <= v < math.inf:
                 raise InvalidParamsError(f"{name}={v!r} must be finite and nonnegative")
+        for name in ("mu1", "mu2", "sigma1", "sigma2"):
+            v = getattr(self, name)
+            if not math.isfinite(v * v):  # the moments square every one of them
+                raise InvalidParamsError(f"{name}={v!r}: its square would overflow a float")
 
 
 @dataclass(frozen=True)

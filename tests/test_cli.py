@@ -419,9 +419,9 @@ class TestLtiCommands:
         assert set(config) == {"L", "grid", "certificates"}
         assert len(config["certificates"]) == len(config["grid"]) == 2
         for cert in config["certificates"]:
+            assert set(cert) == {"grad_inf", "lower_bound", "gap"}
             assert 0.0 <= cert["grad_inf"] <= og.pareto._TOL_GRAD
-            assert isinstance(cert["iterations"], int)
-            assert 1 <= cert["iterations"] <= og.pareto._POLICY_CAP
+            assert abs(cert["gap"]) <= og.pareto._TOL_GAP * cert["lower_bound"] + 1e-14
 
     def test_pareto_loads_no_scipy(self, tmp_path):
         # synthesis needs only numpy; scipy.linalg alone costs about 0.3 s
@@ -708,6 +708,10 @@ class TestNonFiniteInputs:
                      id="MarketParamsL2-sigma1-nan"),
         pytest.param(lambda: og.MarketParamsL2(1.0, 0.5, sigma2=INF),
                      id="MarketParamsL2-sigma2-inf"),
+        pytest.param(lambda: og.MarketParamsL2(1.0, 0.5, mu2=-1e155),
+                     id="MarketParamsL2-mu2-square-overflows"),
+        pytest.param(lambda: og.MarketParamsL2(1.0, 0.5, sigma2=1e155),
+                     id="MarketParamsL2-sigma2-square-overflows"),
         pytest.param(lambda: og.RiskSensitivity(INF, 0.5), id="RiskSensitivity-theta-inf"),
         pytest.param(lambda: og.RiskSensitivity(NAN, 0.5), id="RiskSensitivity-theta-nan"),
         pytest.param(lambda: og.SimConfig(horizon=10, tail_thresholds=(50.0, NAN)),
@@ -760,6 +764,21 @@ class TestNonFiniteInputs:
                              "sigma1": sigma1, "sigma2": 1})
         assert main(["l2", "strategy", "--arch", arch, "--params", params]) == 2
         assert "overflow a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arch", ["nc", "coop", "cong:0.5", "k:3"])
+    @pytest.mark.parametrize("key", ["mu1", "sigma1"])
+    def test_metrics_overflowing_moment_exits_2(self, capsys, arch, key):
+        # finite, but the stationary moments square it past the float range
+        params = {"q1": 1, "q2": 0.5, "mu1": 0, "mu2": 0, "sigma1": 1, "sigma2": 1}
+        params[key] = 1e200
+        assert main(["l2", "metrics", "--arch", arch, "--params", json.dumps(params)]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and f"{key}=1e+200" in err
+
+    def test_params_integer_beyond_float_exits_2(self, capsys):
+        params = _nan_params().replace('"sigma1": 4', '"sigma1": 1' + "0" * 400)
+        assert main(["l2", "metrics", "--arch", "nc", "--params", params]) == 2
+        assert "params values must be numbers" in capsys.readouterr().err
 
     def test_metrics_reports_non_finite_threshold_as_bound_error(self, capsys):
         argv = ["l2", "metrics", "--arch", "nc", "--params", _nan_params(), "--threshold"]

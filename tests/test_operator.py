@@ -9,7 +9,7 @@ import pytest
 
 import oligosched as og
 from conftest import spectral_radius
-from oligosched import fixed_point, operator_design
+from oligosched import fixed_point, operator_design, pareto
 
 # An L = 3 pricing whose equilibrium (35 sweeps of the search's inner
 # solve) has spectral radius within 1e-9 of 1: its certificate fails.
@@ -138,6 +138,26 @@ class TestOperatorObjective:
                 assert spectral_radius(F, ss3) <= 1.0 - sol.stability_margin
             verdicts.append(refused)
         assert (verdicts.count(True), verdicts.count(False)) == (7, 280)
+
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_finite_values_not_below_scalar_lq_bound(self, L):
+        # The aggregate backlog X obeys X' = X - U + W with var W = L under
+        # unit deadline rows, so alpha1 z1 + alpha2 z2 is at least L p, with p
+        # the positive root of p^2 - alpha2 p - alpha1 alpha2 = 0: the Pareto
+        # synthesis' bound at r = alpha1.  Of these draws the closest is 0.17 %
+        # above the bound (L = 2).
+        ss = og.build_state_space(L)
+        rng = np.random.default_rng(40 + L)
+        finite = 0
+        for _ in range(60):
+            w = og.OperatorWeights(*rng.exponential(size=2))
+            pricing = og.PricingRule(rng.uniform(-1, 1, ss.D_c), rng.uniform(0, 2, ss.D_c))
+            val = og.evaluate_pricing(pricing, w, ss)[0]
+            if math.isfinite(val):
+                finite += 1
+                bound = L * pareto._scalar_riccati(w.alpha1, w.alpha2)
+                assert val >= bound * (1.0 - 1e-12)
+        assert finite >= 50
 
 
 class TestOptimizePricing:

@@ -4,8 +4,9 @@ import pytest
 
 import oligosched as og
 from conftest import guard_stable, random_stable_gain, spectral_radius
-from oligosched import pareto
+from oligosched import pareto, statespace
 from oligosched.fixed_point import even_split_gain
+from oligosched.statespace import _solve_dlyap
 
 
 def guarded_objective(F, weights, ss):
@@ -84,6 +85,93 @@ def dare_oracle(weights, ss):
     return None
 
 
+def policy_oracle(weights, ss, cap=100):
+    """Independent oracle: Hewer's policy iteration (G. A. Hewer, IEEE TAC
+    16(4), 1971).
+
+    Starts from F = I, whose closed loop R1(I - F) = 0 is stable for every
+    L and weight, and alternates evaluation, J = trace(R2'P R2) with P the
+    adjoint Gramian of the gain, and improvement to the minimizer of the
+    one-step cost F = -(R + B2'P B2)^+ (B2'P A + S') with R = D12'D12 and
+    S = C1'D12 (Anderson & Moore, Optimal Control, 1990, ch. 2-3), until a
+    step no longer lowers J or after ``cap`` steps.  R is singular, since
+    only the sum of the deadline-slot controls enters cost or dynamics, so
+    the step takes the least-squares solution.  Returns the gain before the
+    step that ended it, its J and the J of every evaluated gain.
+    """
+    C1, D12 = pareto._plant_outputs(weights, ss)
+    A, B = ss.R1, -ss.R1
+    R, S = D12.T @ D12, C1.T @ D12
+
+    def evaluate(F):
+        M = ss.R1 @ (np.eye(ss.D_c) - F)
+        C = C1 + D12 @ F
+        P = _solve_dlyap(M.T, C.T @ C)[0]
+        return P, float(np.trace(ss.R2.T @ P @ ss.R2))
+
+    F = np.eye(ss.D_c)
+    P, J = evaluate(F)
+    trace = [J]
+    for _ in range(cap):
+        F_next = -np.linalg.lstsq(R + B.T @ P @ B, B.T @ P @ A + S.T)[0]
+        P_next, J_next = evaluate(F_next)
+        trace.append(J_next)
+        if not J_next < J:
+            break
+        F, P, J = F_next, P_next, J_next
+    return F, J, trace
+
+
+def squared_weights(w):
+    """(a1, a2, a3, r): the squared weights and r = a1 a3/(a1 + a3), 0 when a1 + a3 = 0."""
+    a1, a2, a3 = w.alpha1 ** 2, w.alpha2 ** 2, w.alpha3 ** 2
+    return a1, a2, a3, (a1 * a3 / (a1 + a3) if a1 + a3 > 0.0 else 0.0)
+
+
+class TestDegenerateWeights:
+    """Corner weights where the bound's root p or r vanishes."""
+
+    @pytest.mark.parametrize("triple", [(1, 2, 3), (1, 0, 1), (1, 0, 0), (0, 0, 1),
+                                        (2, 1, 0), (1, 1e-3, 1), (3, 1, 1)])
+    def test_l1_is_the_scalar_case(self, triple):
+        # no flexible slot: J = a1 F^2 + a2 + a3 (1 - F)^2, least at a3/(a1 + a3)
+        ss = og.build_state_space(1)
+        w = og.OutputWeights.normalized(*triple)
+        a1, a2, a3, r = squared_weights(w)
+        pt = og.synthesize(w, ss)
+        assert pt.gain.F[0, 0] == pytest.approx(a3 / (a1 + a3), rel=1e-12, abs=1e-15)
+        assert pt.objective == pytest.approx(a2 + r, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_no_backlog_weight_with_r_positive_is_unstable(self, L):
+        # a2 = 0 and r > 0: the optimal loop gain K tends to 0, the open loop
+        with pytest.raises(og.UnstableError):
+            og.synthesize(og.OutputWeights.normalized(1.0, 0.0, 1.0), og.build_state_space(L))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5])
+    def test_demand_only_costs_nothing(self, L):
+        pt = og.synthesize(og.OutputWeights.normalized(1.0, 0.0, 0.0), og.build_state_space(L))
+        assert pt.objective == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5])
+    def test_backlog_only_costs_l(self, L):
+        pt = og.synthesize(og.OutputWeights.normalized(0.0, 1.0, 0.0), og.build_state_space(L))
+        assert pt.objective == pytest.approx(L, rel=1e-12)
+
+    @pytest.mark.parametrize("L", [2, 3, 5])
+    @pytest.mark.parametrize("triple", [(0, 1, 0), (0, 1, 3), (2, 1, 0)])
+    def test_r_zero_clears_the_backlog(self, triple, L):
+        # r = 0 < a2 gives K = 1: demand plus mismatch clears every column,
+        # e'F + e_L'(I - F) = e'; with a1 = 0 it is all demand, e'F = e'
+        ss = og.build_state_space(L)
+        w = og.OutputWeights.normalized(*triple)
+        F = og.synthesize(w, ss).gain.F
+        cleared = F.sum(axis=0) + ss.e_L @ (np.eye(ss.D_c) - F)
+        assert np.max(np.abs(cleared - 1.0)) <= 1e-8
+        if w.alpha1 == 0.0:
+            assert np.max(np.abs(F.sum(axis=0) - 1.0)) <= 1e-8
+
+
 class TestObjectiveAndGradient:
     def test_matches_weighted_norms(self, ss3):
         rng = np.random.default_rng(0)
@@ -148,7 +236,7 @@ class TestSynthesize:
             J, G = guarded_objective(pt.gain.F, w, ss)
             assert np.max(np.abs(G)) <= pareto._TOL_GRAD
             assert pt.grad_inf == pytest.approx(np.max(np.abs(G)), rel=1e-12)
-            assert 1 <= pt.iterations <= pareto._POLICY_CAP
+            assert abs(pt.gap) <= pareto._TOL_GAP * pt.lower_bound + 1e-14
             assert J <= J_oracle * (1 + 1e-9)
             assert pt.objective == pytest.approx(J, rel=1e-10)
 
@@ -183,26 +271,73 @@ class TestSynthesize:
         assert pt.grad_inf == pytest.approx(np.max(np.abs(G)), rel=1e-12)
         assert pt.grad_inf <= pareto._TOL_GRAD
 
-    def test_uncertifiable_tolerance_raises_with_monotone_j_trace(self, ss2, monkeypatch):
-        # Hewer's policy iteration never raises J; only the step that ends
-        # it fails to lower J
+    @pytest.mark.parametrize("L", [2, 3, 5, 8])
+    def test_closed_form_matches_policy_oracle(self, L):
+        ss = og.build_state_space(L)
+        for w in og.default_weight_grid():
+            pt = og.synthesize(w, ss)
+            F, J, trace = policy_oracle(w, ss)
+            # Hewer's iteration never raises J; only the step that ends it
+            # fails to lower J
+            assert np.all(np.diff(trace)[:-1] < 0) and trace[-1] >= trace[-2]
+            assert pt.objective == pytest.approx(J, rel=1e-12)
+            assert np.max(np.abs(pt.gain.F - F)) <= 1e-8
+
+    @pytest.mark.parametrize("L", range(2, 15))
+    def test_gain_is_block_constant_and_meets_the_bound(self, L):
+        ss = og.build_state_space(L)
+        blocks = (slice(0, L), slice(L, ss.D_c))
+        for w in og.default_weight_grid():
+            pt = og.synthesize(w, ss)
+            for rows in blocks:
+                for cols in blocks:
+                    block = pt.gain.F[rows, cols]
+                    assert np.all(block == block[0, 0])
+            _, a2, _, r = squared_weights(w)
+            p = pareto._scalar_riccati(r, a2)
+            assert p > 0.0 and p * p - a2 * p - r * a2 == pytest.approx(0.0, abs=1e-14)
+            assert pt.lower_bound == L * p
+            assert pt.gap == pt.objective - pt.lower_bound
+            assert pt.objective == pytest.approx(L * p, rel=1e-10)
+
+    def test_one_gramian_and_one_adjoint_per_weight(self, ss5, monkeypatch):
+        real = statespace._solve_dlyap
+        margins = []
+
+        def counted(M, W, margin=0.0):
+            margins.append(margin)
+            return real(M, W, margin)
+
+        monkeypatch.setattr(statespace, "_solve_dlyap", counted)
+        monkeypatch.setattr(pareto, "_solve_dlyap", counted)
+        og.synthesize(og.OutputWeights.normalized(0.5, 0.5, 1.0), ss5)
+        # Q_F certified at the library margin, then the adjoint Gramian
+        assert margins == [statespace._STABILITY_MARGIN, 0.0]
+
+    def test_uncertifiable_gradient_tolerance_raises(self, ss3, monkeypatch):
         w = og.OutputWeights.normalized(1.0, 1.0, 1.0)
-        monkeypatch.setattr(pareto, "_TOL_GRAD", 1e-30)
-        with pytest.raises(og.NotConvergedError) as info:
-            og.synthesize(w, ss2)
-        trace = np.array(info.value.residuals)
-        assert 3 <= trace.size <= pareto._POLICY_CAP + 1
-        assert np.all(np.isfinite(trace))
-        assert np.all(np.diff(trace)[:-1] < 0)
-        assert trace[-1] >= trace[-2]
+        grad_inf = og.synthesize(w, ss3).grad_inf
+        assert 0.0 < grad_inf <= pareto._TOL_GRAD
+        monkeypatch.setattr(pareto, "_TOL_GRAD", 0.5 * grad_inf)
+        with pytest.raises(og.NotConvergedError, match=r"\|G\|inf"):
+            og.synthesize(w, ss3)
+
+    def test_uncertifiable_gap_tolerance_raises(self, ss3, monkeypatch):
+        # a negative relative tolerance puts the admissible gap below zero
+        w = og.OutputWeights.normalized(1.0, 1.0, 1.0)
+        monkeypatch.setattr(pareto, "_TOL_GAP", -1.0)
+        with pytest.raises(og.NotConvergedError, match="gap"):
+            og.synthesize(w, ss3)
 
     def test_failed_lyapunov_solve_raises_and_front_drops_point(self, ss2, monkeypatch):
         grid = [og.OutputWeights.normalized(m, 1.0 - m, 2.0) for m in (0.2, 0.5, 0.8)]
         real = pareto._solve_dlyap
-        # the adjoint Gramian equation of the first policy, F = I, of the
-        # middle weight: its output map is C1 + D12
+        # the adjoint Gramian equation of the middle weight's gain F: its
+        # output map is C1 + D12 F
+        F = og.synthesize(grid[1], ss2).gain.F
         C1, D12 = pareto._plant_outputs(grid[1], ss2)
-        W_middle = (C1 + D12).T @ (C1 + D12)
+        C = C1 + D12 @ F
+        W_middle = C.T @ C
         calls = []
 
         def fails_for_middle(M, W, margin=0.0):
@@ -289,16 +424,6 @@ class TestSynthesize:
         monkeypatch.setattr(pareto, "synthesize", broken)
         with pytest.raises(ZeroDivisionError):
             og.trace_front(grid, ss2)
-
-
-class TestLmiAudit:
-    def test_synthesized_point_is_feasible(self, ss2):
-        w = og.OutputWeights.normalized(1.0, 1.0, 2.0)
-        pt = og.synthesize(w, ss2)
-        audit = og.lmi_feasibility_audit(pt.gain, w, ss2)
-        assert audit["feasible"]
-        assert audit["min_eig_stability_lmi"] >= 0.0
-        assert audit["min_eig_performance_lmi"] >= 0.0
 
     def test_front_dominates_heuristic_classes(self, ss3):
         # two guaranteed consequences of scalarized optimality: no heuristic

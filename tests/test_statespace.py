@@ -432,8 +432,6 @@ ENTRY_POINTS = {
         F, og.OutputWeights.normalized(1.0, 1.0, 1.0), ss),
     "simulate_general": lambda F, ss: og.simulate_general(
         F, ss, og.ArrivalSpec(q=(0.7,)), og.SimConfig(horizon=200, seed=1)),
-    "lmi_feasibility_audit": lambda F, ss: og.lmi_feasibility_audit(
-        F, og.OutputWeights.normalized(1.0, 1.0, 1.0), ss),
     "make_f_dl_projection": lambda F, ss: og.make_f_dl_projection(F, ss),
 }
 
