@@ -5,9 +5,31 @@ market, Monte Carlo simulation of the arrival-driven dynamics, the
 general-L surrogate system with H2 performance measures, fixed-point
 computation of linear-pricing equilibria, Pareto-front synthesis, and the
 system operator's pricing design.
+
+Imported before numpy, it has OpenBLAS run one thread unless a thread
+count is set (see README).
 """
 
+import os as _os
+import sys as _sys
+
 __version__ = "0.1.0"
+
+
+def _blas_threads():
+    """The OpenBLAS thread count set in the environment: the first of the
+    variables OpenBLAS reads that is set, or None."""
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    return next((_os.environ[v] for v in names if _os.environ.get(v)), None)
+
+
+# The dense algebra here is D_c = L(L+1)/2 wide, 6 to 105 in the usual
+# commands, below where a second OpenBLAS thread pays; an idle worker only
+# spins through start-up.  OpenBLAS reads its thread count when numpy
+# loads, so set the default before the first numpy import, and never over
+# a count the user set.
+if "numpy" not in _sys.modules and _blas_threads() is None:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .analysis import (
     RiskBound,

@@ -16,9 +16,10 @@ environment variable OLIGO_SEED overrides any configured seed.  Every
 file-writing command also writes ``<out>.manifest.json`` (atomically;
 ``<first file>.manifest.json`` when the record goes to stdout) recording
 the command line, resolved configuration, library version, seed,
-wall-clock time, and every file the command wrote; re-running the recorded
-command reproduces the outputs byte for byte.  ``_emit`` is the one writer
-of records and manifests.
+wall-clock time, the OpenBLAS thread count, and every file the command
+wrote; re-running the recorded command with that thread count reproduces
+the outputs byte for byte.  ``_emit`` is the one writer of records and
+manifests.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import time
 
 import numpy as np
 
-from . import __version__, _textio
+from . import __version__, _blas_threads, _textio
 from .analysis import efficiency, risk_upper_bound, stationary_moments
 from .errors import (
     InvalidParamsError,
@@ -123,8 +124,9 @@ def _emit(record, out, argv, config: dict, seed=None, extra_outputs=(), **fields
 
     A dict or list is written as JSON, a string as it is.  The manifest
     records the command line, ``config``, version, ``seed``, wall-clock
-    time, any further ``fields`` and every file the command wrote: ``out``,
-    then ``extra_outputs``.
+    time, ``blas_threads`` (the first OpenBLAS thread variable set, or
+    "default"), any further ``fields`` and every file the command wrote:
+    ``out``, then ``extra_outputs``.
     """
     text = record if isinstance(record, str) else _textio.dumps(record) + "\n"
     if out is None:
@@ -140,6 +142,7 @@ def _emit(record, out, argv, config: dict, seed=None, extra_outputs=(), **fields
         "version": __version__,
         "seed": seed,
         "wall_clock_s": time.perf_counter() - _T0,
+        "blas_threads": _blas_threads() or "default",
         **fields,
         "outputs": outputs,
     }
@@ -322,7 +325,8 @@ def _cmd_lti_operator(ns, argv):
         "evaluations": res.evaluations,
     }
     config = {"L": ns.L, "alpha1": ns.alpha1, "alpha2": ns.alpha2, "budget": ns.budget}
-    telemetry = {"failures": res.failures, "inner_sweeps": res.inner_sweeps}
+    telemetry = {"failures": res.failures, "inner_sweeps": res.inner_sweeps,
+                 "lower_bound": res.lower_bound, "gap": res.gap, "colsum_dev": res.colsum_dev}
     _emit(result, ns.out, argv, config, seed, telemetry=telemetry)
     return 0
 

@@ -9,6 +9,12 @@ falls behind that baseline.  Failed inner equilibrium solves receive a
 large finite penalty instead of aborting the simplex.  The Nelder-Mead is
 this module's own ``minimize``: importing scipy's for it cost 0.65-0.70 s
 and 42 MB per process, more than the search's own work.
+
+No pricing beats the scalar average-cost LQ bound L p, p the positive root
+of p^2 - alpha2 p - alpha1 alpha2 = 0: the aggregate backlog X obeys
+X' = X - U + W with var W = L under unit deadline rows (``pareto``'s bound
+at r = alpha1).  It is attained exactly when every column of the gain sums
+to K = p/(alpha1 + p); the result reports its gap to that bound.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ from .errors import (
     SingularRowError,
 )
 from .fixed_point import FixedPointConfig, PricingRule, solve_mpe
+from .pareto import _scalar_riccati
 # unused here; perfbench/child.py TARGETS and TestPerfbenchLookups look solve_lyapunov up here
 from .statespace import FeedbackGain, StateSpace, _h2_readout, solve_lyapunov
 
@@ -140,6 +147,11 @@ class OperatorResult:
     # solves that ran to a verdict (a singular row stops a solve mid-sweep)
     failures: dict
     inner_sweeps: int
+    # the scalar LQ bound L p, objective - lower_bound, and the largest
+    # |e'F - K| over the gain's columns (NaN without a gain)
+    lower_bound: float
+    gap: float
+    colsum_dev: float
 
 
 def evaluate_pricing(
@@ -244,6 +256,10 @@ def optimize_pricing(
         if start_idx > 16:
             break
 
+    p = _scalar_riccati(weights.alpha1, weights.alpha2)
+    lower_bound = ss.L * p
+    colsum_dev = (float("nan") if best_gain is None else
+                  float(np.max(np.abs(best_gain.F.sum(axis=0) - p / (weights.alpha1 + p)))))
     return OperatorResult(
         pricing=theta_to_pricing(best_theta),
         gain=best_gain,
@@ -252,4 +268,7 @@ def optimize_pricing(
         evaluations=count,
         failures=failures,
         inner_sweeps=sweeps,
+        lower_bound=lower_bound,
+        gap=float(best_val) - lower_bound,
+        colsum_dev=colsum_dev,
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import rngstreams
 from .errors import InsufficientSamplesError, InvalidParamsError, NonStationaryError
-from .statespace import StateSpace, _as_matrix, _unit_deadline_rows
+from .statespace import StateSpace, _allocate, _as_matrix, _unit_deadline_rows
 from .strategies import LinearStrategyL2, MarketParamsL2
 
 _DIVERGENCE_GUARD = 1e9
@@ -331,7 +331,8 @@ def simulate_l2(s: LinearStrategyL2, p: MarketParamsL2, c: SimConfig) -> PathSta
     in place and leave U and X reordered; they are not returned then.
     """
     n, pooled = c.horizon, c.replications * (c.horizon - c.burn_in)
-    U, X, flags = np.empty(pooled), np.empty(pooled), np.empty(pooled, np.uint8)
+    U, X = _allocate("pooled U", (pooled,)), _allocate("pooled X", (pooled,))
+    flags = _allocate("pooled flags", (pooled,), np.uint8)
     w = 0  # pooled periods written
     for rep in range(c.replications):
         gens = [rngstreams.stream_at(c.seed, rep, j * n) for j in range(4)]
@@ -405,22 +406,24 @@ def _general_paths(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig):
     """simulate_general's pooled U and sum x, each (replications, horizon - burn_in)."""
     L, D, R, n = ss.L, ss.D_c, c.replications, c.horizon
     q, mu, sg = arrival.resolved(L)
-    # A replication's stream holds n arrivals of each type, then n loads of
-    # each type; one generator per column, started at its offset, reads it.
-    gens = [[rngstreams.stream_at(c.seed, r, j * n) for r in range(R)] for j in range(2 * L)]
+    kept = (R, n - c.burn_in)
+    U, Z2, bad = _allocate("pooled U", kept), _allocate("pooled sum x", kept), np.full(R, -1)
     # One product per period maps z = [x - u of the last period; fresh
     # loads] to y = [x; Fp x], Fp being F with unit deadline rows.
     Fp = _unit_deadline_rows(_as_matrix(F, ss), L)
     shift = np.hstack([ss.R1, ss.R2])
     S = np.vstack([shift, Fp @ shift])
     chunk = min(n, _CHUNK_PERIODS)
-    h = np.zeros((chunk + L - 1, L, R), np.uint8)  # period t0 + i at row i + L - 1
-    Y, mask = np.empty((chunk, 2 * D, R)), np.empty((chunk, D, R))
-    Z = np.zeros((chunk + 1, D + L, R))
+    # arrivals: period t0 + i at row i + L - 1
+    h = _allocate("arrivals", (chunk + L - 1, L, R), np.uint8, zero=True)
+    Y, mask = _allocate("chunk Y", (chunk, 2 * D, R)), _allocate("chunk mask", (chunk, D, R))
+    Z = _allocate("chunk Z", (chunk + 1, D + L, R), zero=True)
+    # A replication's stream holds n arrivals of each type, then n loads of
+    # each type; one generator per column, started at its offset, reads it.
+    gens = [[rngstreams.stream_at(c.seed, r, j * n) for r in range(R)] for j in range(2 * L)]
     views = [(z, y, y[:D], y[D:], y[D + L:], nxt[:D]) for z, y, nxt in zip(Z, Y, Z[1:])]
     rows = np.arange(chunk)[:, None] + [L - 1 - l + tau for l, tau in ss.pairs]
     cols = [l - 1 for l, _ in ss.pairs]
-    U, Z2, bad = np.empty((R, n - c.burn_in)), np.empty((R, n - c.burn_in)), np.full(R, -1)
     # The guard reports a diverging replication; overflow warnings from the
     # rest of its chunk would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):

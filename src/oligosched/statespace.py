@@ -59,18 +59,30 @@ class StateSpace:
         return off + (l - tau)
 
 
+def _allocate(what: str, shape, dtype=float, zero: bool = False) -> np.ndarray:
+    """np.zeros (``zero``) or np.empty of ``shape``; a size numpy refuses
+    raises InvalidParamsError naming it, not MemoryError or ValueError."""
+    try:
+        return (np.zeros if zero else np.empty)(shape, dtype)
+    except (MemoryError, ValueError) as exc:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        raise InvalidParamsError(
+            f"{what} of shape {tuple(shape)} needs {nbytes:.3g} bytes: {exc}") from exc
+
+
 def build_state_space(L: int) -> StateSpace:
     """Construct the slot ordering and the shift/injection matrices."""
     if L < 1:
         raise InvalidParamsError(f"L={L!r} must be a positive integer")
     D = L * (L + 1) // 2
+    # the matrices come first, so a size beyond memory fails before the loops
+    R1 = _allocate("R1", (D, D), zero=True)
+    R2 = _allocate("R2", (D, L), zero=True)
     pairs = tuple((l, tau) for tau in range(1, L + 1) for l in range(tau, L + 1))
     pos = {p: i for i, p in enumerate(pairs)}
-    R1 = np.zeros((D, D))
     for (l, tau), i in pos.items():
         if tau >= 2:
             R1[pos[(l, tau - 1)], i] = 1.0
-    R2 = np.zeros((D, L))
     for l in range(1, L + 1):
         R2[pos[(l, l)], l - 1] = 1.0
     e = np.ones(D)

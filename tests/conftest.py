@@ -1,4 +1,6 @@
 """Shared fixtures and independent oracles used across the test suite."""
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,17 @@ import pytest
 
 import oligosched as og
 from oligosched.statespace import _solve_dlyap
+
+
+def subprocess_env(**extra):
+    """Environment for a fresh interpreter that imports this checkout: the
+    test process's, with PYTHONPATH from sys.path and without OLIGO_SEED or
+    the OpenBLAS thread variables, then ``extra`` set on top."""
+    dropped = ("OLIGO_SEED", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in dropped}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    env.update(extra)
+    return env
 
 
 @pytest.fixture(scope="session")

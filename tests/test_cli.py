@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import oligosched as og
+from conftest import subprocess_env
 from oligosched import _textio
 from oligosched.cli import _build_parser, main
 
@@ -477,6 +478,18 @@ class TestLtiCommands:
         }
         assert telemetry["inner_sweeps"] >= data["evaluations"]
 
+    def test_operator_manifest_records_bound_and_gap(self, tmp_path):
+        out = tmp_path / "operator.json"
+        assert main(["lti", "operator", "--L", "3", "--alpha1", "1", "--alpha2", "1",
+                     "--budget", "5", "--out", str(out)]) == 0
+        objective = json.loads(out.read_text())["objective"]
+        telemetry = json.loads(
+            (tmp_path / "operator.json.manifest.json").read_text()
+        )["telemetry"]
+        assert telemetry["lower_bound"] == pytest.approx(1.5 * (1.0 + 5 ** 0.5), rel=1e-15)
+        assert telemetry["gap"] == objective - telemetry["lower_bound"]
+        assert telemetry["colsum_dev"] > 0.0
+
     def test_operator_without_finite_objective_exits_3(self, capsys):
         # at L = 9 the marginal-cost equilibrium does not converge in 600 sweeps
         argv = ["lti", "operator", "--L", "9", "--alpha1", "1", "--alpha2", "1",
@@ -830,3 +843,230 @@ def _knob_table():
 class TestKnobSurface:
     def test_matches_table(self):
         assert _knob_table() == KNOB_SURFACE
+
+
+class TestBlasThreads:
+    """``import oligosched`` before numpy defaults OpenBLAS to one thread,
+    never over a count the user set, and every manifest records the count."""
+
+    @staticmethod
+    def _run(code, **env):
+        return subprocess.run([sys.executable, "-c", code], env=subprocess_env(**env),
+                              capture_output=True, text=True, check=True).stdout.split()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_default_is_one_thread(self):
+        code = ("import os, oligosched; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+        assert self._run(code) == ["1", "1"]
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_user_setting_is_kept(self, var):
+        code = ("import os, oligosched; "
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))")
+        expected = {"OPENBLAS_NUM_THREADS": ["2", "None"], "OMP_NUM_THREADS": ["None", "2"]}
+        assert self._run(code, **{var: "2"}) == expected[var]
+
+    def test_numpy_imported_first_is_left_alone(self):
+        code = "import os, numpy, oligosched; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert self._run(code) == ["None"]
+
+    @pytest.mark.parametrize("env, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")],
+                             ids=["default", "user-2"])
+    def test_manifest_records_thread_count(self, tmp_path, env, expected):
+        out = tmp_path / "ss.json"
+        subprocess.run([sys.executable, "-m", "oligosched.cli", "lti", "build", "--L", "2",
+                        "--out", str(out)], env=subprocess_env(**env), check=True)
+        manifest = json.loads((tmp_path / "ss.json.manifest.json").read_text())
+        assert manifest["blas_threads"] == expected
+
+    @pytest.mark.parametrize("env, expected", [
+        ({}, "default"),
+        ({"OMP_NUM_THREADS": "3"}, "3"),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "3"}, "4"),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "3"}, "3"),
+    ], ids=["none", "omp", "goto-before-omp", "empty-openblas"])
+    def test_manifest_reads_first_variable_set(self, tmp_path, monkeypatch, env, expected):
+        # in this process numpy was imported first, so the variables are as set here
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        out = tmp_path / "ss.json"
+        assert main(["lti", "build", "--L", "1", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "ss.json.manifest.json").read_text())
+        assert manifest["blas_threads"] == expected
+
+
+_AS_CAP = 2 << 30  # address space of the capped interpreters below
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+class TestSizesBeyondMemory:
+    """A size whose arrays cannot be allocated ends in InvalidParamsError
+    (exit 2) before any long Python loop.  Each case runs in an interpreter
+    whose address space is capped first, so a regression cannot take the
+    machine's memory."""
+
+    @staticmethod
+    def _capped(body):
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({_AS_CAP}, {_AS_CAP}))\n" + body)
+        return subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("argv, what", [
+        (["l2", "simulate", "--arch", "nc", "--params", PARAMS,
+          "--horizon", "100000000000"], "pooled U"),
+        (["l2", "simulate", "--arch", "nc", "--params", PARAMS, "--horizon", "10",
+          "--replications", "1000000000000"], "pooled U"),
+        (["lti", "mpe", "--L", "3000"], "R1"),
+        (["lti", "build", "--L", "100000"], "R1"),
+        (["lti", "build", "--L", "100000000000"], "R1"),
+        (["lti", "operator", "--L", "100000", "--alpha1", "1", "--alpha2", "1",
+          "--budget", "1"], "R1"),
+    ], ids=["horizon", "replications", "mpe-L", "build-L", "build-L-beyond-int64",
+            "operator-L"])
+    def test_cli_exits_2(self, argv, what):
+        proc = self._capped(f"from oligosched.cli import main\nsys.exit(main({argv!r}))\n")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"validation error: {what} of shape" in proc.stderr
+        assert "bytes" in proc.stderr
+
+    @pytest.mark.parametrize("L, horizon, replications, what", [
+        (3, 10, 10 ** 12, "pooled U"),
+        (8, 10, 10 ** 6, "chunk Y"),  # the pooled outputs fit, the chunk does not
+    ], ids=["pooled", "chunk"])
+    def test_general_simulator_raises_invalid_params(self, L, horizon, replications, what):
+        body = ("import oligosched as og\n"
+                f"ss = og.build_state_space({L})\n"
+                f"c = og.SimConfig(horizon={horizon}, replications={replications})\n"
+                "try:\n"
+                "    og.simulate_general(og.even_split_gain(ss), ss, og.ArrivalSpec(q=1.0), c)\n"
+                "except og.InvalidParamsError as exc:\n"
+                "    print(exc)\n")
+        proc = self._capped(body)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"{what} of shape")
+
+
+# The standing CLI sweep: for each subcommand a valid base command line
+# and, per option, values that are extreme, non-finite, of the wrong type
+# or empty.  Every value is swapped in alone, and a seeded draw adds
+# combinations of them.  Sizes stay small (horizons <= 2000, --budget <= 5,
+# --max-iter <= 50): sizes beyond memory are TestSizesBeyondMemory's.
+_BAD_NUMBERS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-1", "x", ""]
+_BAD_INTS = ["0", "-1", "1", "2", "x", "", "1.5", "nan"]
+_BAD_JSON = ["{}", "[]", "null", "1", '"x"', "", "{", "[[]]", '{"a": 1}', "true"]
+
+
+def _params_values():
+    base = json.loads(PARAMS)
+    out = list(_BAD_JSON)
+    for key in base:
+        for v in ("NaN", "Infinity", "-Infinity", "1e308", "-1e308", "-1", "2", '"x"', "null",
+                  "true", "[1]", "1" + "0" * 400):
+            out.append(json.dumps({**base, key: "@"}).replace('"@"', v))
+    return out
+
+
+_SWEEP = {
+    "l2 strategy": (["--arch", "nc", "--params", PARAMS], {
+        "--arch": ["nc", "coop", "naive", "none", "k:0", "k:-1", "k:x", "k:", "k:1e308",
+                   "rs:", "rs:1", "rs:nan,0.5", "rs:1e308,1e308", "rs:-1e308,0.5", "rs:x,y",
+                   "cong:", "cong:nan", "cong:1e308", "cong:-1", "cong:1", "", "zz"],
+        "--params": _params_values(),
+    }),
+    "l2 metrics": (["--arch", "nc", "--params", PARAMS, "--threshold", "3"], {
+        "--arch": ["coop", "k:3", "rs:-0.1,0.5", "cong:0.5", "naive", "none"],
+        "--params": _params_values()[::3],
+        "--threshold": _BAD_NUMBERS,
+    }),
+    "l2 simulate": (["--arch", "nc", "--params", PARAMS, "--horizon", "2000",
+                     "--out", "{tmp}/s.json"], {
+        "--arch": ["coop", "naive", "none", "k:2", "cong:0.5"],
+        "--params": _params_values()[::4],
+        "--horizon": _BAD_INTS + ["100"],
+        "--burn-in": _BAD_INTS + ["1999", "2000"],
+        "--replications": _BAD_INTS,
+        "--seed": ["-1", "0", str(2 ** 64), "x", ""],
+        "--thresholds": ["", ",", "nan", "1,1", "x", "1e308", "-1e308"],
+        "--quantiles": ["", "0", "1", "0.5,0.5", "nan", "x", "1e-300", ","],
+        "--series-csv": ["{tmp}/s.csv", "", "{tmp}", "{tmp}/no/such/s.csv"],
+        "--out": ["", "{tmp}", "{tmp}/no/such/s.json"],
+    }),
+    "lti build": (["--L", "2"], {
+        "--L": _BAD_INTS + ["3"],
+        "--out": ["", "{tmp}", "{tmp}/no/such/ss.json", "{tmp}/ss.json"],
+    }),
+    "lti h2": (["--gain", "[[1,0,0],[0,1,0],[0.5,0.5,0.5]]"], {
+        "--gain": _BAD_JSON + ["[[1]]", "[[NaN]]", "[[1e308]]", "[[1,2],[3,4]]",
+                               "[[1,2,3],[4,5,6],[7,8,9]]", "[[0,0,0],[0,0,0],[0,0,0]]",
+                               "[1,2,3]", "[[true]]", '[["a"]]', "[[[1]]]",
+                               "[[1,0,0],[0,1,0],[0.5,0.5]]", "{tmp}"],
+        "--alpha": ["1,1,1", "", "nan,1,1", "0,0,0", "1,2,3,4", "x", "1e308,1e308,1e308",
+                    "-1,1,1", "inf,1,1"],
+        "--out": ["", "{tmp}"],
+    }),
+    "lti mpe": (["--L", "3", "--max-iter", "50"], {
+        "--L": _BAD_INTS + ["5"],
+        "--pricing": _BAD_JSON + [
+            '{"q1":[0,0,0,0,0,0],"q2":[1,1,1,1,1,1]}', '{"q1":[0,0,0],"q2":[1,1,1]}',
+            '{"q1":[NaN,0,0,0,0,0],"q2":[1,1,1,1,1,1]}', '{"q1":0,"q2":1}',
+            '{"q1":[0,0,0,0,0,0],"q2":[0,0,0,0,0,0]}', '{"q1":["a",0,0,0,0,0],"q2":[1,1,1,1,1,1]}',
+            '{"q1":[1e308,0,0,0,0,0],"q2":[1e-308,1,1,1,1,1]}', '{"q1":[0,0,0,0,0,0]}'],
+        "--tol": _BAD_NUMBERS + ["1e-300"],
+        "--max-iter": _BAD_INTS + ["50"],
+        "--damping": _BAD_NUMBERS + ["1", "1.5", "0.5"],
+        "--mode": ["gs", "jacobi", "x", ""],
+        "--out": ["", "{tmp}"],
+    }),
+    "lti pareto": (["--L", "2", "--out", "{tmp}/front.csv"], {
+        "--L": _BAD_INTS + ["5"],
+        "--grid": _BAD_JSON + ["[[0,0,0]]", "[[1,1,1]]", "[[NaN,1,1]]", "[[1e308,1e308,1e308]]",
+                               "[[1,1]]", "[[true,1,1]]", "[[-1,1,1]]", "[[1,0,1]]",
+                               "[[1,0,0]]", "[[0,1,0]]", "[[1e-300,1,1e-300]]", "{tmp}"],
+        "--out": ["", "{tmp}", "{tmp}/no/such/front.csv"],
+    }),
+    "lti operator": (["--L", "2", "--alpha1", "1", "--alpha2", "1", "--budget", "3"], {
+        "--L": _BAD_INTS + ["3", "9"],
+        "--alpha1": _BAD_NUMBERS,
+        "--alpha2": _BAD_NUMBERS,
+        "--budget": ["0", "-1", "1", "5", "x", "", "nan"],
+        "--seed": ["-1", str(2 ** 64), "x"],
+        "--out": ["", "{tmp}"],
+    }),
+}
+
+
+def _sweep_vectors(command, n_combined=15, seed=2026):
+    base, options = _SWEEP[command]
+    swaps = [{opt: v} for opt, values in options.items() for v in values]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_combined):
+        picked = rng.choice(list(options), size=min(3, len(options)), replace=False)
+        swaps.append({str(o): options[o][rng.integers(len(options[o]))] for o in picked})
+    return [command.split() + list(itertools.chain(*{**dict(zip(base[::2], base[1::2])),
+                                                     **swap}.items()))
+            for swap in swaps]
+
+
+class TestCliSweep:
+    @pytest.mark.parametrize("command", list(_SWEEP))
+    def test_every_vector_exits_0_2_or_3(self, tmp_path, monkeypatch, capsys, command):
+        # every file lands under tmp_path: "{tmp}" is a directory in it, and
+        # relative names ("--out ''" gives "lti pareto" a ".gains.json") too
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        escaped = []
+        for argv in _sweep_vectors(command):
+            argv = [a.replace("{tmp}", str(tmp_path / "d")) for a in argv]
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+            err = capsys.readouterr().err
+            if code not in (0, 2, 3) or "Traceback" in err:
+                escaped.append((argv, code, err[-300:]))
+        assert escaped == []

@@ -160,6 +160,34 @@ class TestOperatorObjective:
         assert finite >= 50
 
 
+class TestOperatorBound:
+    """optimize_pricing reports the scalar LQ bound L p, its gap and the
+    largest deviation of the gain's column sums from K = p/(alpha1 + p)."""
+
+    @pytest.mark.parametrize("L, a1, a2", [(2, 1.0, 1.0), (3, 1.0, 1.0), (2, 0.3, 2.0),
+                                           (3, 2.0, 0.1), (4, 1.0, 0.5)])
+    def test_gap_not_negative(self, L, a1, a2):
+        ss = og.build_state_space(L)
+        res = og.optimize_pricing(og.OperatorWeights(a1, a2), ss, budget=30, seed=1)
+        p = 0.5 * (a2 + math.sqrt(a2 * a2 + 4.0 * a1 * a2))
+        assert res.lower_bound == pytest.approx(L * p, rel=1e-15)
+        assert res.gap == res.objective - res.lower_bound
+        assert res.gap >= -1e-12 * res.lower_bound
+        colsums = res.gain.F.sum(axis=0)
+        assert res.colsum_dev == pytest.approx(np.max(np.abs(colsums - p / (a1 + p))), abs=1e-15)
+
+    def test_golden_ratio_bound_at_unit_weights(self, ss3):
+        # p^2 - p - 1 = 0 gives p = phi, so L = 3 is bounded by 3 phi
+        res = og.optimize_pricing(og.OperatorWeights(1.0, 1.0), ss3, budget=1)
+        assert res.lower_bound == pytest.approx(1.5 * (1.0 + math.sqrt(5.0)), rel=1e-15)
+        assert res.gap > 0.0
+
+    def test_no_gain_reports_nan_deviation(self):
+        res = og.optimize_pricing(og.OperatorWeights(1.0, 1.0), og.build_state_space(9),
+                                  budget=1)
+        assert res.gap == math.inf and math.isnan(res.colsum_dev)
+
+
 class TestOptimizePricing:
     def test_budget_one_returns_baseline(self, ss2):
         res = og.optimize_pricing(og.OperatorWeights(1.0, 1.0), ss2, budget=1, seed=3)
