@@ -10,6 +10,7 @@ leading term of the demand tail, which is not a bound on Pr(U > M).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidMarginError, InvalidParamsError, NonStationaryError
@@ -136,23 +137,19 @@ def _limiting_component(s: LinearStrategyL2, p: MarketParamsL2) -> tuple[float, 
 def mixture_tail_probability(s: LinearStrategyL2, p: MarketParamsL2, M: float) -> float:
     """Pr(x > M) by direct summation of the geometric mixture.
 
-    Components are summed until the remaining geometric mass q2^k drops
-    below _MASS_TOL; the remainder is charged at the limiting component's
-    tail, so the result is a slight over-estimate of the exact mixture tail.
-    At q2 = 1 every component has weight 0 and one term is summed, which
-    keeps the NaN of a zero-variance component.
+    Components k = 0, 1, ... are summed until the remaining mass q2^(k+1)
+    is at most _MASS_TOL or a^k is below the float epsilon (component k is
+    the limiting one to rounding); the remainder is charged at the limiting
+    component's tail, a slight over-estimate.  At q2 = 1 every component has
+    weight 0, which keeps the NaN of a zero-variance component.
     """
     q = p.q2
-    if q == 0.0:
-        mean, var = mixture_component_moments(s, p, 0)
-        return _normal_sf(M, mean, var)
-    limit = 1 if q == 1.0 else int(math.ceil(math.log(_MASS_TOL) / math.log(q))) + 1
     total = 0.0
     k = 0
-    while k < limit:
+    while True:
         mean, var = mixture_component_moments(s, p, k)
         total += (q ** k) * (1.0 - q) * _normal_sf(M, mean, var)
-        if q ** (k + 1) <= _MASS_TOL:
+        if q ** (k + 1) <= _MASS_TOL or s.a ** k < sys.float_info.epsilon:
             break
         k += 1
     # remaining mass, charged at the limiting component

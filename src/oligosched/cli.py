@@ -11,15 +11,17 @@ Subcommand tree:
     lti pareto    trace the three-way front over a weight grid
     lti operator  optimize the pricing rule for the operator objective
 
-Exit codes: 0 success, 2 validation error, 3 convergence failure.  The
-environment variable OLIGO_SEED overrides any configured seed.  Every
-file-writing command also writes ``<out>.manifest.json`` (atomically;
-``<first file>.manifest.json`` when the record goes to stdout) recording
-the command line, resolved configuration, library version, seed,
-wall-clock time, the OpenBLAS thread count, and every file the command
-wrote; re-running the recorded command with that thread count reproduces
-the outputs byte for byte.  ``_emit`` is the one writer of records and
-manifests.
+Exit codes: 0 success, 2 validation error (a malformed argument or a typed
+library refusal), 3 convergence failure; any other exception is a bug and
+ends in a traceback (exit 1).  The environment variable OLIGO_SEED
+overrides any configured seed.  Every file-writing command also writes
+``<out>.manifest.json`` (atomically; ``<first file>.manifest.json`` when
+the record goes to stdout) recording the command line, resolved
+configuration, library version, seed, wall-clock time, the OpenBLAS
+thread count, and every file the command wrote; re-running the recorded
+command with that thread count reproduces the outputs byte for byte.
+``_emit`` writes every record, file and manifest, ``--out`` first, so an
+unwritable ``--out`` leaves no file behind.
 """
 from __future__ import annotations
 
@@ -61,10 +63,26 @@ _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(MarketParamsL2))
 
 
 def _load_json(arg: str):
-    if os.path.exists(arg):
-        with open(arg) as fh:
-            return json.load(fh)
-    return json.loads(arg)
+    try:
+        if os.path.exists(arg):
+            with open(arg) as fh:
+                return json.load(fh)
+        return json.loads(arg)
+    except ValueError as exc:  # undecodable bytes or text
+        raise InvalidParamsError(str(exc)) from exc
+
+
+def _numbers(arg, what: str, count: int | None = None, kind=float) -> tuple:
+    """``arg``, comma-separated text (empty items skipped unless ``count`` is
+    given) or a JSON list, as a tuple of ``kind``, of ``count`` items if given;
+    anything else raises InvalidParamsError "<what> must be numbers: ..."."""
+    items = [v for v in arg.split(",") if v or count] if isinstance(arg, str) else arg
+    try:
+        if count is not None and len(items) != count:
+            raise ValueError(f"{len(items)} given, {count} expected")
+        return tuple(kind(v) for v in items)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParamsError(f"{what} must be numbers: {exc}") from exc
 
 
 def _load_object(arg: str, what: str, keys) -> dict:
@@ -80,11 +98,7 @@ def _load_object(arg: str, what: str, keys) -> dict:
 
 def _parse_params(arg: str) -> MarketParamsL2:
     data = _load_object(arg, "params", _PARAM_KEYS)
-    try:
-        values = {k: float(data[k]) for k in _PARAM_KEYS}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidParamsError(f"params values must be numbers: {exc}") from exc
-    return MarketParamsL2(**values)
+    return MarketParamsL2(*_numbers([data[k] for k in _PARAM_KEYS], "params values"))
 
 
 def _parse_arch(arch: str, p: MarketParamsL2):
@@ -97,13 +111,12 @@ def _parse_arch(arch: str, p: MarketParamsL2):
     if arch == "none":
         return baseline_strategies()[1]
     if arch.startswith("k:"):
-        return k_agent_strategy(p, int(arch[2:]))
+        return k_agent_strategy(p, *_numbers(arch[2:], f"arch {arch!r}", 1, int))
     if arch.startswith("rs:"):
-        theta_s, beta_s = arch[3:].split(",")
-        rs = RiskSensitivity(float(theta_s), float(beta_s))
+        rs = RiskSensitivity(*_numbers(arch[3:], f"arch {arch!r}", 2))
         return risk_sensitive_strategy(p, rs)
     if arch.startswith("cong:"):
-        return congestion_strategy(p, float(arch[5:]))
+        return congestion_strategy(p, *_numbers(arch[5:], f"arch {arch!r}", 1))
     raise InvalidParamsError(
         f"unknown arch {arch!r}; expected nc|coop|naive|none|k:<K>|"
         f"rs:<theta>,<beta>|cong:<gamma>"
@@ -112,28 +125,31 @@ def _parse_arch(arch: str, p: MarketParamsL2):
 
 def _seed_override(seed: int) -> int:
     env = os.environ.get("OLIGO_SEED")
-    return int(env) if env is not None else seed
+    return seed if env is None else _numbers(env, "OLIGO_SEED", 1, int)[0]
 
 
 _T0 = time.perf_counter()
 
 
-def _emit(record, out, argv, config: dict, seed=None, extra_outputs=(), **fields):
-    """Write ``record`` to ``out`` (print it when ``out`` is None) and, if
-    any file was written, the manifest ``<first file>.manifest.json``.
+def _emit(record, out, argv, config: dict, seed=None, files=(), **fields):
+    """Write ``record`` to ``out`` (print it when ``out`` is None), then each
+    ``(path, text)`` of ``files`` and, if any file was written, the manifest
+    ``<first file>.manifest.json``.
 
-    A dict or list is written as JSON, a string as it is.  The manifest
-    records the command line, ``config``, version, ``seed``, wall-clock
-    time, ``blas_threads`` (the first OpenBLAS thread variable set, or
-    "default"), any further ``fields`` and every file the command wrote:
-    ``out``, then ``extra_outputs``.
+    A dict or list is written as JSON, a string as it is; a ``text`` that is
+    an iterable of strings is consumed while it is written.  An unwritable
+    ``out`` leaves no file; a failing file leaves ``out`` without manifest.
+    The manifest records the command line, ``config``, version, ``seed``,
+    wall-clock time, ``blas_threads`` (the first OpenBLAS thread variable
+    set, or "default"), any further ``fields`` and every file written.
     """
     text = record if isinstance(record, str) else _textio.dumps(record) + "\n"
+    written = ([] if out is None else [(out, text)]) + list(files)
+    for path, body in written:
+        _textio.atomic_write_text(path, body)
     if out is None:
         sys.stdout.write(text)
-    else:
-        _textio.atomic_write_text(out, text)
-    outputs = [f for f in (out, *extra_outputs) if f is not None]
+    outputs = [path for path, _ in written]
     if not outputs:
         return
     manifest = {
@@ -184,8 +200,8 @@ def _cmd_l2_simulate(ns, argv):
         replications=ns.replications,
         seed=seed,
         nonneg_demand=ns.nonneg,
-        tail_thresholds=tuple(float(v) for v in ns.thresholds.split(",") if v),
-        quantile_levels=tuple(float(v) for v in ns.quantiles.split(",") if v),
+        tail_thresholds=_numbers(ns.thresholds, "--thresholds"),
+        quantile_levels=_numbers(ns.quantiles, "--quantiles"),
         keep_series=ns.series_csv is not None,
     )
     stats = simulate_l2(s, p, cfg)
@@ -196,13 +212,8 @@ def _cmd_l2_simulate(ns, argv):
     if stats.conditional is not None:
         result["conditional"] = {k: v for k, v in vars(stats.conditional).items()
                                  if k == "threshold" or k.startswith("p_spike")}
-    extra = []
-    if ns.series_csv is not None:
-        _textio.atomic_write_text(
-            ns.series_csv,
-            _textio.csv_blocks(list(stats.series), list(stats.series.values())),
-        )
-        extra.append(ns.series_csv)
+    files = [] if ns.series_csv is None else [
+        (ns.series_csv, _textio.csv_blocks(list(stats.series), list(stats.series.values())))]
     config = {
         "arch": ns.arch,
         "params": vars(p),
@@ -210,8 +221,10 @@ def _cmd_l2_simulate(ns, argv):
         "burn_in": ns.burn_in,
         "replications": ns.replications,
         "nonneg_demand": ns.nonneg,
+        "tail_thresholds": cfg.tail_thresholds,
+        "quantile_levels": cfg.quantile_levels,
     }
-    _emit(result, ns.out, argv, config, seed, extra, sim_backend="numpy")
+    _emit(result, ns.out, argv, config, seed, files, sim_backend="numpy")
     return 0
 
 
@@ -232,8 +245,7 @@ def _cmd_lti_h2(ns, argv):
     rep = h2_norms(gain, ss)
     result = {"L": L, **vars(rep)}
     if ns.alpha:
-        a1, a2, a3 = (float(v) for v in ns.alpha.split(","))
-        w = OutputWeights.normalized(a1, a2, a3)
+        w = OutputWeights.normalized(*_numbers(ns.alpha, "--alpha", 3))
         result["alpha"] = [w.alpha1, w.alpha2, w.alpha3]
         result["weighted_objective"] = (
             w.alpha1 ** 2 * rep.z1sq + w.alpha2 ** 2 * rep.z2sq + w.alpha3 ** 2 * rep.z3sq
@@ -281,27 +293,22 @@ def _cmd_lti_pareto(ns, argv):
         grid = default_weight_grid()
     else:
         data = _load_json(ns.grid)
-        if not isinstance(data, list) or not all(
-            isinstance(t, list) and len(t) == 3 and all(isinstance(v, (int, float)) for v in t)
-            for t in data
-        ):
+        if not isinstance(data, list) or not all(isinstance(t, list) for t in data):
             raise InvalidParamsError("grid must be a JSON list of three-number lists")
-        grid = [OutputWeights.normalized(*map(float, triple)) for triple in data]
+        grid = [OutputWeights.normalized(*_numbers(t, "grid", 3)) for t in data]
     points = trace_front(grid, ss)
     weights = [list(vars(p.weights).values()) for p in points]
     front = np.array([w + list(vars(p.report).values()) for w, p in zip(weights, points)])
     csv = _textio.csv_text(["alpha1", "alpha2", "alpha3", "z1sq", "z2sq", "z3sq"],
                            front.reshape(-1, 6).T)
-    gains = {f"point_{i}": p.gain.F for i, p in enumerate(points)}
-    gains_path = ns.out + ".gains.json"
-    _textio.atomic_write_text(gains_path, _textio.dumps(gains) + "\n")
+    gains = _textio.dumps({f"point_{i}": p.gain.F for i, p in enumerate(points)}) + "\n"
     config = {
         "L": ns.L,
         "grid": weights,
         "certificates": [{"grad_inf": p.grad_inf, "lower_bound": p.lower_bound, "gap": p.gap}
                          for p in points],
     }
-    _emit(csv, ns.out, argv, config, extra_outputs=[gains_path])
+    _emit(csv, ns.out, argv, config, files=[(ns.out + ".gains.json", gains)])
     return 0
 
 
@@ -410,7 +417,7 @@ def main(argv=None) -> int:
     except (NotConvergedError, UnstableError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
-    except (OligoschedError, ValueError, KeyError, OSError) as exc:
+    except (OligoschedError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 

@@ -225,9 +225,15 @@ def _h2_readout(Fm: np.ndarray, Q: np.ndarray, ss: StateSpace) -> H2Report:
 
 def h2_norms(F, ss: StateSpace) -> H2Report:
     """Squared H2 norms of the three outputs under feedback F; the mismatch
-    row e_L'(I - F) is the backlog that agents leave at their deadline."""
+    row e_L'(I - F) is the backlog that agents leave at their deadline.
+    Raises InvalidParamsError when a norm overflows a float."""
     Fm = _as_matrix(F, ss)
-    return _h2_readout(Fm, solve_lyapunov(Fm, ss), ss)
+    Q = solve_lyapunov(Fm, ss)
+    with np.errstate(over="ignore", invalid="ignore"):  # the read-out alone
+        rep = _h2_readout(Fm, Q, ss)
+    if not all(map(math.isfinite, vars(rep).values())):
+        raise InvalidParamsError(f"H2 report of the gain is not finite: {rep}")
+    return rep
 
 
 def make_f_dl_projection(F, ss: StateSpace) -> FeedbackGain:

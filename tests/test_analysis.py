@@ -1,5 +1,6 @@
 """Closed-form moments, welfare, and tail bounds."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -232,3 +233,21 @@ class TestMixture:
         # with no load variance component 0 is a point mass: no tail is defined
         p = params(q2=0.0, mu1=1.0, mu2=1.0, s1=0.0, s2=0.0)
         assert math.isnan(og.mixture_tail_probability(s, p, M))
+
+    def test_q2_near_one_stops_in_bounded_time(self):
+        # q2 = 1 - 1e-9 would leave mass above _MASS_TOL for 2.8e10 terms;
+        # the sum ends once component k equals the limiting one to rounding
+        d = 1e-9
+        s = og.LinearStrategyL2(0.5, 0.4, 0.0)
+        p1 = params(q2=1.0, mu1=1.0, mu2=1.0)
+        mean_inf, var_inf = og.mixture_component_moments(s, p1, 10 ** 4)
+        M = mean_inf + 2.0 * math.sqrt(var_inf)
+        limit = og.mixture_tail_probability(s, p1, M)
+        assert limit == pytest.approx(norm.sf(M, mean_inf, math.sqrt(var_inf)), rel=1e-14)
+        t0 = time.perf_counter()
+        near = og.mixture_tail_probability(s, params(q2=1.0 - d, mu1=1.0, mu2=1.0), M)
+        assert time.perf_counter() - t0 < 1.0
+        # q2 -> 1 to first order in d: each component k adds d * (sf_k - sf_inf)
+        slope = sum(norm.sf(M, m, math.sqrt(v)) - limit
+                    for m, v in (og.mixture_component_moments(s, p1, k) for k in range(200)))
+        assert near == pytest.approx(limit + d * slope, rel=1e-12)

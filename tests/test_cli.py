@@ -20,6 +20,7 @@ import pytest
 import oligosched as og
 from conftest import subprocess_env
 from oligosched import _textio
+from oligosched import cli
 from oligosched.cli import _build_parser, main
 
 PARAMS = '{"q1":1,"q2":0.75,"mu1":0,"mu2":0,"sigma1":1,"sigma2":1}'
@@ -165,11 +166,18 @@ class TestL2Commands:
         out = tmp_path / "a.json"
         assert main(
             ["l2", "simulate", "--arch", "coop", "--params", PD_PARAMS,
-             "--horizon", "2000", "--seed", "3", "--out", str(out)]
+             "--horizon", "2000", "--seed", "3", "--thresholds", "45,,50", "--out", str(out)]
         ) == 0
         manifest = json.loads((tmp_path / "a.json.manifest.json").read_text())
         assert manifest["sim_backend"] == "numpy"
         assert "threads" not in manifest["config"]
+        # the levels the record's tail_probs and quantiles were computed at
+        record = json.loads(out.read_text())
+        assert manifest["config"]["tail_thresholds"] == [45.0, 50.0]
+        assert list(record["tail_probs"]) == ["45", "50"]
+        levels = manifest["config"]["quantile_levels"]
+        assert levels == list(og.SimConfig.quantile_levels)
+        assert list(record["quantiles"]) == [f"{q:g}" for q in levels]
 
     def test_series_csv_columns_match_row_text(self):
         n = _textio._CSV_CHUNK + 1000  # a full block and a partial one
@@ -521,6 +529,7 @@ class TestLtiCommands:
         pytest.param('"gain"', id="string"),
         pytest.param('{"gain": [[1]]}', id="object"),
         pytest.param("[]", id="empty"),
+        pytest.param("[[1e308]]", id="overflowing-h2-report"),
     ])
     def test_malformed_gain_is_validation_error(self, capsys, gain):
         assert main(["lti", "h2", "--gain", gain]) == 2
@@ -974,8 +983,9 @@ def _params_values():
 _SWEEP = {
     "l2 strategy": (["--arch", "nc", "--params", PARAMS], {
         "--arch": ["nc", "coop", "naive", "none", "k:0", "k:-1", "k:x", "k:", "k:1e308",
-                   "rs:", "rs:1", "rs:nan,0.5", "rs:1e308,1e308", "rs:-1e308,0.5", "rs:x,y",
-                   "cong:", "cong:nan", "cong:1e308", "cong:-1", "cong:1", "", "zz"],
+                   "k:1.5", "rs:", "rs:1", "rs:1,2,3", "rs:1,,2", "rs:nan,0.5",
+                   "rs:1e308,1e308", "rs:-1e308,0.5", "rs:x,y", "cong:", "cong:x",
+                   "cong:nan", "cong:1e308", "cong:-1", "cong:1", "", "zz"],
         "--params": _params_values(),
     }),
     "l2 metrics": (["--arch", "nc", "--params", PARAMS, "--threshold", "3"], {
@@ -991,7 +1001,7 @@ _SWEEP = {
         "--burn-in": _BAD_INTS + ["1999", "2000"],
         "--replications": _BAD_INTS,
         "--seed": ["-1", "0", str(2 ** 64), "x", ""],
-        "--thresholds": ["", ",", "nan", "1,1", "x", "1e308", "-1e308"],
+        "--thresholds": ["", ",", "nan", "1,1", "x", "1,x", "1e308", "-1e308"],
         "--quantiles": ["", "0", "1", "0.5,0.5", "nan", "x", "1e-300", ","],
         "--series-csv": ["{tmp}/s.csv", "", "{tmp}", "{tmp}/no/such/s.csv"],
         "--out": ["", "{tmp}", "{tmp}/no/such/s.json"],
@@ -1005,8 +1015,8 @@ _SWEEP = {
                                "[[1,2,3],[4,5,6],[7,8,9]]", "[[0,0,0],[0,0,0],[0,0,0]]",
                                "[1,2,3]", "[[true]]", '[["a"]]', "[[[1]]]",
                                "[[1,0,0],[0,1,0],[0.5,0.5]]", "{tmp}"],
-        "--alpha": ["1,1,1", "", "nan,1,1", "0,0,0", "1,2,3,4", "x", "1e308,1e308,1e308",
-                    "-1,1,1", "inf,1,1"],
+        "--alpha": ["1,1,1", "", "nan,1,1", "0,0,0", "1,2", "1,2,3,4", "1,,2,3", "x",
+                    "1e308,1e308,1e308", "-1,1,1", "inf,1,1"],
         "--out": ["", "{tmp}"],
     }),
     "lti mpe": (["--L", "3", "--max-iter", "50"], {
@@ -1026,7 +1036,8 @@ _SWEEP = {
         "--L": _BAD_INTS + ["5"],
         "--grid": _BAD_JSON + ["[[0,0,0]]", "[[1,1,1]]", "[[NaN,1,1]]", "[[1e308,1e308,1e308]]",
                                "[[1,1]]", "[[true,1,1]]", "[[-1,1,1]]", "[[1,0,1]]",
-                               "[[1,0,0]]", "[[0,1,0]]", "[[1e-300,1,1e-300]]", "{tmp}"],
+                               "[[1,0,0]]", "[[0,1,0]]", "[[1e-300,1,1e-300]]", '[[1,"a",2]]',
+                               "{tmp}"],
         "--out": ["", "{tmp}", "{tmp}/no/such/front.csv"],
     }),
     "lti operator": (["--L", "2", "--alpha1", "1", "--alpha2", "1", "--budget", "3"], {
@@ -1066,7 +1077,48 @@ class TestCliSweep:
                 code = main(argv)
             except SystemExit as exc:  # argparse refuses the command line
                 code = exc.code
+            except Exception as exc:  # an escape: record it and sweep on
+                code = f"{type(exc).__name__}: {exc}"
             err = capsys.readouterr().err
             if code not in (0, 2, 3) or "Traceback" in err:
                 escaped.append((argv, code, err[-300:]))
         assert escaped == []
+
+
+class TestCliBoundary:
+    """Exit 2 covers malformed arguments and typed library refusals only,
+    and an unwritable --out leaves no file of the command behind."""
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_library_bug_propagates(self, monkeypatch, capsys, error):
+        def broken(L):
+            raise error("library bug")
+
+        monkeypatch.setattr(cli, "build_state_space", broken)
+        with pytest.raises(error, match="library bug"):
+            main(["lti", "build", "--L", "2"])
+        assert "validation error" not in capsys.readouterr().err
+
+    def test_malformed_env_seed_is_validation_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("OLIGO_SEED", "x")
+        argv = ["lti", "operator", "--L", "2", "--alpha1", "1", "--alpha2", "1", "--budget", "1"]
+        assert main(argv) == 2
+        assert "validation error: OLIGO_SEED must be numbers" in capsys.readouterr().err
+
+    def test_pareto_unwritable_out_leaves_no_gains_file(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        assert main(["lti", "pareto", "--L", "2", "--grid", "[[1,1,1]]", "--out", str(out)]) == 2
+        assert "validation error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+        assert list(out.iterdir()) == []
+
+    def test_simulate_unwritable_out_leaves_no_series(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        argv = ["l2", "simulate", "--arch", "nc", "--params", PD_PARAMS, "--horizon", "1000",
+                "--series-csv", str(tmp_path / "s.csv"), "--out", str(out)]
+        assert main(argv) == 2
+        assert "validation error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+        assert list(out.iterdir()) == []

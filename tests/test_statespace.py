@@ -1,4 +1,6 @@
 """State-space construction, Lyapunov solvers, H2 norms, gain classes."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,15 @@ class TestH2Norms:
         Q = kronecker_dlyap(closed_loop(br.F, ss), ss.R2 @ ss.R2.T)
         assert rep.z1sq == pytest.approx(float(ss.e @ br.F @ Q @ br.F.T @ ss.e), rel=1e-9)
         assert rep.z2sq == pytest.approx(float(ss.e @ Q @ ss.e), rel=1e-9)
+
+
+    def test_overflowing_report_is_invalid_params(self):
+        # a finite, stabilizing gain whose squared norms exceed the float range
+        ss = og.build_state_space(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(og.InvalidParamsError, match="not finite"):
+                og.h2_norms([[1e308]], ss)
 
 
 class TestGainClasses:
