@@ -17,9 +17,12 @@ ends in a traceback (exit 1).  The environment variable OLIGO_SEED
 overrides any configured seed.  Every file-writing command also writes
 ``<out>.manifest.json`` (atomically; ``<first file>.manifest.json`` when
 the record goes to stdout) recording the command line, resolved
-configuration, library version, seed, wall-clock time, the OpenBLAS
-thread count, and every file the command wrote; re-running the recorded
-command with that thread count reproduces the outputs byte for byte.
+configuration, library version, numpy version, seed, wall-clock time,
+the OpenBLAS thread count, and every file the command wrote; re-running
+the recorded command with that thread count, on the same numpy build and
+CPU, reproduces the outputs byte for byte (normal draws go through numpy's
+vectorised ``log`` and ``sqrt``, whose SIMD paths can round differently on
+another CPU).
 ``_emit`` writes every record, file and manifest, ``--out`` first, so an
 unwritable ``--out`` leaves no file behind.
 """
@@ -139,9 +142,10 @@ def _emit(record, out, argv, config: dict, seed=None, files=(), **fields):
     A dict or list is written as JSON, a string as it is; a ``text`` that is
     an iterable of strings is consumed while it is written.  An unwritable
     ``out`` leaves no file; a failing file leaves ``out`` without manifest.
-    The manifest records the command line, ``config``, version, ``seed``,
-    wall-clock time, ``blas_threads`` (the first OpenBLAS thread variable
-    set, or "default"), any further ``fields`` and every file written.
+    The manifest records the command line, ``config``, version, ``numpy``
+    (its version), ``seed``, wall-clock time, ``blas_threads`` (the first
+    OpenBLAS thread variable set, or "default"), any further ``fields`` and
+    every file written.
     """
     text = record if isinstance(record, str) else _textio.dumps(record) + "\n"
     written = ([] if out is None else [(out, text)]) + list(files)
@@ -156,6 +160,7 @@ def _emit(record, out, argv, config: dict, seed=None, files=(), **fields):
         "command": ["oligosched", *argv],
         "config": config,
         "version": __version__,
+        "numpy": np.__version__,
         "seed": seed,
         "wall_clock_s": time.perf_counter() - _T0,
         "blas_threads": _blas_threads() or "default",

@@ -104,8 +104,8 @@ def random_stable_gain(ss, rng, scale=0.08):
 def traced_peak(run, warm_up):
     """Peak bytes that tracemalloc sees allocated during ``run()``.
 
-    ``warm_up()`` runs first, untraced, so that what loads on first use
-    (``scipy.special`` for the normal draws) is not counted.
+    ``warm_up()`` runs first, untraced, so that what is made once per
+    process (cached imports, numpy's first-use state) is not counted.
     """
     warm_up()
     tracemalloc.start()

@@ -175,6 +175,25 @@ class TestRiskBound:
         assert stats.n_samples == 2_000_000 - 1000
 
 
+class TestNormalTail:
+    def test_matches_scipy_ndtr(self):
+        # on a grid over [-40, 40] and beside both candidate branch points,
+        # |x| = sqrt(1/2) and |x| = 1 (z = +-1, +-sqrt 2)
+        from scipy.special import ndtr
+
+        z = np.linspace(-40.0, 40.0, 80_001)
+        for b in (1.0, math.sqrt(2.0)):
+            for edge in (b, -b):
+                z = np.append(z, [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 50.0)])
+        got = np.array([og.analysis._normal_sf(0.0, v, 1.0) for v in z])
+        ref = ndtr(z)
+        tiny = np.finfo(float).tiny
+        normal = ref >= tiny
+        assert np.all(np.abs(got - ref)[normal] <= 1e-15 * (1.0 + z[normal] ** 2) * ref[normal])
+        # below z = -37.68 scipy flushes to 0 where libm keeps subnormals
+        assert np.all(got[~normal] < tiny) and np.all(z[~normal] < -37.0)
+
+
 class TestMixture:
     def test_component_endpoints(self):
         p = params(q2=0.6, mu1=2.0, mu2=1.0, s1=1.5, s2=0.5)

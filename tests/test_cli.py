@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, exit codes, reproducibility."""
 import argparse
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -45,6 +46,16 @@ def single_string_csv_oracle(header, columns):
         lines.append(text.replace("nan", "NaN").replace("inf", "Infinity"))
     lines.append("")
     return "\n".join(lines)
+
+
+def scipy_modules_after(code, cwd=None):
+    """Sorted names of the scipy modules loaded once a fresh interpreter
+    has run ``code``."""
+    script = (f"import json, sys\n{code}\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", script], env=subprocess_env(), cwd=cwd,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 class TestL2Commands:
@@ -134,6 +145,7 @@ class TestL2Commands:
         assert manifest["seed"] == 5
         assert manifest["outputs"] == [str(out1)]
         assert manifest["version"] == og.__version__
+        assert manifest["numpy"] == np.__version__
 
     def test_simulate_series_csv(self, tmp_path):
         out = tmp_path / "s.json"
@@ -158,6 +170,7 @@ class TestL2Commands:
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
         assert manifest["outputs"] == [str(series)]
         assert manifest["seed"] == 5 and manifest["command"] == ["oligosched", *argv]
+        assert manifest["numpy"] == np.__version__
         out = tmp_path / "r.json"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_text() == record
@@ -291,13 +304,8 @@ class TestL2Commands:
         assert with_csv - without < size / 2
 
     def test_import_leaves_scipy_special_unloaded(self):
-        # scipy.special costs about 0.3 s of start-up; only draws and the
-        # mixture tail use it
-        code = "import sys, oligosched.cli; print('scipy.special' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        # scipy.special alone costs about 0.2 s and 24 MB of start-up
+        assert scipy_modules_after("import oligosched.cli") == []
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["l2", "strategy", "--arch", arch, "--params", PARAMS], id=arch)
@@ -306,15 +314,37 @@ class TestL2Commands:
                       id="metrics-threshold")])
     def test_root_selection_strategies_load_no_scipy(self, argv):
         # both root selections, and the tail bound of --threshold, need only numpy
+        assert scipy_modules_after(f"from oligosched.cli import main; main({argv!r})") == []
+
+    @pytest.mark.parametrize("extra", [
+        pytest.param(["--series-csv", "s.csv"], id="series-csv"),
+        pytest.param([], id="statistics"),
+        pytest.param(["--nonneg"], id="nonneg"),
+    ])
+    def test_simulate_loads_no_scipy(self, tmp_path, extra):
+        # the normal draws are the library's own inverse CDF
+        argv = ["l2", "simulate", "--arch", "nc", "--params", PD_PARAMS, "--horizon", "3000",
+                "--seed", "5", "--out", "r.json", *extra]
+        code = f"from oligosched.cli import main; assert main({argv!r}) == 0"
+        assert scipy_modules_after(code, cwd=tmp_path) == []
+        assert (tmp_path / "r.json").exists()
+
+    def test_general_simulator_loads_no_scipy(self):
         code = (
-            "import sys; from oligosched.cli import main; "
-            f"main({argv!r}); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "import oligosched as og; ss = og.build_state_space(3); "
+            "og.simulate_general(og.make_f_br(0.3, ss), ss, og.ArrivalSpec(q=(0.7,)), "
+            "og.SimConfig(horizon=2000, replications=2, seed=5))"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip().splitlines()[-1] == "[]"
+        assert scipy_modules_after(code) == []
+
+    def test_mixture_tail_loads_no_scipy(self):
+        code = (
+            "import oligosched as og; "
+            "p = og.MarketParamsL2(1.0, 0.6, 0.0, 0.0, 1.0, 1.0); "
+            "s = og.LinearStrategyL2(0.5, 0.5, 0.0); "
+            "assert 0.0 < og.mixture_tail_probability(s, p, 2.0) < 1.0"
+        )
+        assert scipy_modules_after(code) == []
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.json"
@@ -434,30 +464,20 @@ class TestLtiCommands:
 
     def test_pareto_loads_no_scipy(self, tmp_path):
         # synthesis needs only numpy; scipy.linalg alone costs about 0.3 s
-        code = (
-            "import sys; from oligosched.cli import main; "
-            f"main(['lti', 'pareto', '--L', '3', '--out', {str(tmp_path / 'front.csv')!r}]); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        code = ("from oligosched.cli import main; "
+                f"main(['lti', 'pareto', '--L', '3', '--out', {str(tmp_path / 'front.csv')!r}])")
+        assert scipy_modules_after(code) == []
 
     def test_operator_and_mpe_load_no_scipy(self):
         # the pricing search and the equilibrium solve need only numpy;
         # scipy.optimize alone costs about 0.7 s and 42 MB
         code = (
-            "import sys; from oligosched.cli import main; "
+            "from oligosched.cli import main; "
             "main(['lti', 'operator', '--L', '2', '--alpha1', '1', '--alpha2', '1', "
             "'--budget', '50']); "
-            "main(['lti', 'mpe', '--L', '3']); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "main(['lti', 'mpe', '--L', '3'])"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip().splitlines()[-1] == "[]"
+        assert scipy_modules_after(code) == []
 
     def test_operator_command(self, capsys):
         code = main(
@@ -592,6 +612,8 @@ class TestOutputConvention:
         manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
         assert manifest["outputs"][0] == "r.json"
         assert manifest["command"] == ["oligosched", *argv, "--out", "r.json"]
+        # normal draws round through numpy's SIMD log and sqrt
+        assert manifest["numpy"] == np.__version__
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -701,6 +723,27 @@ class TestPerfbenchLookups:
         for name in names:
             assert hasattr(og, name), name
         assert callable(og.simulate._l2_kernel)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestDependencies:
+    def test_third_party_imports_are_the_declared_dependencies(self):
+        # every import in src/, at module level or inside a function
+        tomllib = pytest.importorskip("tomllib")
+        found = set()
+        for path in sorted((ROOT / "src" / "oligosched").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    found.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    found.add(node.module.split(".")[0])
+        third_party = found - set(sys.stdlib_module_names) - {"oligosched"}
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            deps = tomllib.load(fh)["project"]["dependencies"]
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps}
+        assert third_party == declared == {"numpy"}
 
 
 NAN = float("nan")

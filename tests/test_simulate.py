@@ -137,6 +137,59 @@ def replication_draws(seed, rep, arrival, L, horizon):
     return h, d
 
 
+def ulps(got, ref):
+    """|got - ref| in units of the last place of ref."""
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+class TestNormalQuantile:
+    """rngstreams' AS241 inverse normal CDF against scipy.special.ndtri."""
+
+    ULPS = 8  # largest seen: 7 on these 10^7 draws, 6 on log-spaced tails
+
+    def test_draws_within_8_ulp_of_ndtri(self):
+        from scipy.special import ndtri
+
+        ours, uniforms = np.random.default_rng(1), np.random.default_rng(1)
+        worst = 0.0
+        for _ in range(10):  # 10^7 draws, a million at a time
+            z = rngstreams.standard_normals(ours, 1_000_000)
+            u = np.clip(uniforms.random(1_000_000), rngstreams._U_LO, rngstreams._U_HI)
+            worst = max(worst, float(np.max(ulps(z, ndtri(u)))))
+        assert worst <= self.ULPS
+
+    def test_clip_bounds_and_region_edges(self):
+        from scipy.special import ndtri
+
+        lo, hi = rngstreams._U_LO, rngstreams._U_HI
+        central = 0.5 - rngstreams._SPLIT1  # |u - 1/2| = 0.425
+        far = math.exp(-rngstreams._SPLIT2 ** 2)  # sqrt(-log u) = 5
+        edges = [lo, hi]
+        for x in (central, 1.0 - central, far, 1.0 - far):
+            edges += [x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)]
+        u = np.array(edges)
+        z = rngstreams._ndtri(u.copy())
+        assert np.all(np.isfinite(z)) and z[0] == -z[1] < -8.0
+        assert np.max(ulps(z, ndtri(u))) <= self.ULPS
+        # each edge has points of both regions beside it
+        q = np.abs(u - 0.5)
+        assert {True, False} <= set(q[2:8] > rngstreams._SPLIT1)
+        r = np.sqrt(-np.log(np.minimum(u, 1.0 - u)))
+        assert {True, False} <= set(r[8:] > rngstreams._SPLIT2)
+
+    def test_reflection_is_exact_where_one_minus_u_is(self):
+        # every u is a multiple of 2^-53, so 1 - u is exact; the second set
+        # reaches the far tail, sqrt(-log u) > 5
+        rng = np.random.default_rng(2)
+        u = np.concatenate([
+            np.clip(rng.random(1_000_000), rngstreams._U_LO, rngstreams._U_HI),
+            np.ldexp(np.floor(np.exp2(rng.uniform(0.0, 50.0, 100_000))), -53),
+        ])
+        assert np.all(1.0 - (1.0 - u) == u)
+        assert np.any(u < math.exp(-rngstreams._SPLIT2 ** 2))
+        assert np.array_equal(rngstreams._ndtri(1.0 - u), -rngstreams._ndtri(u.copy()))
+
+
 class TestKernelFidelity:
     def test_matches_reference_path(self):
         p = params(q1=0.8, q2=0.7, mu1=1.0, mu2=2.0, s1=1.0, s2=1.5)
