@@ -15,7 +15,10 @@ for a given (seed, config), whatever the chunk sizes.  Both simulators are
 numpy code that draws and runs the horizon in chunks.  Each holds only its
 pooled outputs and one chunk's working set, through the statistics too:
 they take their per-batch values a group of batches at a time and select
-quantiles and the median in place (a copy per selection with keep_series).
+quantiles and the median in place (a copy per selection with keep_series),
+one single-kth partition per level.  Where every slot of a general-L chunk
+is filled and demand is not clamped, the market is the linear surrogate
+system, and the chunk runs as block products instead of period by period.
 
 For general L, a gain computed for the everyone-arrives world is applied to
 the sparse-arrival world by masking: rows and columns of absent agents are
@@ -37,6 +40,10 @@ from .strategies import LinearStrategyL2, MarketParamsL2
 _DIVERGENCE_GUARD = 1e9
 # periods simulate_general draws, sums and checks at a time
 _CHUNK_PERIODS = 1024
+# periods of one block product of simulate_general's full-mask chunks, a
+# power of two that divides _CHUNK_PERIODS: so every chunk but the last
+# ends on a block boundary
+_BLOCK_PERIODS = 64
 # periods simulate_l2 draws and runs at a time
 _L2_CHUNK = 65_536
 # _l2_kernel replays runs in numpy waves while at least this many are active;
@@ -128,7 +135,7 @@ class PathStats:
     series: dict | None = field(repr=False)
 
 
-def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard, carry_in):
+def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard, carry_in, out=None):
     """The two-type recurrence over one chunk: (U, X, first bad period, carry out).
 
     Period t takes x = carry (+ d1 if h1); a present flexible agent demands
@@ -145,11 +152,11 @@ def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard, carry_in):
 
     ``bad`` is the first period in time order with |x| > guard, or -1;
     periods after it may be left unset.  The carry out is the carry after
-    the last period, 0 when that period has h2 = 0.
+    the last period, 0 when that period has h2 = 0.  ``out``, two rows of
+    n, receives U and X.
     """
     n = h1.shape[0]
-    U = np.empty(n)
-    X = np.empty(n)
+    U, X = np.empty((2, n)) if out is None else out
     h1 = h1.astype(bool)
     h2 = h2.astype(bool)
     # A diverging run overflows in later waves; the guard reports it.
@@ -158,21 +165,22 @@ def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard, carry_in):
         carry = np.zeros(idx.size)
         carry[0] = carry_in
         carry_out = 0.0
+        # np.where and np.compress select the same values as masked ufuncs
+        # and boolean indexing, at a third of their cost
         while idx.size >= _WAVE_MIN_RUNS:
-            x = carry
-            np.add(x, d1[idx], out=x, where=h1[idx])
+            x = np.where(h1[idx], carry + d1[idx], carry)
             d2i = d2[idx]
             u = -a * x
             u += b * d2i
             u += g
             if clamp:
-                u[u < 0.0] = 0.0
+                u = np.where(u < 0.0, 0.0, u)
             going = h2[idx]
-            u[~going] = 0.0
+            u = np.where(going, u, 0.0)
             U[idx] = x + u
             X[idx] = x
-            carry = (d2i - u)[going]
-            idx = idx[going] + 1
+            carry = np.compress(going, d2i - u)
+            idx = np.compress(going, idx) + 1
             if idx.size and idx[-1] == n:
                 carry_out = carry[-1]
                 idx, carry = idx[:-1], carry[:-1]
@@ -210,6 +218,54 @@ def _stderr(vals: np.ndarray) -> float:
     return float(np.std(vals, ddof=1) / np.sqrt(vals.size))
 
 
+def _select(a: np.ndarray, levels=None) -> np.ndarray:
+    """Quantiles of ``a`` along its last axis by selection, reordering ``a``.
+
+    With ``levels`` the result, one row per level, is ``np.quantile(a,
+    levels, axis=-1)`` (method "linear") bit for bit; without, it is
+    ``np.median(a, axis=-1)``.  numpy partitions once at all the indices
+    it needs, plus 0 and -1 for its NaN check, by a multi-kth introselect
+    that costs several single-kth passes.  Here the levels go in ascending
+    order, each with one single-kth partition, at the lower index of its
+    pair, of the part right of the level below; the upper index is the
+    minimum of what lies right of the lower.  Equal values may land at a
+    rank in another order than numpy's, so where -0.0 and +0.0 tie the
+    sign of a zero can differ.  The values must be finite, as the
+    divergence guard makes the simulated paths: NaN has no place here.
+    """
+    n = a.shape[-1]
+    if levels is None:
+        lower, upper = [(n - 1) // 2], [n // 2]
+    else:
+        virtual = (n - 1) * np.asarray(levels, float)
+        lower = np.floor(virtual)
+        top = virtual >= n - 1  # numpy's rule: both bounds index -1
+        lower[top] = -1.0
+        gamma = virtual - lower
+        lower[top] = n - 1
+        lower = lower.astype(np.intp).tolist()
+        upper = [min(k + 1, n - 1) for k in lower]
+    order = {}  # order statistic by index
+    lo = 0  # a[..., lo:] holds the ranks from lo up
+    for k, k_up in sorted(set(zip(lower, upper))):
+        if k not in order:
+            a[..., lo:].partition(k - lo, axis=-1)
+            order[k] = a[..., k].copy()
+        if k_up not in order:  # k_up = k + 1
+            order[k_up] = a[..., k_up:].min(axis=-1)
+        lo = k_up
+    below = np.array([order[k] for k in lower])
+    above = np.array([order[k] for k in upper])
+    if levels is None:  # numpy's mean of the middle one or two: a sum from +0.0
+        return ((0.0 + below[0] + above[0]) / 2) if n % 2 == 0 else 0.0 + below[0]
+    # numpy's _lerp
+    gamma = gamma.reshape((-1,) + (1,) * (a.ndim - 1))
+    diff = above - below
+    out = below + diff * gamma
+    np.subtract(above, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def _assemble_stats(U, X, flags, cfg: SimConfig) -> PathStats:
     """Pooled statistics of the kept periods U and X (the backlog sum).
 
@@ -219,9 +275,11 @@ def _assemble_stats(U, X, flags, cfg: SimConfig) -> PathStats:
     and tail indicators) are taken a group of about ``_L2_CHUNK`` samples of
     whole batches at a time, each batch reduced on its own.  The conditional
     cells come from counts plus the backlog at spike periods.  Selection
-    comes last: the quantiles of U and the median of X are taken in place,
-    so this may reorder U and X, unless ``cfg.keep_series`` hands them to
-    the caller; then each selection works on its own copy, one at a time.
+    (``_select``) comes last: the quantiles of U and the median of X are
+    taken in place, so this may reorder U and X, unless ``cfg.keep_series``
+    hands them to the caller; then each selection works on its own copy,
+    one at a time.  The batch quantiles select on a copy of each group in
+    the squares' scratch buffer.
     """
     n = U.size
     mean_u, mean_x = float(np.mean(U)), float(np.mean(X))
@@ -251,8 +309,10 @@ def _assemble_stats(U, X, flags, cfg: SimConfig) -> PathStats:
         xx = np.multiply(x, x, out=sq[:x.size])
         sum_xx += float(xx.sum())
         group[3], group[4] = batches(x).mean(axis=1), batches(xx).mean(axis=1)
-        if resolved and ub.size:
-            group[5:5 + len(resolved)] = np.quantile(ub, resolved, axis=1)
+        if resolved and ub.size:  # selection on a copy: U stays in time order here
+            rows = sq[:ub.size].reshape(ub.shape)
+            np.copyto(rows, ub)
+            group[5:5 + len(resolved)] = _select(rows, resolved)
         for i, M in enumerate(thresholds):
             hit = u > M
             above[i] += np.count_nonzero(hit)
@@ -282,7 +342,7 @@ def _assemble_stats(U, X, flags, cfg: SimConfig) -> PathStats:
             spikes += np.count_nonzero(spike)
             spikes_present += np.count_nonzero(spike & flex)
             x_at_spikes.append(X[lo:lo + step][spike])
-        med = np.median(X, overwrite_input=own)
+        med = _select(X if own else X.copy())
         high = sum(np.count_nonzero(X[lo:lo + step] > med) for lo in range(0, n, step))
         spikes_high = sum(np.count_nonzero(xs > med) for xs in x_at_spikes)
         try:
@@ -290,7 +350,7 @@ def _assemble_stats(U, X, flags, cfg: SimConfig) -> PathStats:
                                        spikes_high)
         except InsufficientSamplesError:
             conditional = None
-    quantiles = dict(zip(levels, np.quantile(U, levels, overwrite_input=own).tolist()))
+    quantiles = dict(zip(levels, _select(U if own else U.copy(), levels).tolist()))
 
     series = None
     if cfg.keep_series:
@@ -327,24 +387,31 @@ def simulate_l2(s: LinearStrategyL2, p: MarketParamsL2, c: SimConfig) -> PathSta
     periods at a time, the flexible carry passing from chunk to chunk, and
     each chunk's kept periods go straight into the pooled U, X and flags:
     memory is those 17 bytes per kept period plus one chunk's working set,
-    the statistics included.  Without ``keep_series`` the statistics select
-    in place and leave U and X reordered; they are not returned then.
+    the statistics included; the kernel writes every chunk into one buffer.
+    Without ``keep_series`` the statistics select in place and leave U and
+    X reordered; they are not returned then.
     """
     n, pooled = c.horizon, c.replications * (c.horizon - c.burn_in)
     U, X = _allocate("pooled U", (pooled,)), _allocate("pooled X", (pooled,))
     flags = _allocate("pooled flags", (pooled,), np.uint8)
+    chunk = min(_L2_CHUNK, n)
+    paths = np.empty((2, chunk))  # the kernel's U and X, for every chunk
     w = 0  # pooled periods written
     for rep in range(c.replications):
         gens = [rngstreams.stream_at(c.seed, rep, j * n) for j in range(4)]
         carry = 0.0
-        for t0 in range(0, n, _L2_CHUNK):
-            m = min(_L2_CHUNK, n - t0)
+        for t0 in range(0, n, chunk):
+            m = min(chunk, n - t0)
             h1 = rngstreams.bernoulli(gens[0], p.q1, m)
             h2 = rngstreams.bernoulli(gens[1], p.q2, m)
-            d1 = p.mu1 + p.sigma1 * rngstreams.standard_normals(gens[2], m)
-            d2 = p.mu2 + p.sigma2 * rngstreams.standard_normals(gens[3], m)
+            d1, d2 = rngstreams.standard_normals(gens[2:], m)
+            d1 *= p.sigma1
+            d1 += p.mu1
+            d2 *= p.sigma2
+            d2 += p.mu2
             u, x, bad, carry = _l2_kernel(
-                h1, h2, d1, d2, s.a, s.b, s.g, c.nonneg_demand, _DIVERGENCE_GUARD, carry
+                h1, h2, d1, d2, s.a, s.b, s.g, c.nonneg_demand, _DIVERGENCE_GUARD, carry,
+                out=paths[:, :m],
             )
             if bad >= 0:
                 raise NonStationaryError(
@@ -354,7 +421,8 @@ def simulate_l2(s: LinearStrategyL2, p: MarketParamsL2, c: SimConfig) -> PathSta
             lo = max(c.burn_in - t0, 0)  # the chunk's first kept period
             end = w + max(m - lo, 0)
             U[w:end], X[w:end] = u[lo:], x[lo:]
-            flags[w:end] = h1[lo:] | (h2[lo:] << 1)
+            np.left_shift(h2[lo:], 1, out=flags[w:end])
+            flags[w:end] |= h1[lo:]
             w = end
     return _assemble_stats(U, X, flags, c)
 
@@ -393,10 +461,18 @@ def simulate_general(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig) -> P
     All replications advance together as D x R arrays.  Slot (l, tau) is
     occupied at t iff type l arrived at t - (l - tau); with unit deadline
     rows in F, u = (F x) * mask makes deadline agents consume their backlog.
-    Draws, sums and the guard go 1,024 periods at a time, each chunk's kept sums
-    straight into the pooled, replication-major U and sum x; besides those a
-    run holds one chunk: 1,024 (4 D + L + 2) R doubles and 1.2 MB of views.
-    That chunk is gone before the statistics take their own scratch space.
+    Draws, sums and the guard go 1,024 periods at a time, each chunk's kept
+    sums straight into the pooled, replication-major U and sum x.  A chunk
+    runs period by period, unless every slot is filled throughout and
+    ``nonneg_demand`` is off (at q = 1, every chunk after the first, whose
+    first periods have empty slots): then u = Fp x exactly, and the chunk
+    runs as 64-period block products (``_full_mask_chunk``), which agree
+    with the period loop to rounding.  Besides the pooled outputs a run
+    holds one chunk: 1,024 (3 D + 2 L + 2) R doubles and 0.8 MB of
+    per-period views; once a chunk has run as blocks, also the block maps,
+    64 (2 D + 128 L + L D) + D^2 doubles (0.2 MB at L = 3, 0.7 MB at L =
+    8), and about 1,024 (L + 4) R doubles of block products.  That chunk is
+    gone before the statistics take their own scratch space.
     """
     U, Z2 = _general_paths(F, ss, arrival, c)
     return _assemble_stats(U.ravel(), Z2.ravel(), None, c)
@@ -408,22 +484,28 @@ def _general_paths(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig):
     q, mu, sg = arrival.resolved(L)
     kept = (R, n - c.burn_in)
     U, Z2, bad = _allocate("pooled U", kept), _allocate("pooled sum x", kept), np.full(R, -1)
-    # One product per period maps z = [x - u of the last period; fresh
-    # loads] to y = [x; Fp x], Fp being F with unit deadline rows.
+    # Row i of Z holds z = [x; u of period t0 + i - 1; loads of period t0 +
+    # i].  One product per period maps z to [x; Fp x] of period t0 + i,
+    # x = R1 (x - u) + R2 loads, into row i + 1, where the mask turns Fp x
+    # into u; Fp is F with unit deadline rows.
     Fp = _unit_deadline_rows(_as_matrix(F, ss), L)
-    shift = np.hstack([ss.R1, ss.R2])
-    S = np.vstack([shift, Fp @ shift])
+    shift = np.hstack([ss.R1, -ss.R1, ss.R2])
+    # column-major, which np.dot takes about a fifth faster
+    S = np.asfortranarray(np.vstack([shift, Fp @ shift]))
+    ones = np.ones(D)
     chunk = min(n, _CHUNK_PERIODS)
     # arrivals: period t0 + i at row i + L - 1
     h = _allocate("arrivals", (chunk + L - 1, L, R), np.uint8, zero=True)
-    Y, mask = _allocate("chunk Y", (chunk, 2 * D, R)), _allocate("chunk mask", (chunk, D, R))
-    Z = _allocate("chunk Z", (chunk + 1, D + L, R), zero=True)
+    Z = _allocate("chunk Z", (chunk + 1, 2 * D + L, R), zero=True)
+    mask = _allocate("chunk mask", (chunk, D, R))
     # A replication's stream holds n arrivals of each type, then n loads of
     # each type; one generator per column, started at its offset, reads it.
     gens = [[rngstreams.stream_at(c.seed, r, j * n) for r in range(R)] for j in range(2 * L)]
-    views = [(z, y, y[:D], y[D:], y[D + L:], nxt[:D]) for z, y, nxt in zip(Z, Y, Z[1:])]
-    rows = np.arange(chunk)[:, None] + [L - 1 - l + tau for l, tau in ss.pairs]
-    cols = [l - 1 for l, _ in ss.pairs]
+    load_gens = [g for col in gens[L:] for g in col]  # one row each, type-major
+    views = [(z, nxt[:2 * D], nxt[D:2 * D], nxt[D + L:2 * D]) for z, nxt in zip(Z, Z[1:])]
+    # slot (l, tau) is occupied at t iff type l arrived at t - (l - tau)
+    slots = [(L - 1 - l + tau, l - 1) for l, tau in ss.pairs]
+    blocks = None  # the block maps, made at the first full-mask chunk
     # The guard reports a diverging replication; overflow warnings from the
     # rest of its chunk would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -433,24 +515,36 @@ def _general_paths(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig):
             for l in range(L):
                 for rep in range(R):
                     h[L - 1:L - 1 + m, l, rep] = rngstreams.bernoulli(gens[l][rep], q[l], m)
-                    Z[:m, D + l, rep] = mu[l] + sg[l] * rngstreams.standard_normals(
-                        gens[L + l][rep], m)
-            Z[:m, D:] *= h[L - 1:L - 1 + m]
-            mask[:m] = h[rows[:m], cols]
-            for (z, y, top, bot, tail, nxt), mk in zip(views[:m], mask):
-                np.dot(S, z, out=y)
-                np.multiply(bot, mk, out=bot)
-                if c.nonneg_demand:
-                    np.maximum(tail, 0.0, out=tail)
-                np.subtract(top, bot, out=nxt)
-            Z[0, :D] = Z[m, :D]
-            u_sum, x_sum = Y[:m, D:].sum(axis=1), Y[:m, :D].sum(axis=1)
+            loads = rngstreams.standard_normals(load_gens, m).reshape(L, R, m)
+            loads *= sg[:, None, None]
+            loads += mu[:, None, None]
+            for i, (row, l) in enumerate(slots):
+                mask[:m, i] = h[row:row + m, l]
+            if not c.nonneg_demand and mask[:m].all():
+                # every slot filled, so every load arrived, and no clamp
+                if blocks is None:
+                    blocks = _block_maps(Fp, ss)
+                carry = (Z[0, :D] - Z[0, D:2 * D]).T
+                (u_sum, x_sum), Z[0, :D] = _full_mask_chunk(blocks, carry, loads)
+                Z[0, D:2 * D] = 0.0
+            else:
+                Z[:m, 2 * D:] = loads.transpose(2, 0, 1)
+                Z[:m, 2 * D:] *= h[L - 1:L - 1 + m]
+                for (z, y, u, tail), mk in zip(views[:m], mask):
+                    np.dot(S, z, out=y)
+                    np.multiply(u, mk, out=u)
+                    if c.nonneg_demand:
+                        np.maximum(tail, 0.0, out=tail)
+                # a product with ones sums the slots of each replication
+                xu = Z[1:m + 1, :2 * D]
+                u_sum, x_sum = np.matmul(ones, xu[:, D:]).T, np.matmul(ones, xu[:, :D]).T
+                Z[0, :2 * D] = Z[m, :2 * D]
             # the chunk's last end - w periods are kept, as pooled columns w:end
             w, end = max(t0 - c.burn_in, 0), max(t0 + m - c.burn_in, 0)
-            U[:, w:end], Z2[:, w:end] = u_sum[m - end + w:].T, x_sum[m - end + w:].T
+            U[:, w:end], Z2[:, w:end] = u_sum[:, m - end + w:], x_sum[:, m - end + w:]
             over = np.abs(x_sum) > _DIVERGENCE_GUARD
-            hit = over.any(axis=0) & (bad < 0)
-            bad[hit] = t0 + over[:, hit].argmax(axis=0)
+            hit = over.any(axis=1) & (bad < 0)
+            bad[hit] = t0 + over[hit].argmax(axis=1)
             if bad[0] >= 0:  # serial order reports the lowest replication
                 break
     if np.any(bad >= 0):
@@ -460,6 +554,72 @@ def _general_paths(F, ss: StateSpace, arrival: ArrivalSpec, c: SimConfig):
             f"(replication {rep}); the gain does not stabilize the market"
         )
     return U, Z2
+
+
+def _block_maps(Fp, ss: StateSpace):
+    """The maps of K-period blocks of the full-mask recurrence.
+
+    With every slot filled and no clamp, u = Fp x, so the carry s = x - u
+    obeys s' = P s + Q w with P = (I - Fp) R1 and Q = (I - Fp) R2, w being
+    the period's loads, and the outputs (U, sum x) are C_s s + C_w w with
+    C = [1' Fp; 1'], C_s = C R1 and C_w = C R2.  Over a block of K periods
+    from carry s, with loads w_j at its period j, the outputs at period k
+    are C_s P^k s plus sum_{j <= k} T_{k-j} w_j, where T_0 = C_w and T_i =
+    C_s P^(i-1) Q, and the carry after it is P^K s + sum_j P^(K-1-j) Q w_j.
+    Returns (obs, toep, gain, P^K transposed): obs (D, 2K) maps a carry to
+    the block's outputs, toep (L K, 2K) and gain (L K, D) map its loads,
+    ordered (type, period), to the outputs and the carry; outputs are
+    ordered (U or sum x, period).  The K products C_s P^k and P^k Q are
+    vector iterations, O(K D^2 L); P^K comes by squaring.
+    """
+    K, L, D = _BLOCK_PERIODS, ss.L, ss.D_c
+    A = np.eye(D) - Fp
+    P, Q = A @ ss.R1, A @ ss.R2
+    C = np.vstack([Fp.sum(axis=0), np.ones(D)])
+    Cs = np.empty((K, 2, D))  # C_s P^k
+    PkQ = np.empty((K, D, L))  # P^k Q
+    Cs[0], PkQ[0] = C @ ss.R1, Q
+    for k in range(1, K):
+        Cs[k] = Cs[k - 1] @ P
+        PkQ[k] = P @ PkQ[k - 1]
+    T = np.concatenate([(C @ ss.R2)[None], Cs[:-1] @ Q])  # T_i, (K, 2, L)
+    toep = np.zeros((L, K, 2, K))
+    for j in range(K):
+        toep[:, j, :, j:] = T[:K - j].transpose(2, 1, 0)
+    PK = P
+    for _ in range(K.bit_length() - 1):  # K is a power of two
+        PK = PK @ PK
+    return (Cs.transpose(2, 1, 0).reshape(D, 2 * K), toep.reshape(L * K, 2 * K),
+            PkQ[::-1].transpose(2, 0, 1).reshape(L * K, D), PK.T)
+
+
+def _full_mask_chunk(blocks, carry, loads):
+    """A chunk of the full-mask recurrence by block products.
+
+    ``loads`` is (L, R, m), ``carry`` (R, D) the carry before the chunk.
+    Returns ((U, sum x), each (R, m)) and the carry after the chunk, (D, R).
+    All blocks' outputs come from one product of their loads and one of
+    their start carries; only the m / K carry steps between blocks are
+    sequential.  A last partial block runs on zero loads past the chunk:
+    its extra outputs are dropped, and its carry is wrong, which no one
+    reads, since every chunk but the last holds whole blocks.
+    """
+    obs, toep, gain, PKt = blocks
+    L, R, m = loads.shape
+    K = toep.shape[1] // 2
+    nb = -(-m // K)
+    if m < nb * K:
+        loads = np.concatenate([loads, np.zeros((L, R, nb * K - m))], axis=2)
+    W = loads.reshape(L, R, nb, K).transpose(2, 1, 0, 3).reshape(nb * R, L * K)
+    steps = (W @ gain).reshape(nb, R, -1)
+    starts = np.empty_like(steps)
+    for b in range(nb):
+        starts[b] = carry
+        carry = carry @ PKt + steps[b]
+    out = W @ toep
+    out += starts.reshape(nb * R, -1) @ obs
+    out = out.reshape(nb, R, 2, K).transpose(2, 1, 0, 3).reshape(2, R, nb * K)
+    return out[:, :, :m], carry.T
 
 
 def conditional_tail_report(
@@ -476,7 +636,7 @@ def conditional_tail_report(
     flex = np.asarray(flex_present, bool)
     x = np.asarray(x, float)
     spike = u > threshold
-    high = x > np.median(x)
+    high = x > _select(x.copy())
     return _tail_report(
         threshold, flex.size, np.count_nonzero(flex), np.count_nonzero(high),
         np.count_nonzero(spike), np.count_nonzero(spike & flex),

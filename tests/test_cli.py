@@ -988,7 +988,7 @@ class TestSizesBeyondMemory:
 
     @pytest.mark.parametrize("L, horizon, replications, what", [
         (3, 10, 10 ** 12, "pooled U"),
-        (8, 10, 10 ** 6, "chunk Y"),  # the pooled outputs fit, the chunk does not
+        (8, 10, 10 ** 6, "chunk Z"),  # the pooled outputs fit, the chunk does not
     ], ids=["pooled", "chunk"])
     def test_general_simulator_raises_invalid_params(self, L, horizon, replications, what):
         body = ("import oligosched as og\n"

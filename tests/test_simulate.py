@@ -190,6 +190,18 @@ class TestNormalQuantile:
         assert np.array_equal(rngstreams._ndtri(1.0 - u), -rngstreams._ndtri(u.copy()))
 
 
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 65_537])
+    def test_batched_rows_are_one_call_per_generator(self, n):
+        # one inverse-CDF pass over all rows gives each row the bits of its
+        # own call, wherever the row's values fall in the array
+        gens = [rngstreams.stream_at(5, rep, 7) for rep in range(3)]
+        rows = rngstreams.standard_normals(gens, n)
+        assert rows.shape == (3, n)
+        for rep in range(3):
+            one = rngstreams.standard_normals(rngstreams.stream_at(5, rep, 7), n)
+            assert np.array_equal(bits(rows[rep]), bits(one)), rep
+
+
 class TestKernelFidelity:
     def test_matches_reference_path(self):
         p = params(q1=0.8, q2=0.7, mu1=1.0, mu2=2.0, s1=1.0, s2=1.5)
@@ -696,6 +708,115 @@ class TestGeneralVectorized:
         a = og.simulate_general(F, ss3, arrival, cfg)
         b = og.simulate_general(F, ss3, arrival, cfg)
         assert same_stats(a, b)
+
+
+class TestFullMaskBlocks:
+    """Full-mask chunks run as block products; the loop oracle still holds."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Periods of each chunk that simulate_general runs as block products."""
+        periods = []
+        run = simulate._full_mask_chunk
+
+        def counted(blocks, carry, loads):
+            periods.append(loads.shape[2])
+            return run(blocks, carry, loads)
+
+        monkeypatch.setattr(simulate, "_full_mask_chunk", counted)
+        return periods
+
+    @staticmethod
+    def near_unit_gain(ss, radius):
+        # I - s (I - F0) keeps the unit deadline rows and scales the closed
+        # loop R1 (I - F) by s
+        F0 = og.make_f_br(0.3, ss).F
+        s = radius / spectral_radius(F0, ss)
+        F = np.eye(ss.D_c) - s * (np.eye(ss.D_c) - F0)
+        assert abs(spectral_radius(F, ss) - radius) < 1e-12
+        return F
+
+    @pytest.mark.parametrize("L, horizon, burn_in", [
+        (3, 2125, 0),     # a chunk of whole blocks, then 77 periods
+        (3, 3072, 1162),  # burn-in ends 10 periods into a block
+        (5, 1100, 1030),  # one partial block after the first chunk
+    ])
+    def test_near_unit_radius_matches_oracle(self, monkeypatch, L, horizon, burn_in):
+        periods = self.spy(monkeypatch)
+        ss = og.build_state_space(L)
+        F = self.near_unit_gain(ss, 1.0 - 5e-4)
+        arrival = og.ArrivalSpec(q=(1.0,), mu=(0.5,))
+        cfg = og.SimConfig(horizon=horizon, burn_in=burn_in, replications=2, seed=70 + L,
+                           keep_series=True)
+        stats = og.simulate_general(F, ss, arrival, cfg)
+        # every chunk after the first: its first periods have empty slots
+        assert sum(periods) == horizon - simulate._CHUNK_PERIODS
+        n = horizon - burn_in
+        for rep in range(2):
+            h, d = replication_draws(cfg.seed, rep, arrival, L, horizon)
+            U, Z2, bad = general_kernel_oracle(ss.R1, ss.R2, F, h, d, L, False, 1e9)
+            assert bad == -1
+            # 1e-12 of each series' own size: near radius 1 with mean load
+            # 0.5 the backlog sum is some 600 times U, and even the loop
+            # path is 6e-12 from the oracle on it
+            got = slice(rep * n, (rep + 1) * n)
+            for key, want in (("U", U), ("x_sum", Z2)):
+                tol = 1e-12 * max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(stats.series[key][got] - want[burn_in:])) <= tol, (key, rep)
+
+    def test_divergence_on_the_block_path(self, monkeypatch, ss3):
+        # a closed-loop radius of 1.01 crosses the guard after the first
+        # chunk, inside the block products
+        periods = self.spy(monkeypatch)
+        F = self.near_unit_gain(ss3, 1.01)
+        arrival = og.ArrivalSpec(q=(1.0,))
+        cfg = og.SimConfig(horizon=6000, replications=3, seed=2)
+        first = [
+            general_kernel_oracle(ss3.R1, ss3.R2, F,
+                                  *replication_draws(cfg.seed, rep, arrival, 3, cfg.horizon),
+                                  3, False, 1e9)[2]
+            for rep in range(cfg.replications)
+        ]
+        rep = next(r for r, t in enumerate(first) if t >= 0)
+        assert first[rep] >= simulate._CHUNK_PERIODS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(og.NonStationaryError) as info:
+                og.simulate_general(F, ss3, arrival, cfg)
+        assert f"at period {first[rep]} (replication {rep})" in str(info.value)
+        assert periods
+
+
+class TestSelection:
+    """_select against np.quantile (method "linear") and np.median, bit for bit."""
+
+    LEVELS = (1e-9, 0.5, 0.95, 0.999, 1.0 - 1e-9)
+
+    @staticmethod
+    def check(a):
+        got = simulate._select(a.copy(), TestSelection.LEVELS)
+        want = np.quantile(a, TestSelection.LEVELS, axis=-1, method="linear")
+        assert got.shape == want.shape
+        assert np.array_equal(bits(got), bits(want))
+        if a.ndim == 1:
+            assert bits(simulate._select(a.copy())) == bits(np.median(a))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 199, 200, 1_996_000])
+    def test_matches_numpy(self, n):
+        self.check(np.random.default_rng(n).gamma(2.0, 10.0, n))
+
+    @pytest.mark.parametrize("n", [199, 200, 1_996_000])
+    def test_heavy_ties(self, n):
+        # values on a 0.5 grid; + 0.0 turns the -0.0 of rounding into +0.0,
+        # as numpy and _select may place either zero at a tied rank
+        a = np.round(2.0 * np.random.default_rng(n).standard_normal(n)) / 2.0 + 0.0
+        assert np.unique(a).size < 30
+        self.check(a)
+
+    def test_batch_rows(self):
+        rng = np.random.default_rng(4)
+        self.check(rng.gamma(2.0, 10.0, (4, 15_593)))
+        self.check(np.round(2.0 * rng.standard_normal((3, 200))) / 2.0 + 0.0)
 
 
 class TestConditionalTails:
