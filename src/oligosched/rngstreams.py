@@ -121,22 +121,19 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def standard_normals(gen, n: int) -> np.ndarray:
-    """n standard normals via inverse-CDF of n uniform draws.
+def standard_normals(gens, n: int) -> np.ndarray:
+    """n standard normals per generator via inverse-CDF of n uniform draws.
 
-    ``gen`` is one generator, giving shape (n,), or a sequence of them,
-    giving one row of n per generator.  Row i holds the bits that one call
-    on ``gen[i]`` returns: the uniforms are drawn row by row, and the
-    inverse CDF then runs over the whole array, ``_BLOCK`` values at a
-    time.  One call a row costs about three times as much per value at
-    1,024 values as at 65,536, while blocks keep the temporaries in cache:
-    over 131,072 values one pass took 33 ns a value, blocks 22 ns (2-core
-    x86 host, best of 40).
+    Row i of the (len(gens), n) result holds the bits that the inverse CDF
+    of ``gens[i].random(n)`` alone gives: the uniforms are drawn row by
+    row, and the inverse CDF then runs over the whole array, ``_BLOCK``
+    values at a time.  One pass a row costs about three times as much per
+    value at 1,024 values as at 65,536, while blocks keep the temporaries
+    in cache: over 131,072 values one pass took 33 ns a value, blocks 22 ns
+    (2-core x86 host, best of 40).
     """
-    many = not isinstance(gen, np.random.Generator)
-    gens = list(gen) if many else [gen]
-    out = np.empty((len(gens), n) if many else n)
-    for g, row in zip(gens, out.reshape(len(gens), n)):
+    out = np.empty((len(gens), n))
+    for g, row in zip(gens, out):
         g.random(out=row)
     flat = out.reshape(-1)
     for lo in range(0, flat.size, _BLOCK):

@@ -135,7 +135,7 @@ class PathStats:
     series: dict | None = field(repr=False)
 
 
-def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard, carry_in, out=None):
+def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard, carry_in, out):
     """The two-type recurrence over one chunk: (U, X, first bad period, carry out).
 
     Period t takes x = carry (+ d1 if h1); a present flexible agent demands
@@ -156,7 +156,7 @@ def _l2_kernel(h1, h2, d1, d2, a, b, g, clamp, guard, carry_in, out=None):
     n, receives U and X.
     """
     n = h1.shape[0]
-    U, X = np.empty((2, n)) if out is None else out
+    U, X = out
     h1 = h1.astype(bool)
     h2 = h2.astype(bool)
     # A diverging run overflows in later waves; the guard reports it.
@@ -227,11 +227,13 @@ def _select(a: np.ndarray, levels=None) -> np.ndarray:
     it needs, plus 0 and -1 for its NaN check, by a multi-kth introselect
     that costs several single-kth passes.  Here the levels go in ascending
     order, each with one single-kth partition, at the lower index of its
-    pair, of the part right of the level below; the upper index is the
-    minimum of what lies right of the lower.  Equal values may land at a
-    rank in another order than numpy's, so where -0.0 and +0.0 tie the
-    sign of a zero can differ.  The values must be finite, as the
-    divergence guard makes the simulated paths: NaN has no place here.
+    pair, of the part right of the last partition; the upper index is the
+    minimum of what lies right of the lower.  That minimum is not moved to
+    its index, so a lower index that an earlier pair read as its upper one
+    is still partitioned: only a partition places a value.  Equal values
+    may land at a rank in another order than numpy's, so where -0.0 and
+    +0.0 tie the sign of a zero can differ.  The values must be finite, as
+    the divergence guard makes the simulated paths: NaN has no place here.
     """
     n = a.shape[-1]
     if levels is None:
@@ -246,14 +248,13 @@ def _select(a: np.ndarray, levels=None) -> np.ndarray:
         lower = lower.astype(np.intp).tolist()
         upper = [min(k + 1, n - 1) for k in lower]
     order = {}  # order statistic by index
-    lo = 0  # a[..., lo:] holds the ranks from lo up
+    lo = 0  # a[..., lo:] holds the ranks from lo up, in no order
     for k, k_up in sorted(set(zip(lower, upper))):
-        if k not in order:
-            a[..., lo:].partition(k - lo, axis=-1)
-            order[k] = a[..., k].copy()
+        a[..., lo:].partition(k - lo, axis=-1)
+        order[k] = a[..., k].copy()
         if k_up not in order:  # k_up = k + 1
             order[k_up] = a[..., k_up:].min(axis=-1)
-        lo = k_up
+        lo = k + 1
     below = np.array([order[k] for k in lower])
     above = np.array([order[k] for k in upper])
     if levels is None:  # numpy's mean of the middle one or two: a sum from +0.0
@@ -411,7 +412,7 @@ def simulate_l2(s: LinearStrategyL2, p: MarketParamsL2, c: SimConfig) -> PathSta
             d2 += p.mu2
             u, x, bad, carry = _l2_kernel(
                 h1, h2, d1, d2, s.a, s.b, s.g, c.nonneg_demand, _DIVERGENCE_GUARD, carry,
-                out=paths[:, :m],
+                paths[:, :m],
             )
             if bad >= 0:
                 raise NonStationaryError(

@@ -74,8 +74,8 @@ def l2_draws(p, seed, horizon, rep=0):
     gen = rngstreams.stream(seed, rep)
     h1 = rngstreams.bernoulli(gen, p.q1, horizon)
     h2 = rngstreams.bernoulli(gen, p.q2, horizon)
-    d1 = p.mu1 + p.sigma1 * rngstreams.standard_normals(gen, horizon)
-    d2 = p.mu2 + p.sigma2 * rngstreams.standard_normals(gen, horizon)
+    d1 = p.mu1 + p.sigma1 * rngstreams.standard_normals([gen], horizon)[0]
+    d2 = p.mu2 + p.sigma2 * rngstreams.standard_normals([gen], horizon)[0]
     return h1, h2, d1, d2
 
 
@@ -133,7 +133,7 @@ def replication_draws(seed, rep, arrival, L, horizon):
     for l in range(L):
         h[:, l] = rngstreams.bernoulli(gen, q[l], horizon)
     for l in range(L):
-        d[:, l] = mu[l] + sg[l] * rngstreams.standard_normals(gen, horizon)
+        d[:, l] = mu[l] + sg[l] * rngstreams.standard_normals([gen], horizon)[0]
     return h, d
 
 
@@ -153,7 +153,7 @@ class TestNormalQuantile:
         ours, uniforms = np.random.default_rng(1), np.random.default_rng(1)
         worst = 0.0
         for _ in range(10):  # 10^7 draws, a million at a time
-            z = rngstreams.standard_normals(ours, 1_000_000)
+            z = rngstreams.standard_normals([ours], 1_000_000)[0]
             u = np.clip(uniforms.random(1_000_000), rngstreams._U_LO, rngstreams._U_HI)
             worst = max(worst, float(np.max(ulps(z, ndtri(u)))))
         assert worst <= self.ULPS
@@ -198,7 +198,8 @@ class TestNormalQuantile:
         rows = rngstreams.standard_normals(gens, n)
         assert rows.shape == (3, n)
         for rep in range(3):
-            one = rngstreams.standard_normals(rngstreams.stream_at(5, rep, 7), n)
+            u = rngstreams.stream_at(5, rep, 7).random(n)
+            one = rngstreams._ndtri(np.clip(u, rngstreams._U_LO, rngstreams._U_HI, out=u))
             assert np.array_equal(bits(rows[rep]), bits(one)), rep
 
 
@@ -214,8 +215,8 @@ class TestKernelFidelity:
         gen = rngs.stream(99, 0)
         h1 = rngs.bernoulli(gen, p.q1, 4000)
         h2 = rngs.bernoulli(gen, p.q2, 4000)
-        d1 = p.mu1 + p.sigma1 * rngs.standard_normals(gen, 4000)
-        d2 = p.mu2 + p.sigma2 * rngs.standard_normals(gen, 4000)
+        d1 = p.mu1 + p.sigma1 * rngs.standard_normals([gen], 4000)[0]
+        d2 = p.mu2 + p.sigma2 * rngs.standard_normals([gen], 4000)[0]
         U, X, ledger = reference_l2_path(s, p, h1, h2, d1, d2)
         assert np.array_equal(stats.series["U"], U)
         assert np.array_equal(stats.series["x_sum"], X)
@@ -233,8 +234,8 @@ class TestKernelFidelity:
         gen = rngs.stream(5, 0)
         h1 = rngs.bernoulli(gen, p.q1, 4000)
         h2 = rngs.bernoulli(gen, p.q2, 4000)
-        d1 = p.mu1 + p.sigma1 * rngs.standard_normals(gen, 4000)
-        d2 = p.mu2 + p.sigma2 * rngs.standard_normals(gen, 4000)
+        d1 = p.mu1 + p.sigma1 * rngs.standard_normals([gen], 4000)[0]
+        d2 = p.mu2 + p.sigma2 * rngs.standard_normals([gen], 4000)[0]
         U, X, ledger = reference_l2_path(s, p, h1, h2, d1, d2, clamp=True)
         assert np.array_equal(stats.series["U"], U)
         for workload, consumed in ledger:
@@ -270,7 +271,9 @@ class TestKernelFidelity:
         lengths = np.sort(np.diff(np.append(starts, horizon)))[::-1]
         assert lengths.size >= K and lengths[0] > lengths[K - 1]
         assert np.sum(np.maximum(lengths[:K - 1] - lengths[K - 1], 0)) > 1000
-        U, X, bad, _ = simulate._l2_kernel(h1, h2, d1, d2, s.a, s.b, s.g, clamp, 1e9, 0.0)
+        U, X, bad, _ = simulate._l2_kernel(
+            h1, h2, d1, d2, s.a, s.b, s.g, clamp, 1e9, 0.0, np.empty((2, horizon))
+        )
         rU, rX, _ = reference_l2_path(s, p, h1, h2, d1, d2, clamp=clamp)
         assert bad == -1
         assert np.array_equal(bits(U), bits(rU))
@@ -817,6 +820,50 @@ class TestSelection:
         rng = np.random.default_rng(4)
         self.check(rng.gamma(2.0, 10.0, (4, 15_593)))
         self.check(np.round(2.0 * rng.standard_normal((3, 200))) / 2.0 + 0.0)
+
+    DEFAULT = og.SimConfig(horizon=1).quantile_levels  # (0.5, 0.95, 0.999)
+
+    @pytest.mark.parametrize("n", [4, 5] + list(range(22, 42)))
+    def test_adjacent_lower_indices_upper_part_reversed(self, n):
+        # the pooled sizes where one default level's upper index is the next
+        # one's lower index; the part above the median comes in descending
+        # order (at n = 4: 1, 2, 4, 3), so a partition that leaves it in
+        # place leaves its minimum last
+        a = np.arange(1.0, n + 1.0)
+        a[n // 2:] = a[n // 2:][::-1].copy()
+        for rows in (a, np.stack([a, a[::-1].copy()])):
+            got = simulate._select(rows.copy(), self.DEFAULT)
+            want = np.quantile(rows, self.DEFAULT, axis=-1, method="linear")
+            assert np.array_equal(bits(got), bits(want))
+
+    class Unsorted(np.ndarray):
+        """An array whose partition leaves each side in reversed order.
+
+        numpy's partition promises only that the values left of kth are no
+        larger and those right of it no smaller; some builds sort the small
+        parts near kth, which hides a reader that relies on more.
+        """
+
+        def partition(self, kth, axis=-1):
+            np.ndarray.partition(self, kth, axis=axis)
+            left, right = self[..., :kth], self[..., kth + 1:]
+            left[...] = left[..., ::-1].copy()
+            right[...] = right[..., ::-1].copy()
+
+    @pytest.mark.parametrize("n", [4, 5, 22, 41, 1_000])
+    def test_any_partition_order(self, n):
+        # the default levels, whose lower indices are adjacent at n = 4, 5
+        # and 22-41, and levels with lower indices k, k + 1 and k + 2
+        k = (n - 3) // 3
+        custom = [(k + j + 0.25) / (n - 1) for j in range(3)]
+        rng = np.random.default_rng(n)
+        for a in (rng.gamma(2.0, 10.0, n), rng.gamma(2.0, 10.0, (3, n))):
+            for levels in (self.DEFAULT, custom):
+                got = simulate._select(a.copy().view(self.Unsorted), levels)
+                want = np.quantile(a, levels, axis=-1, method="linear")
+                assert np.array_equal(bits(got), bits(want)), levels
+            got = simulate._select(a.copy().view(self.Unsorted))
+            assert np.array_equal(bits(got), bits(np.median(a, axis=-1)))
 
 
 class TestConditionalTails:
