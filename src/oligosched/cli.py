@@ -302,6 +302,8 @@ def _cmd_lti_pareto(ns, argv):
             raise InvalidParamsError("grid must be a JSON list of three-number lists")
         grid = [OutputWeights.normalized(*_numbers(t, "grid", 3)) for t in data]
     points = trace_front(grid, ss)
+    if not points:
+        raise NotConvergedError(f"no weight of the {len(grid)}-weight grid synthesized")
     weights = [list(vars(p.weights).values()) for p in points]
     front = np.array([w + list(vars(p.report).values()) for w, p in zip(weights, points)])
     csv = _textio.csv_text(["alpha1", "alpha2", "alpha3", "z1sq", "z2sq", "z3sq"],
@@ -310,8 +312,7 @@ def _cmd_lti_pareto(ns, argv):
     config = {
         "L": ns.L,
         "grid": weights,
-        "certificates": [{"grad_inf": p.grad_inf, "lower_bound": p.lower_bound, "gap": p.gap}
-                         for p in points],
+        "certificates": [{"lower_bound": p.lower_bound, "gap": p.gap} for p in points],
     }
     _emit(csv, ns.out, argv, config, files=[(ns.out + ".gains.json", gains)])
     return 0

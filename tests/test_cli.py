@@ -458,9 +458,17 @@ class TestLtiCommands:
         assert set(config) == {"L", "grid", "certificates"}
         assert len(config["certificates"]) == len(config["grid"]) == 2
         for cert in config["certificates"]:
-            assert set(cert) == {"grad_inf", "lower_bound", "gap"}
-            assert 0.0 <= cert["grad_inf"] <= og.pareto._TOL_GRAD
+            assert set(cert) == {"lower_bound", "gap"}
             assert abs(cert["gap"]) <= og.pareto._TOL_GAP * cert["lower_bound"] + 1e-14
+
+    def test_pareto_without_synthesized_weight_exits_3(self, tmp_path, capsys):
+        # a2 = 0 < r: the only weight of the grid has no stabilizing optimum
+        argv = ["lti", "pareto", "--L", "3", "--grid", "[[1,0,1]]",
+                "--out", str(tmp_path / "front.csv")]
+        with pytest.warns(UserWarning, match="K = 0"):
+            assert main(argv) == 3
+        assert "no weight of the 1-weight grid synthesized" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_pareto_loads_no_scipy(self, tmp_path):
         # synthesis needs only numpy; scipy.linalg alone costs about 0.3 s

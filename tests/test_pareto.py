@@ -8,6 +8,10 @@ from oligosched import pareto, statespace
 from oligosched.fixed_point import even_split_gain
 from oligosched.statespace import _solve_dlyap
 
+# Largest |G|inf of the exact gradient that certifies a gain stationary; the
+# default grid at L = 2-14 certifies below 1e-13.
+TOL_GRAD = 1e-6
+
 
 def guarded_objective(F, weights, ss):
     """objective_and_gradient of a gain that first passes the 1e-6 guard."""
@@ -65,7 +69,7 @@ def dare_oracle(weights, ss):
 
     Solves scipy's solve_discrete_are with D12'D12 inflated by eps I on each
     rung of _EPS_LADDER and returns (F, J) for the first rung whose exact
-    gradient certifies |G|inf <= pareto._TOL_GRAD, or None when no rung does.
+    gradient certifies |G|inf <= TOL_GRAD, or None when no rung does.
     """
     from scipy.linalg import solve_discrete_are
 
@@ -80,7 +84,7 @@ def dare_oracle(weights, ss):
             J, G = guarded_objective(F, weights, ss)
         except (ValueError, og.UnstableError):  # ordqz failures are ValueErrors
             continue
-        if np.max(np.abs(G)) <= pareto._TOL_GRAD:
+        if np.max(np.abs(G)) <= TOL_GRAD:
             return F, J
     return None
 
@@ -143,10 +147,15 @@ class TestDegenerateWeights:
         assert pt.objective == pytest.approx(a2 + r, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("L", [2, 3])
-    def test_no_backlog_weight_with_r_positive_is_unstable(self, L):
-        # a2 = 0 and r > 0: the optimal loop gain K tends to 0, the open loop
-        with pytest.raises(og.UnstableError):
+    def test_no_backlog_weight_with_r_positive_is_unstable(self, L, monkeypatch):
+        # a2 = 0 and r > 0: the optimal loop gain K is 0, the open loop,
+        # refused before any Lyapunov solve
+        calls = []
+        monkeypatch.setattr(statespace, "_solve_dlyap", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(pareto, "_solve_dlyap", lambda *a, **k: calls.append(a))
+        with pytest.raises(og.UnstableError, match=r"alpha2 = 0 .* K = 0"):
             og.synthesize(og.OutputWeights.normalized(1.0, 0.0, 1.0), og.build_state_space(L))
+        assert calls == []
 
     @pytest.mark.parametrize("L", [1, 2, 3, 5])
     def test_demand_only_costs_nothing(self, L):
@@ -234,8 +243,7 @@ class TestSynthesize:
             pt = og.synthesize(w, ss)
             _, J_oracle, _, _ = descend_oracle(even_split_gain(ss), w, ss)
             J, G = guarded_objective(pt.gain.F, w, ss)
-            assert np.max(np.abs(G)) <= pareto._TOL_GRAD
-            assert pt.grad_inf == pytest.approx(np.max(np.abs(G)), rel=1e-12)
+            assert np.max(np.abs(G)) <= TOL_GRAD
             assert abs(pt.gap) <= pareto._TOL_GAP * pt.lower_bound + 1e-14
             assert J <= J_oracle * (1 + 1e-9)
             assert pt.objective == pytest.approx(J, rel=1e-10)
@@ -259,7 +267,7 @@ class TestSynthesize:
         w = og.OutputWeights.normalized(0.1, 0.9, 10.0)
         pt = og.synthesize(w, ss)
         _, G = guarded_objective(pt.gain.F, w, ss)
-        assert np.max(np.abs(G)) <= pareto._TOL_GRAD
+        assert np.max(np.abs(G)) <= TOL_GRAD
 
     @pytest.mark.parametrize("L", [2, 8])
     def test_edge_weight_certifies(self, L):
@@ -268,8 +276,7 @@ class TestSynthesize:
         w = og.OutputWeights.normalized(1.0, 0.001, 1.0)
         pt = og.synthesize(w, ss)
         _, G = guarded_objective(pt.gain.F, w, ss)
-        assert pt.grad_inf == pytest.approx(np.max(np.abs(G)), rel=1e-12)
-        assert pt.grad_inf <= pareto._TOL_GRAD
+        assert np.max(np.abs(G)) <= TOL_GRAD
 
     @pytest.mark.parametrize("L", [2, 3, 5, 8])
     def test_closed_form_matches_policy_oracle(self, L):
@@ -285,6 +292,8 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("L", range(2, 15))
     def test_gain_is_block_constant_and_meets_the_bound(self, L):
+        # meeting the bound makes a gain globally optimal, so stationary:
+        # the exact gradient confirms it
         ss = og.build_state_space(L)
         blocks = (slice(0, L), slice(L, ss.D_c))
         for w in og.default_weight_grid():
@@ -298,9 +307,12 @@ class TestSynthesize:
             assert p > 0.0 and p * p - a2 * p - r * a2 == pytest.approx(0.0, abs=1e-14)
             assert pt.lower_bound == L * p
             assert pt.gap == pt.objective - pt.lower_bound
+            assert abs(pt.gap) <= pareto._TOL_GAP * pt.lower_bound + 1e-14
             assert pt.objective == pytest.approx(L * p, rel=1e-10)
+            _, G = og.objective_and_gradient(pt.gain, w, ss)
+            assert np.max(np.abs(G)) <= TOL_GRAD
 
-    def test_one_gramian_and_one_adjoint_per_weight(self, ss5, monkeypatch):
+    def test_one_gramian_per_weight(self, ss5, monkeypatch):
         real = statespace._solve_dlyap
         margins = []
 
@@ -310,17 +322,10 @@ class TestSynthesize:
 
         monkeypatch.setattr(statespace, "_solve_dlyap", counted)
         monkeypatch.setattr(pareto, "_solve_dlyap", counted)
-        og.synthesize(og.OutputWeights.normalized(0.5, 0.5, 1.0), ss5)
-        # Q_F certified at the library margin, then the adjoint Gramian
-        assert margins == [statespace._STABILITY_MARGIN, 0.0]
-
-    def test_uncertifiable_gradient_tolerance_raises(self, ss3, monkeypatch):
-        w = og.OutputWeights.normalized(1.0, 1.0, 1.0)
-        grad_inf = og.synthesize(w, ss3).grad_inf
-        assert 0.0 < grad_inf <= pareto._TOL_GRAD
-        monkeypatch.setattr(pareto, "_TOL_GRAD", 0.5 * grad_inf)
-        with pytest.raises(og.NotConvergedError, match=r"\|G\|inf"):
-            og.synthesize(w, ss3)
+        grid = [og.OutputWeights.normalized(m, 1.0 - m, 1.0) for m in (0.2, 0.5, 0.8)]
+        assert len(og.trace_front(grid, ss5)) == 3
+        # Q_F of each gain, certified at the library margin, and no adjoint
+        assert margins == [statespace._STABILITY_MARGIN] * 3
 
     def test_uncertifiable_gap_tolerance_raises(self, ss3, monkeypatch):
         # a negative relative tolerance puts the admissible gap below zero
@@ -331,22 +336,20 @@ class TestSynthesize:
 
     def test_failed_lyapunov_solve_raises_and_front_drops_point(self, ss2, monkeypatch):
         grid = [og.OutputWeights.normalized(m, 1.0 - m, 2.0) for m in (0.2, 0.5, 0.8)]
-        real = pareto._solve_dlyap
-        # the adjoint Gramian equation of the middle weight's gain F: its
-        # output map is C1 + D12 F
+        real = statespace._solve_dlyap
+        # the Gramian equation of the middle weight's gain F: its closed
+        # loop is R1(I - F)
         F = og.synthesize(grid[1], ss2).gain.F
-        C1, D12 = pareto._plant_outputs(grid[1], ss2)
-        C = C1 + D12 @ F
-        W_middle = C.T @ C
+        M_middle = ss2.R1 @ (np.eye(ss2.D_c) - F)
         calls = []
 
         def fails_for_middle(M, W, margin=0.0):
-            if np.array_equal(W, W_middle):
-                calls.append(W)
+            if np.array_equal(M, M_middle):
+                calls.append(M)
                 raise og.UnstableError("Lyapunov doubling series diverged")
             return real(M, W, margin)
 
-        monkeypatch.setattr(pareto, "_solve_dlyap", fails_for_middle)
+        monkeypatch.setattr(statespace, "_solve_dlyap", fails_for_middle)
         with pytest.raises(og.UnstableError):
             og.synthesize(grid[1], ss2)
         assert len(calls) == 1
