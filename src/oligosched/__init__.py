@@ -48,6 +48,7 @@ from .errors import (
     NonStationaryError,
     NoSolutionError,
     NoStableRootError,
+    NotAnEquilibriumError,
     NotConvergedError,
     OligoschedError,
     SingularRowError,

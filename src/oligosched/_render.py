@@ -1,0 +1,247 @@
+"""Decimal text of numpy arrays, byte for byte as ``%.17g``/``%d`` spell it.
+
+Arrays (CSV columns, and numeric ndarrays in ``dumps``) are rendered in
+numpy, not one Python call per value.  Each value becomes a fixed-width
+``uint8`` field plus a keep mask; the fields of a row and its separators
+are laid side by side, and one boolean compaction turns ``ROWS`` rows
+into text, so the temporaries are sized by ``ROWS``, not by the array.
+
+Fast path for a float v with 1e-4 <= |v| < 1e16, exactly the nonzero
+magnitudes ``%.17g`` writes in fixed notation.  With X the decimal
+exponent of |v|, N = round(|v|*10**(16-X)) holds the 17 significant
+digits.  10**(16-X) is an exact double (16-X <= 21), and Dekker's
+two-product (Numer. Math. 18, 1971) splits |v|*10**(16-X) exactly into
+p + e.  Since p >= 1e16 > 2**53, p is an even integer, so N = p + rint(e)
+in int64 is the correctly rounded value, ties to even, as Gay's
+conversion behind ``%.17g`` gives it.  X comes from ``floor(log10)``,
+corrected by one step where N leaves [10**16, 10**17]; N = 10**17 (a
+power of ten whose log10 came out low) rolls over to the next decade.
+The digits come from a 10,000-entry table of 4-digit groups, trailing
+zeros are dropped and the point is placed at X; +-0 is spelled "0" and
+"-0" in the same pass.  Integers with |i| < 10**16 use the same table.
+Every other value (nan, inf, the scientific-notation magnitudes below
+1e-4 or from 1e16 on, subnormals among them, and larger integers) is
+spelled one at a time by ``%.17g``/``%d``, so every byte equals the
+per-value rendering.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+ROWS = 16384  # rows (CSV) or values (JSON) per compaction
+_FLOAT_WIDTH = 24  # "-", 22 columns for "0.000" and 17 digits, 1 for the fallback
+_POW10 = 10.0 ** np.arange(23)  # exact doubles up to 1e22
+_E16, _E17 = 10 ** 16, 10 ** 17
+_INT_POW = 10 ** np.arange(1, 17)  # an integer a has 1 + #{p <= a} digits
+
+# _DIGITS4[g]: the 4 ASCII digits of g < 10,000, zero padded, as one uint32.
+# _LAST[k][g]: the index among 17 digits of the last nonzero digit of g as
+# the k-th 4-digit group after the leading digit, 0 where g is 0.
+_digits = 48 + np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10000)
+_DIGITS4 = np.ascontiguousarray(_digits.T).view(np.uint32).ravel()
+_position = ((_digits != 48) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
+_LAST = [np.where(_position, _position + 4 * k, 0).astype(np.uint8) for k in range(4)]
+# A float field holds "-" in column 0 and content column i = 0..21 in column
+# i + 1.  With decimal exponent x in -4..15 and the index of the last
+# nonzero digit in 0..16, the content is z = "0000" + 17 digits: z[i] up to
+# the units digit at i = 4 + x, the point at 5 + x, then z[i - 1]; it keeps
+# columns 4 + min(x, 0) .. (5 + last if last > x else 4 + x).
+# _INTEGER[x + 4] is 255 on the columns taken from z unshifted, and
+# _KEEP[17 * (x + 4) + last] marks the columns kept.
+_c = np.arange(_FLOAT_WIDTH)
+_x = np.arange(-4, 16)[:, None, None]
+_last = np.arange(17)[None, :, None]
+_INTEGER = np.where(_c <= 5 + _x[:, 0], 255, 0).astype(np.uint8)
+_KEEP = ((_c >= 5 + np.minimum(_x, 0)) & (_c <= np.where(_last > _x, 6 + _last, 5 + _x))
+         ).reshape(-1, _FLOAT_WIDTH)
+del _digits, _position, _c, _x, _last
+
+
+def _spelled(rows: np.ndarray, strings: list[str], data: np.ndarray, keep: np.ndarray) -> None:
+    """Overwrite the fields at ``rows`` with ``strings``, left-aligned."""
+    if strings:
+        spelled = np.array(strings, dtype=f"S{data.shape[1]}").view(np.uint8)
+        spelled = spelled.reshape(len(strings), data.shape[1])
+        data[rows] = spelled
+        keep[rows] = spelled != 0
+
+
+def _scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """round(a * 10**(16 - x)), ties to even, as int64; exact where the
+    rounded product lies in [1e16, 1e17] (module docstring)."""
+    b = np.take(_POW10, 16 - x)
+    p = a * b
+    ah = a * 134217729.0  # Veltkamp splits at 2**27 + 1
+    ah -= ah - a
+    bh = b * 134217729.0
+    bh -= bh - b
+    al, bl = a - ah, b - bh
+    e = ah * bh
+    e -= p
+    e += ah * bl
+    e += al * bh
+    e += al * bl
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _float_fill(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
+    """``%.17g`` fields of the values ``v`` as float64 (nan, inf renamed)
+    into ``(len(v), _FLOAT_WIDTH)`` views."""
+    v = np.asarray(v, dtype=np.float64)
+    n = len(v)
+    a = np.abs(v)
+    slow = ~((a >= 1e-4) & (a < 1e16)) & (a != 0)
+    rows = np.flatnonzero(slow)
+    strings = ["%.17g" % s for s in v[rows].tolist()]
+    a[rows] = 1.0
+    zero = a == 0
+    a[zero] = 1.0
+    x = np.floor(np.log10(a)).astype(np.intp)
+    N = _scaled(a, x)
+    step = (N < _E16).astype(np.intp) - (N > _E17)
+    fix = np.flatnonzero(step)
+    if fix.size:
+        x[fix] -= step[fix]
+        N[fix] = _scaled(a[fix], x[fix])
+    roll = np.flatnonzero(N == _E17)
+    N[roll] = _E16
+    x[roll] += 1
+    # six 4-digit groups per value: "0000", "000" + leading digit, 16 digits
+    groups = np.zeros((n, 6), np.intp)
+    np.divmod(N, _E16, out=(groups[:, 1], N))
+    groups[zero, 1] = 0
+    hi, N = np.divmod(N, 10 ** 8)
+    np.divmod(hi, 10000, out=(groups[:, 2], groups[:, 3]))
+    np.divmod(N, 10000, out=(groups[:, 4], groups[:, 5]))
+    digits = np.empty(6 * n + 1, np.uint32)
+    np.take(_DIGITS4, groups.ravel(), out=digits[:-1], mode="clip")
+    digits[-1] = _DIGITS4[0]
+    digits = digits.view(np.uint8)
+    # column c is digit byte c + 1 of the row (z shifted one column right)
+    # or, left of the point, c + 2 (z unshifted): one flat bitwise selection
+    shifted = digits[1:24 * n + 1]
+    field = digits[2:24 * n + 2] ^ shifted
+    field &= np.take(_INTEGER, x + 4, axis=0).ravel()
+    field ^= shifted
+    field = field.reshape(n, _FLOAT_WIDTH)
+    field[:, 0] = 45
+    field[np.arange(n), 6 + x] = 46
+    data[...] = field
+    last = np.take(_LAST[0], groups[:, 2])
+    for k in (1, 2, 3):
+        np.maximum(last, np.take(_LAST[k], groups[:, 2 + k]), out=last)
+    last[zero] = 0
+    keep[...] = np.take(_KEEP, 17 * (x + 4) + last, axis=0)
+    keep[:, 0] = np.signbit(v)
+    _spelled(rows, [s.replace("nan", "NaN").replace("inf", "Infinity") for s in strings],
+             data, keep)
+
+
+def _int_width(v: np.ndarray) -> int:
+    """Field width for the integer values ``v``: a "-" column and 4-digit
+    groups enough for the largest |v|; 5 groups hold every 64-bit value."""
+    m = max(int(v.max()), -int(v.min()))
+    return 1 + 4 * (5 if m >= _E16 else -(-len(str(m)) // 4))
+
+
+def _int_fill(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
+    """``%d`` fields of the integer (or bool) values ``v`` into
+    ``(len(v), _int_width(v))`` views: "-" in column 0, then the digits."""
+    n, width = data.shape
+    slow = (v >= _E16) | (v <= -_E16) if v.dtype.itemsize == 8 else np.zeros(n, bool)
+    rows = np.flatnonzero(slow)
+    strings = ["%d" % s for s in v[rows].tolist()]
+    a = np.abs(np.where(slow, 0, v).astype(np.int64))
+    ngroups = (width - 1) // 4
+    col = np.arange(4 * ngroups)
+    keep[:, 0] = v < 0
+    keep[:, 1:] = np.take(col >= 4 * ngroups - 1 - col[:, None],
+                          np.searchsorted(_INT_POW, a, side="right"), axis=0)
+    groups = np.empty((n, ngroups), np.intp)
+    for j in range(ngroups - 1, 0, -1):
+        a, groups[:, j] = np.divmod(a, 10000)
+    groups[:, 0] = a
+    data[:, 0] = 45
+    data[:, 1:] = np.take(_DIGITS4, groups).view(np.uint8).reshape(n, 4 * ngroups)
+    _spelled(rows, strings, data, keep)
+
+
+def _compact(pieces: list, n: int) -> str:
+    """Text of ``n`` rows, each the kept bytes of ``pieces`` side by side.
+
+    A piece is an array of ``n`` values, rendered as ``%d`` fields for
+    integer and bool dtypes and as ``%.17g`` fields of float64 otherwise,
+    or a ``(data, keep)`` pair of ``(1, w)`` or ``(n, w)`` arrays.
+    """
+    widths = [p[0].shape[1] if isinstance(p, tuple)
+              else _int_width(p) if p.dtype.kind in "iub" else _FLOAT_WIDTH for p in pieces]
+    data = np.empty((n, sum(widths)), np.uint8)
+    keep = np.empty((n, sum(widths)), bool)
+    start = 0
+    for piece, width in zip(pieces, widths):
+        cols = slice(start, start + width)
+        start += width
+        if isinstance(piece, tuple):
+            data[:, cols], keep[:, cols] = piece
+        elif piece.dtype.kind in "iub":
+            _int_fill(piece, data[:, cols], keep[:, cols])
+        else:
+            _float_fill(piece, data[:, cols], keep[:, cols])
+    return str(np.compress(keep.ravel(), data.ravel()), "ascii")
+
+
+def _constant(s: str) -> tuple[np.ndarray, np.ndarray]:
+    """A ``(data, keep)`` piece spelling ``s`` on every row."""
+    data = np.frombuffer(s.encode("ascii"), np.uint8)[None, :]
+    return data, np.ones(data.shape, bool)
+
+
+def csv_rows(columns) -> list[str]:
+    """The CSV lines of equal-length integer or float arrays ``columns``,
+    ``ROWS`` rows per string, each line ending with a newline."""
+    n = len(columns[0]) if len(columns) else 0
+    comma, newline = _constant(","), _constant("\n")
+    parts = []
+    for start in range(0, n, ROWS):
+        pieces = []
+        for col in columns:
+            pieces += [col[start:start + ROWS], comma]
+        pieces[-1] = newline
+        parts.append(_compact(pieces, min(ROWS, n - start)))
+    return parts
+
+
+def json_array(a: np.ndarray, level: int) -> str:
+    """``dumps`` of a non-empty integer or float array at ``level``.
+
+    Every value sits on its own line after a fixed indent column; what
+    follows it depends only on how many trailing dimensions end there: a
+    comma and newline within a row, the brackets that close and reopen
+    rows, or, after the last value, the brackets that close the array.
+    """
+    d = a.ndim
+    pad = ["  " * k for k in range(level + d + 1)]
+    kinds = []  # the text after a value at which c trailing dimensions end
+    for c in range(d + 1):
+        text = "".join("\n" + pad[level + d - k] + "]" for k in range(1, c + 1))
+        if c < d:
+            text += ",\n" + "".join(pad[level + d - k] + "[\n" for k in range(c, 0, -1))
+        kinds.append(text)
+    width = max(map(len, kinds))
+    table = np.array(kinds, dtype=f"S{width}").view(np.uint8).reshape(d + 1, width)
+    table_keep = table != 0
+    ends = np.cumprod(a.shape[::-1])[:-1]  # sizes of the trailing sub-arrays
+    indent = _constant(pad[level + d])
+    flat = a.reshape(-1)
+    parts = ["[\n" + "".join(pad[level + k] + "[\n" for k in range(1, d))]
+    for start in range(0, flat.size, ROWS):
+        j = np.arange(start + 1, min(start + ROWS, flat.size) + 1)  # 1-based index
+        c = np.zeros(len(j), np.intp)
+        for e in ends:
+            c += j % e == 0
+        if j[-1] == flat.size:
+            c[-1] = d
+        parts.append(_compact([indent, flat[start:start + ROWS],
+                               (np.take(table, c, axis=0), np.take(table_keep, c, axis=0))],
+                              len(j)))
+    return "".join(parts)

@@ -1,10 +1,14 @@
 """Text serialization helpers: 17-significant-digit JSON/CSV, atomic writes.
 
-Every float is emitted through ``%.17g`` so parsed values round-trip
+Every float is emitted as ``%.17g`` spells it, so parsed values round-trip
 exactly; rerunning a command with the same inputs therefore reproduces
 output files byte for byte.  Long CSV output is produced by ``csv_blocks``
 one block of rows at a time and streamed by ``atomic_write_text``, so
 writing a series holds one formatted block in memory, never the whole text.
+CSV columns and numeric ndarrays in ``dumps`` are rendered by ``_render``
+in numpy, byte for byte as the per-value ``%.17g``/``%d`` spelling; it is
+imported on first use, since parsing it costs about 2 ms of start-up that
+a process writing no array never needs.
 """
 from __future__ import annotations
 
@@ -22,7 +26,12 @@ def fmt(x) -> str:
 
 
 def dumps(obj, _level: int = 0) -> str:
-    """JSON text, two spaces per level, full-precision floats, dict order kept."""
+    """JSON text, two spaces per level, full-precision floats, dict order kept.
+
+    A non-empty integer or float ndarray of one or more dimensions is
+    rendered by ``_render.json_array``; its text equals the per-value
+    rendering through ``fmt`` and ``str``.
+    """
     pad = "  " * _level
     pad_in = "  " * (_level + 1)
     if obj is None:
@@ -36,6 +45,9 @@ def dumps(obj, _level: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return fmt(obj)
     if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.size and obj.dtype.kind in "iuf":
+            from . import _render
+            return _render.json_array(obj, _level)
         obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
@@ -81,21 +93,14 @@ def csv_text(header: list[str] | None, columns) -> str:
     """CSV text of equal-length integer or float arrays ``columns``, spelled
     as ``fmt`` spells them: ``%d``/``%.17g`` per value, nan and inf renamed.
 
-    Every row given is formatted in one string operation, after the header
-    line unless ``header`` is None; each line ends with a newline.
+    The rows are rendered by ``_render.csv_rows`` (its module docstring
+    gives the fast path, why it is exact, and the per-value fallback),
+    after the header line unless ``header`` is None; each line ends with a
+    newline.
     """
-    lines = [] if header is None else [",".join(header)]
-    ncol = len(columns)
-    n = len(columns[0]) if ncol else 0
-    if n:
-        line = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns)
-        flat = [None] * (n * ncol)  # row-major values for the one "%"
-        for k, col in enumerate(columns):
-            flat[k::ncol] = col.tolist()
-        text = "\n".join([line] * n) % tuple(flat)
-        lines.append(text.replace("nan", "NaN").replace("inf", "Infinity"))
-    lines.append("")  # the trailing newline, without a "+" copying the text
-    return "\n".join(lines)
+    from . import _render
+    parts = [] if header is None else [",".join(header) + "\n"]
+    return "".join(parts + _render.csv_rows(columns))
 
 
 def csv_blocks(header: list[str], columns) -> Iterator[str]:

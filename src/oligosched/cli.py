@@ -288,7 +288,9 @@ def _cmd_lti_mpe(ns, argv):
         "damping": ns.damping,
         "mode": ns.mode,
     }
-    _emit(result, ns.out, argv, config)
+    certificates = {"stability_margin": sol.stability_margin,
+                    "min_denominator": sol.min_denominator}
+    _emit(result, ns.out, argv, config, certificates=certificates)
     return 0
 
 

@@ -62,5 +62,16 @@ class FixedPointUnstableError(UnstableError):
         super().__init__(message)
 
 
+class NotAnEquilibriumError(UnstableError):
+    """A certified-stable fixed point at which some agent's one-shot
+    deviation cost is not convex, so its best-response row maximizes that
+    cost; ``solution`` carries it.  An UnstableError, as a refused
+    certificate, so the CLI exits 3."""
+
+    def __init__(self, message: str, solution=None):
+        self.solution = solution
+        super().__init__(message)
+
+
 class InsufficientSamplesError(OligoschedError):
     """A conditioning cell holds too few samples for a tail estimate."""

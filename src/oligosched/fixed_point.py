@@ -40,6 +40,14 @@ convergence is always declared on the residual of the undamped map.
 Some pricings have several stable fixed points; the equilibrium, and so
 the operator objective of ``operator_design``, is the one Anderson reaches
 from the even-split gain, accepted when its Gramian certifies stability.
+
+A fixed point is an equilibrium only if every row minimizes its agent's
+one-shot deviation cost.  That cost is quadratic in the deviation u with
+curvature den_i / 2, den_i = c + 2 q2[i] the row's denominator above, so
+``solve_mpe`` also requires den_i > 0 on every tau > 1 row at the
+accepted gain.  The floor is strict positivity, not a margin relative to
+q2: the condition is a sign, and the kernel already refuses
+|den_i| < 1e-12 as singular.
 """
 from __future__ import annotations
 
@@ -51,6 +59,7 @@ import numpy as np
 from .errors import (
     FixedPointUnstableError,
     InvalidParamsError,
+    NotAnEquilibriumError,
     NotConvergedError,
     SingularRowError,
     UnstableError,
@@ -122,6 +131,9 @@ class MpeSolution:
     # Gramian Q_F that certified it; NaN and None where the certificate failed
     stability_margin: float
     gramian: np.ndarray | None = field(repr=False)
+    # the smallest best-response denominator over the tau > 1 rows at the
+    # gain: twice the least curvature of a one-shot deviation cost
+    min_denominator: float
 
     @property
     def residual(self) -> float:
@@ -194,8 +206,9 @@ def _row_plans(L: int) -> tuple[_RowPlan, tuple[_RowPlan, ...]]:
 def _best_response_rows(S: np.ndarray, q1, q2, ss: StateSpace, plan: _RowPlan):
     """Best-response rows ``plan.rows`` against the conjectured gain S.
 
-    Raises SingularRowError for the first row, in slot order, whose
-    denominator vanishes.
+    Returns the rows and their denominators (module docstring).  Raises
+    SingularRowError for the first row, in slot order, whose denominator
+    vanishes.
     """
     D = ss.D_c
     M = ss.R1 - ss.R1 @ S
@@ -217,7 +230,7 @@ def _best_response_rows(S: np.ndarray, q1, q2, ss: StateSpace, plan: _RowPlan):
         l, tau = ss.pairs[plan.rows[singular[0]]]
         raise SingularRowError(l, tau, float(den[singular[0]]))
     num = left @ M + (c + q2i)[:, None] * S[plan.rows] - w
-    return num / den[:, None]
+    return num / den[:, None], den
 
 
 def f_map(F, pricing: PricingRule, ss: StateSpace, sweep: str = "jacobi") -> np.ndarray:
@@ -241,9 +254,9 @@ def f_map(F, pricing: PricingRule, ss: StateSpace, sweep: str = "jacobi") -> np.
     out = _unit_deadline_rows(Fm, ss.L)
     if sweep == "gauss-seidel":
         for plan in singles:
-            out[plan.rows] = _best_response_rows(out, q1, q2, ss, plan)
+            out[plan.rows] = _best_response_rows(out, q1, q2, ss, plan)[0]
     else:
-        out[batch.rows] = _best_response_rows(Fm, q1, q2, ss, batch)
+        out[batch.rows] = _best_response_rows(Fm, q1, q2, ss, batch)[0]
     return out
 
 
@@ -253,10 +266,13 @@ def solve_mpe(
     """Anderson-accelerate the map from even-split to a symmetric equilibrium gain.
 
     Returns the gain with undamped residual at most ``cfg.tol`` in sup
-    norm and a Gramian whose doubling solve certifies a spectral bound
-    below 1 - ``statespace._STABILITY_MARGIN``.  Raises NotConvergedError
-    (with the residual trace) when the budget is exhausted or the iterates
-    stop being finite, and FixedPointUnstableError when the certificate fails.
+    norm, a Gramian whose doubling solve certifies a spectral bound
+    below 1 - ``statespace._STABILITY_MARGIN``, and the smallest row
+    denominator.  Raises NotConvergedError (with the residual trace) when
+    the budget is exhausted or the iterates stop being finite,
+    FixedPointUnstableError when the stability certificate fails, and
+    NotAnEquilibriumError when a denominator is not positive (module
+    docstring); both carry the solution.
     """
     cfg = cfg or FixedPointConfig()
     pricing = pricing.validated(ss)
@@ -302,11 +318,20 @@ def solve_mpe(
                 residuals,
             )
     gain = FeedbackGain(F, ss)
+    den = _best_response_rows(F, pricing.q1, pricing.q2, ss, _row_plans(ss.L)[0])[1]
+    min_den = float(den.min(initial=np.inf))  # inf at L = 1: no such row
     try:
         Q, bound = _gramian(F, ss)
     except UnstableError as exc:
         raise FixedPointUnstableError(
             f"fixed point reached, but its closed loop is not certified stable: {exc}",
-            MpeSolution(gain, it, residuals, float("nan"), None),
+            MpeSolution(gain, it, residuals, float("nan"), None, min_den),
         ) from exc
-    return MpeSolution(gain, it, residuals, 1.0 - bound, Q)
+    sol = MpeSolution(gain, it, residuals, 1.0 - bound, Q, min_den)
+    if min_den <= 0.0:
+        l, tau = ss.pairs[ss.L + int(den.argmin())]
+        raise NotAnEquilibriumError(
+            f"fixed point reached, but it is no equilibrium: agent (type={l}, "
+            f"periods_left={tau}) has best-response denominator {min_den:.3e} <= 0, "
+            "so its row maximizes its one-shot deviation cost", sol)
+    return sol

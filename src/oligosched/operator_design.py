@@ -26,6 +26,7 @@ from . import rngstreams
 from .errors import (
     FixedPointUnstableError,
     InvalidParamsError,
+    NotAnEquilibriumError,
     NotConvergedError,
     SingularRowError,
 )
@@ -143,8 +144,9 @@ class OperatorResult:
     baseline_objective: float
     evaluations: int
     # over the search's ``evaluations`` inner solves: failures by kind
-    # ("singular-row", "not-converged", "unstable"), and the sweeps of the
-    # solves that ran to a verdict (a singular row stops a solve mid-sweep)
+    # ("singular-row", "not-converged", "unstable", "not-an-equilibrium"),
+    # and the sweeps of the solves that ran to a verdict (a singular row
+    # stops a solve mid-sweep)
     failures: dict
     inner_sweeps: int
     # the scalar LQ bound L p, objective - lower_bound, and the largest
@@ -165,9 +167,10 @@ def evaluate_pricing(
     The objective alpha1 z1sq + alpha2 z2sq is read off the equilibrium
     gain and the Gramian that certified it by ``h2_norms``' read-out.
     Returns (inf, diagnostics) when the inner equilibrium solve fails, its
-    stability certificate included; the diagnostics record the failure
-    kind ("singular-row", "not-converged" or "unstable"), and every solve
-    that ran to a verdict records its ``iterations`` (sweeps).
+    stability and second-order certificates included; the diagnostics
+    record the failure kind ("singular-row", "not-converged", "unstable" or
+    "not-an-equilibrium"), and every solve that ran to a verdict records
+    its ``iterations`` (sweeps).
     """
     try:
         sol = solve_mpe(pricing, ss, fp_cfg)
@@ -187,6 +190,12 @@ def evaluate_pricing(
         return float("inf"), {
             "status": "unstable",
             "detail": str(exc),
+            "iterations": exc.solution.iterations,
+        }
+    except NotAnEquilibriumError as exc:
+        return float("inf"), {
+            "status": "not-an-equilibrium",
+            "min_denominator": exc.solution.min_denominator,
             "iterations": exc.solution.iterations,
         }
     rep = _h2_readout(sol.gain.F, sol.gramian, ss)
@@ -213,7 +222,8 @@ def optimize_pricing(
     if budget < 1:
         raise InvalidParamsError("budget must be >= 1")
     D = ss.D_c
-    failures = dict.fromkeys(("singular-row", "not-converged", "unstable"), 0)
+    failures = dict.fromkeys(
+        ("singular-row", "not-converged", "unstable", "not-an-equilibrium"), 0)
     sweeps = 0
 
     def theta_to_pricing(theta):

@@ -13,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 
 import oligosched as og
 from conftest import subprocess_env
-from oligosched import _textio
+from oligosched import _render, _textio
 from oligosched import cli
 from oligosched.cli import _build_parser, main
 
@@ -46,6 +47,56 @@ def single_string_csv_oracle(header, columns):
         lines.append(text.replace("nan", "NaN").replace("inf", "Infinity"))
     lines.append("")
     return "\n".join(lines)
+
+
+def recursive_dumps_oracle(obj, level=0):
+    """The former dumps: every array through tolist, every float through
+    _textio.fmt, one call per value."""
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _textio.fmt(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f"{pad_in}{json.dumps(str(k), ensure_ascii=False)}: "
+                 f"{recursive_dumps_oracle(v, level + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [f"{pad_in}{recursive_dumps_oracle(v, level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def adversarial_doubles():
+    """Doubles where a decimal rendering can go wrong, both signs."""
+    k = np.arange(-300, 301)
+    powers = 10.0 ** np.arange(-10, 25)
+    up, down = [powers], [powers]  # up to 40 ulp either side of each power of ten
+    for _ in range(40):
+        up.append(np.nextafter(up[-1], np.inf))
+        down.append(np.nextafter(down[-1], 0.0))
+    special = [9.99999999999999999, 0.000999999999999999999, 99999.9999999999999999,
+               1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e16,
+               np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 1e17,
+               np.nextafter(1e17, 0.0), 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 54 + 4,
+               5e-324, 1e-310, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0),
+               1.7976931348623157e308, 0.0, np.nan, np.inf, 0.1, 0.2, 0.3, 1 / 3, 2 / 3]
+    values = np.concatenate([1 + k * 2.0 ** -17, 9 + k * 2.0 ** -16, 123 + k * 2.0 ** -10,
+                             *up, *down, special])
+    return np.concatenate([values, -values])
 
 
 def scipy_modules_after(code, cwd=None):
@@ -360,6 +411,125 @@ class TestL2Commands:
         assert json.loads(out1.read_text()) == json.loads(out2.read_text())
 
 
+class TestTextRenderer:
+    """The numpy renderer behind csv_text and dumps, byte for byte against
+    the per-value oracles."""
+
+    @staticmethod
+    def assert_csv_matches(columns, by_row=True):
+        # row_csv_oracle spells integers through float, exact below 2^53
+        header = [f"c{k}" for k in range(len(columns))]
+        text = _textio.csv_text(header, columns)
+        if by_row:
+            assert text == row_csv_oracle(header, zip(*(col.tolist() for col in columns)))
+        assert text == single_string_csv_oracle(header, columns)
+        assert "".join(_textio.csv_blocks(header, columns)) == text
+
+    def test_adversarial_doubles(self):
+        U = adversarial_doubles()
+        self.assert_csv_matches((np.arange(len(U)), U))
+        assert _textio.dumps(U) == recursive_dumps_oracle(U)
+        text = _textio.csv_text(None, [np.array([9.99999999999999999, 0.000999999999999999999,
+                                                 99999.9999999999999999, -0.0, 1e16, 1e17])])
+        assert text == "10\n0.001\n100000\n-0\n10000000000000000\n1e+17\n"
+
+    def test_halfway_ties_round_to_even(self):
+        # 1 + 2^-17 = 1.00000762939453125 has 18 significant digits
+        text = _textio.csv_text(None, [np.array([1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17])])
+        assert text == "1.0000076293945312\n1.0000228881835938\n"
+
+    @pytest.mark.parametrize("bias", [-1e-9, 1e-9])
+    def test_exponent_estimate_one_off_is_corrected(self, monkeypatch, bias):
+        # a log10 one decade low at a power of ten gives N = 10^17, which
+        # rolls over; one decade high gives N < 10^16, which is re-scaled
+        real = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: real(a) + bias)
+        U = adversarial_doubles()
+        self.assert_csv_matches((U,))
+
+    def test_log_uniform_doubles(self):
+        rng = np.random.default_rng(17)
+        U = 10.0 ** rng.uniform(-8, 20, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+        self.assert_csv_matches((U, np.round(U)))
+        assert _textio.dumps(U[:5000]) == recursive_dumps_oracle(U[:5000])
+
+    @pytest.mark.parametrize("column", [
+        pytest.param(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 1,
+                               10 ** 16 - 1, 10 ** 16, -10 ** 16 + 1, -10 ** 16, 9999, 10000]),
+                     id="int64"),
+        pytest.param(np.array([2 ** 63, 2 ** 64 - 1, 0, 10 ** 16 - 1, 10 ** 16], np.uint64),
+                     id="uint64"),
+        pytest.param(np.arange(256, dtype=np.uint8), id="uint8"),
+        pytest.param(np.arange(-128, 128, dtype=np.int8), id="int8"),
+        pytest.param(np.array([np.iinfo(np.int32).min, -1, 0, np.iinfo(np.int32).max],
+                              np.int32), id="int32"),
+        pytest.param(np.array([True, False]), id="bool"),
+    ])
+    def test_integer_columns(self, column):
+        self.assert_csv_matches((column, column.astype(float)),
+                                by_row=bool(np.all(np.abs(column.astype(float)) < 2.0 ** 53)))
+        if column.dtype.kind != "b":  # bool arrays stay true/false in JSON
+            assert _textio.dumps(column) == recursive_dumps_oracle(column)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, _render.ROWS - 1, _render.ROWS,
+                                      _render.ROWS + 1, 2 * _render.ROWS + 3,
+                                      _textio._CSV_CHUNK - 1, _textio._CSV_CHUNK + 1])
+    def test_sub_block_and_block_boundaries(self, rows):
+        rng = np.random.default_rng(rows)
+        t = np.arange(rows)
+        U = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 20, rows)
+        for edge in (_render.ROWS, _textio._CSV_CHUNK):
+            U[max(0, edge - 2):edge + 2] = [np.nan, -0.0, 1e300, -np.inf][:len(U[edge - 2:edge + 2])]
+        self.assert_csv_matches((t, U, np.round(U), (t % 4).astype(np.uint8)))
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (1, 1), (2, 3), (2, 1, 3), (3, 2, 2, 2),
+                                       (0,), (2, 0), (40, 500)])
+    @pytest.mark.parametrize("level", [0, 1, 3])
+    def test_dumps_arrays_match_recursive_oracle(self, shape, level):
+        rng = np.random.default_rng(len(shape) + level)
+        size = int(np.prod(shape))
+        values = adversarial_doubles()
+        A = rng.choice(values, size).reshape(shape)
+        with np.errstate(over="ignore"):
+            A32 = A.astype(np.float32)
+        for arr in (A, A32, rng.integers(-10 ** 6, 10 ** 6, shape), A > 0, A.T):
+            assert _textio.dumps(arr, level) == recursive_dumps_oracle(arr, level)
+        record = {"gain": A, "nested": {"rows": [A, np.arange(3)], "x": np.float64(-0.0)}}
+        assert _textio.dumps(record, level) == recursive_dumps_oracle(record, level)
+
+    def test_renderer_loads_on_first_array(self):
+        # parsing _render is about 2 ms of start-up that --version and
+        # commands writing no array never need
+        script = ("import sys, numpy as np, oligosched.cli as c\n"
+                  "print('oligosched._render' in sys.modules)\n"
+                  "c._textio.dumps({'x': 1.5, 'y': [2]})\n"
+                  "print('oligosched._render' in sys.modules)\n"
+                  "c._textio.dumps(np.ones(2))\n"
+                  "print('oligosched._render' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "False", "True"]
+
+    def test_streaming_working_set_is_bounded(self):
+        # eight blocks of text, about 16 MB in all, are written through a
+        # working set of a few blocks: the rendering's temporaries depend on
+        # the sub-block size, not on the length of the series
+        n = 8 * _textio._CSV_CHUNK
+        rng = np.random.default_rng(8)
+        t = np.arange(n)
+        U = 15.0 + 8.0 * rng.standard_normal(n)
+        columns = (t, U, np.round(U), (t % 4).astype(np.uint8))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sizes = [len(b) for b in _textio.csv_blocks(["t", "U", "x_sum", "o_flags"], columns)]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(sizes) == 8
+        assert peak < 6 * max(sizes) < sum(sizes)
+
+
 class TestLtiCommands:
     def test_build_matches_construction(self, tmp_path, capsys):
         out = tmp_path / "state_space.json"
@@ -433,6 +603,20 @@ class TestLtiCommands:
     def test_mpe_nonconvergence_exit_code(self, capsys):
         assert main(["lti", "mpe", "--L", "3", "--max-iter", "2"]) == 3
         assert "residual" in capsys.readouterr().err
+
+    def test_mpe_manifest_records_the_second_order_certificate(self, tmp_path, capsys):
+        out = tmp_path / "mpe.json"
+        assert main(["lti", "mpe", "--L", "2", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "mpe.json.manifest.json").read_text())
+        certificates = manifest["certificates"]
+        assert certificates["stability_margin"] == json.loads(out.read_text())["stability_margin"]
+        assert certificates["min_denominator"] == pytest.approx(2.0 + np.sqrt(2.0), abs=1e-9)
+        # negated marginal cost has the same fixed point with every
+        # denominator negated: no equilibrium, exit 3
+        pricing = json.dumps({"q1": [0, 0, 0], "q2": [-1, -1, -1]})
+        capsys.readouterr()
+        assert main(["lti", "mpe", "--L", "2", "--pricing", pricing]) == 3
+        assert "no equilibrium" in capsys.readouterr().err
 
     def test_pareto_front_csv(self, tmp_path):
         out = tmp_path / "front.csv"
@@ -510,7 +694,7 @@ class TestLtiCommands:
             (tmp_path / "operator.json.manifest.json").read_text()
         )["telemetry"]
         assert telemetry["failures"] == {
-            "singular-row": 0, "not-converged": 0, "unstable": 0
+            "singular-row": 0, "not-converged": 0, "unstable": 0, "not-an-equilibrium": 0
         }
         assert telemetry["inner_sweeps"] >= data["evaluations"]
 

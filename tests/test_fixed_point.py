@@ -1,4 +1,6 @@
 """Best-response map and equilibrium fixed point under linear pricing."""
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,14 @@ def random_pricing(ss, rng):
     return og.PricingRule(
         0.2 * rng.standard_normal(ss.D_c), np.abs(rng.standard_normal(ss.D_c)) + 0.5
     )
+
+
+def one_shot_curvature(F, pricing, ss, slot, tau):
+    """Coefficient of u^2 in ``one_shot_cost``, exact for its quadratic;
+    it does not depend on the state."""
+    x = np.linspace(-1.0, 1.0, ss.D_c)
+    f = [one_shot_cost(u, x, F, pricing, ss, slot, tau) for u in (-1.0, 0.0, 1.0)]
+    return (f[0] + f[2]) / 2.0 - f[1]
 
 
 def quadratic_argmin(fn):
@@ -353,6 +363,62 @@ class TestSolveMpe:
         drift = float(np.max(np.abs(a.gain.F - b.gain.F)))
         print(f"pricing-scale drift (x2): {drift:.3e}")
         assert spectral_radius(a.gain.F, ss3) < 1.0 and spectral_radius(b.gain.F, ss3) < 1.0
+
+
+class TestSecondOrderCertificate:
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_denominator_is_twice_the_deviation_curvature(self, L):
+        # on random gains and pricings with q2 of both signs
+        rng = np.random.default_rng(20 + L)
+        ss = og.build_state_space(L)
+        batch = fixed_point._row_plans(L)[0]
+        signs = set()
+        for _ in range(4):
+            F = random_stable_gain(ss, rng)
+            pricing = og.PricingRule(rng.uniform(-5, 5, ss.D_c), rng.uniform(-5, 5, ss.D_c))
+            den = fixed_point._best_response_rows(F, pricing.q1, pricing.q2, ss, batch)[1]
+            for k, slot in enumerate(batch.rows):
+                c2 = one_shot_curvature(F, pricing, ss, slot, ss.pairs[slot][1])
+                assert den[k] == pytest.approx(2.0 * c2, rel=1e-9, abs=1e-12)
+            signs |= set(np.sign(den))
+        assert signs == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+    def test_marginal_cost_is_an_equilibrium(self, L):
+        ss = og.build_state_space(L)
+        pricing = og.marginal_cost_pricing(ss)
+        sol = og.solve_mpe(pricing, ss)
+        den = fixed_point._best_response_rows(sol.gain.F, pricing.q1, pricing.q2, ss,
+                                              fixed_point._row_plans(L)[0])[1]
+        assert sol.min_denominator == den.min() > 2.0
+        if L == 2:
+            assert sol.min_denominator == pytest.approx(2.0 + np.sqrt(2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_negative_denominator_raises_with_the_solution(self, L):
+        # negated marginal cost: every row's numerator and denominator change
+        # sign, so the fixed point is marginal cost's and maximizes each cost
+        ss = og.build_state_space(L)
+        pricing = og.PricingRule(np.zeros(ss.D_c), -np.ones(ss.D_c))
+        with pytest.raises(og.NotAnEquilibriumError, match="no equilibrium") as exc:
+            og.solve_mpe(pricing, ss)
+        assert isinstance(exc.value, og.UnstableError)
+        sol = exc.value.solution
+        marginal = og.marginal_cost_pricing(ss)
+        ref = og.solve_mpe(marginal, ss)
+        assert np.max(np.abs(sol.gain.F - ref.gain.F)) <= 1e-9
+        den = fixed_point._best_response_rows(ref.gain.F, marginal.q1, marginal.q2, ss,
+                                              fixed_point._row_plans(L)[0])[1]
+        assert sol.min_denominator == pytest.approx(-den.max(), rel=1e-9)
+        assert sol.stability_margin > 0 and sol.gramian is not None
+        val, diag = og.evaluate_pricing(pricing, og.OperatorWeights(1.0, 1.0), ss)
+        assert math.isinf(val)
+        assert diag == {"status": "not-an-equilibrium", "min_denominator": sol.min_denominator,
+                        "iterations": sol.iterations}
+
+    def test_operator_result_is_an_equilibrium(self, ss2):
+        res = og.optimize_pricing(og.OperatorWeights(1.0, 1.0), ss2, budget=80, seed=2)
+        assert og.solve_mpe(res.pricing, ss2).min_denominator > 0.0
 
 
 class TestEquilibriumSelection:

@@ -113,18 +113,24 @@ class TestOperatorObjective:
         # solve_mpe refuses a fixed point exactly when the eigenvalue oracle
         # puts its closed loop on or outside the unit circle, or the Gramian
         # solve refuses it; of these 300 draws 7 are refused and 13 do not
-        # converge
+        # converge.  Stability is certified before the second-order
+        # condition, so a fixed point refused as no equilibrium passed it.
         rng = np.random.default_rng(1)
         base = np.array([0.0] * 6 + [1.0] * 6)
-        verdicts = []
+        verdicts, non_equilibria = [], 0
         for _ in range(300):
             theta = base + 1.5 * rng.standard_normal(12)
             try:
                 sol = og.solve_mpe(og.PricingRule(theta[:6], theta[6:]), ss3,
                                    operator_design._SEARCH_FP_CFG)
                 refused = False
+                assert sol.min_denominator > 0.0
             except og.FixedPointUnstableError as exc:
                 sol, refused = exc.solution, True
+            except og.NotAnEquilibriumError as exc:
+                sol, refused = exc.solution, False
+                assert sol.min_denominator <= 0.0
+                non_equilibria += 1
             except (og.NotConvergedError, og.SingularRowError):
                 continue
             F = sol.gain.F
@@ -138,6 +144,7 @@ class TestOperatorObjective:
                 assert spectral_radius(F, ss3) <= 1.0 - sol.stability_margin
             verdicts.append(refused)
         assert (verdicts.count(True), verdicts.count(False)) == (7, 280)
+        assert non_equilibria == 157
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_finite_values_not_below_scalar_lq_bound(self, L):
@@ -202,7 +209,8 @@ class TestOptimizePricing:
                                   budget=1)
         assert res.baseline_objective == res.objective == math.inf
         assert res.gain is None
-        assert res.failures == {"singular-row": 0, "not-converged": 1, "unstable": 0}
+        assert res.failures == {"singular-row": 0, "not-converged": 1, "unstable": 0,
+                                "not-an-equilibrium": 0}
 
     def test_never_worse_than_baseline_and_deterministic(self, ss2):
         w = og.OperatorWeights(1.0, 1.0)
@@ -247,7 +255,8 @@ class TestOptimizePricing:
         baseline = og.solve_mpe(
             og.marginal_cost_pricing(ss2), ss2, operator_design._SEARCH_FP_CFG
         )
-        assert res.failures == {"singular-row": 0, "not-converged": 0, "unstable": 0}
+        assert res.failures == {"singular-row": 0, "not-converged": 0, "unstable": 0,
+                                "not-an-equilibrium": 0}
         assert res.inner_sweeps == baseline.iterations
 
         # three sweeps cannot converge: every search solve fails that way
@@ -259,6 +268,7 @@ class TestOptimizePricing:
             "singular-row": 0,
             "not-converged": res.evaluations,
             "unstable": 0,
+            "not-an-equilibrium": 0,
         }
         assert res.inner_sweeps == 3 * res.evaluations
         assert res.gain is None and math.isinf(res.objective)
@@ -281,7 +291,8 @@ class TestOptimizePricing:
         res = og.optimize_pricing(og.OperatorWeights(1.0, 1.0), ss3, budget=5, seed=3)
         assert res.evaluations >= 5
         assert res.failures == {
-            "singular-row": 0, "not-converged": 0, "unstable": res.evaluations
+            "singular-row": 0, "not-converged": 0, "unstable": res.evaluations,
+            "not-an-equilibrium": 0,
         }
         assert res.inner_sweeps == 35 * res.evaluations
         assert res.gain is None and math.isinf(res.objective)
