@@ -1,10 +1,12 @@
 """Decimal text of numpy arrays, byte for byte as ``%.17g``/``%d`` spell it.
 
-Arrays (CSV columns, and numeric ndarrays in ``dumps``) are rendered in
-numpy, not one Python call per value.  Each value becomes a fixed-width
-``uint8`` field plus a keep mask; the fields of a row and its separators
-are laid side by side, and one boolean compaction turns ``ROWS`` rows
-into text, so the temporaries are sized by ``ROWS``, not by the array.
+This module renders values only; ``_textio`` lays out the CSV and JSON
+text around them.  Arrays (CSV columns, and the values of a numeric
+ndarray in ``dumps`` as one column) are rendered in numpy, not one Python
+call per value.  Each value becomes a fixed-width ``uint8`` field plus a
+keep mask; the fields of a row and its separators are laid side by side,
+and one boolean compaction turns ``ROWS`` rows into text, so the
+temporaries are sized by ``ROWS``, not by the array.
 
 Fast path for a float v with 1e-4 <= |v| < 1e16, exactly the nonzero
 magnitudes ``%.17g`` writes in fixed notation.  With X the decimal
@@ -21,14 +23,16 @@ zeros are dropped and the point is placed at X; +-0 is spelled "0" and
 "-0" in the same pass.  Integers with |i| < 10**16 use the same table.
 Every other value (nan, inf, the scientific-notation magnitudes below
 1e-4 or from 1e16 on, subnormals among them, and larger integers) is
-spelled one at a time by ``%.17g``/``%d``, so every byte equals the
-per-value rendering.
+spelled one at a time by ``_textio.fmt`` or ``%d``, so every byte equals
+the per-value rendering.
 """
 from __future__ import annotations
 
 import numpy as np
 
-ROWS = 16384  # rows (CSV) or values (JSON) per compaction
+from ._textio import fmt
+
+ROWS = 16384  # rows per compaction
 _FLOAT_WIDTH = 24  # "-", 22 columns for "0.000" and 17 digits, 1 for the fallback
 _POW10 = 10.0 ** np.arange(23)  # exact doubles up to 1e22
 _E16, _E17 = 10 ** 16, 10 ** 17
@@ -92,7 +96,7 @@ def _float_fill(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
     a = np.abs(v)
     slow = ~((a >= 1e-4) & (a < 1e16)) & (a != 0)
     rows = np.flatnonzero(slow)
-    strings = ["%.17g" % s for s in v[rows].tolist()]
+    strings = [fmt(s) for s in v[rows].tolist()]
     a[rows] = 1.0
     zero = a == 0
     a[zero] = 1.0
@@ -133,8 +137,7 @@ def _float_fill(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
     last[zero] = 0
     keep[...] = np.take(_KEEP, 17 * (x + 4) + last, axis=0)
     keep[:, 0] = np.signbit(v)
-    _spelled(rows, [s.replace("nan", "NaN").replace("inf", "Infinity") for s in strings],
-             data, keep)
+    _spelled(rows, strings, data, keep)
 
 
 def _int_width(v: np.ndarray) -> int:
@@ -209,39 +212,3 @@ def csv_rows(columns) -> list[str]:
         pieces[-1] = newline
         parts.append(_compact(pieces, min(ROWS, n - start)))
     return parts
-
-
-def json_array(a: np.ndarray, level: int) -> str:
-    """``dumps`` of a non-empty integer or float array at ``level``.
-
-    Every value sits on its own line after a fixed indent column; what
-    follows it depends only on how many trailing dimensions end there: a
-    comma and newline within a row, the brackets that close and reopen
-    rows, or, after the last value, the brackets that close the array.
-    """
-    d = a.ndim
-    pad = ["  " * k for k in range(level + d + 1)]
-    kinds = []  # the text after a value at which c trailing dimensions end
-    for c in range(d + 1):
-        text = "".join("\n" + pad[level + d - k] + "]" for k in range(1, c + 1))
-        if c < d:
-            text += ",\n" + "".join(pad[level + d - k] + "[\n" for k in range(c, 0, -1))
-        kinds.append(text)
-    width = max(map(len, kinds))
-    table = np.array(kinds, dtype=f"S{width}").view(np.uint8).reshape(d + 1, width)
-    table_keep = table != 0
-    ends = np.cumprod(a.shape[::-1])[:-1]  # sizes of the trailing sub-arrays
-    indent = _constant(pad[level + d])
-    flat = a.reshape(-1)
-    parts = ["[\n" + "".join(pad[level + k] + "[\n" for k in range(1, d))]
-    for start in range(0, flat.size, ROWS):
-        j = np.arange(start + 1, min(start + ROWS, flat.size) + 1)  # 1-based index
-        c = np.zeros(len(j), np.intp)
-        for e in ends:
-            c += j % e == 0
-        if j[-1] == flat.size:
-            c[-1] = d
-        parts.append(_compact([indent, flat[start:start + ROWS],
-                               (np.take(table, c, axis=0), np.take(table_keep, c, axis=0))],
-                              len(j)))
-    return "".join(parts)

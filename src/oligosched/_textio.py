@@ -2,13 +2,15 @@
 
 Every float is emitted as ``%.17g`` spells it, so parsed values round-trip
 exactly; rerunning a command with the same inputs therefore reproduces
-output files byte for byte.  Long CSV output is produced by ``csv_blocks``
-one block of rows at a time and streamed by ``atomic_write_text``, so
-writing a series holds one formatted block in memory, never the whole text.
-CSV columns and numeric ndarrays in ``dumps`` are rendered by ``_render``
-in numpy, byte for byte as the per-value ``%.17g``/``%d`` spelling; it is
-imported on first use, since parsing it costs about 2 ms of start-up that
-a process writing no array never needs.
+output files byte for byte.  This module lays out JSON and CSV text; the
+values of arrays (CSV columns and numeric ndarrays in ``dumps``) are
+rendered by ``_render`` in numpy, byte for byte as the per-value
+``%.17g``/``%d`` spelling.  ``_render`` is imported on first use, since
+parsing it costs about 2 ms of start-up that a process writing no array
+never needs.  Long output is produced one block at a time (``csv_blocks``
+one block of rows, ``dumps_blocks`` one dict item) and streamed by
+``atomic_write_text``, so a write holds one block in memory, never the
+whole text.
 """
 from __future__ import annotations
 
@@ -28,12 +30,11 @@ def fmt(x) -> str:
 def dumps(obj, _level: int = 0) -> str:
     """JSON text, two spaces per level, full-precision floats, dict order kept.
 
-    A non-empty integer or float ndarray of one or more dimensions is
-    rendered by ``_render.json_array``; its text equals the per-value
-    rendering through ``fmt`` and ``str``.
+    A non-empty integer or float ndarray of one or more dimensions has its
+    values rendered by ``_render.csv_rows`` as one column, then laid out
+    by shape as nested lists; its text equals the per-value rendering
+    through ``fmt`` and ``str``.  Other ndarrays go through ``tolist``.
     """
-    pad = "  " * _level
-    pad_in = "  " * (_level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, str):
@@ -47,22 +48,40 @@ def dumps(obj, _level: int = 0) -> str:
     if isinstance(obj, np.ndarray):
         if obj.ndim and obj.size and obj.dtype.kind in "iuf":
             from . import _render
-            return _render.json_array(obj, _level)
+            items = "".join(_render.csv_rows([obj.reshape(-1)])).split("\n")[:-1]
+            for d in range(obj.ndim - 1, -1, -1):  # innermost rows first
+                k = obj.shape[d]
+                items = [_list(items[i:i + k], _level + d) for i in range(0, len(items), k)]
+            return items[0]
         obj = obj.tolist()
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{pad_in}{json.dumps(str(k), ensure_ascii=False)}: {dumps(v, _level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        return "".join(dumps_blocks(obj, _level))
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{pad_in}{dumps(v, _level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        return _list([dumps(v, _level + 1) for v in obj], _level)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _list(items: list[str], level: int) -> str:
+    """A JSON list at ``level`` of the already rendered ``items``."""
+    if not items:
+        return "[]"
+    pad_in = "  " * (level + 1)
+    return "[\n" + pad_in + (",\n" + pad_in).join(items) + "\n" + "  " * level + "]"
+
+
+def dumps_blocks(obj: dict, _level: int = 0) -> Iterator[str]:
+    """``dumps`` of the dict ``obj``, one item per block, the closing brace
+    last; joined, the blocks equal ``dumps(obj)``.  Streamed through
+    ``atomic_write_text``, a file holds one item's text at a time."""
+    if not obj:
+        yield "{}"
+        return
+    pad_in = "  " * (_level + 1)
+    sep = "{\n"
+    for k, v in obj.items():
+        yield f"{sep}{pad_in}{json.dumps(str(k), ensure_ascii=False)}: {dumps(v, _level + 1)}"
+        sep = ",\n"
+    yield "\n" + "  " * _level + "}"
 
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:

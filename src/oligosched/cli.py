@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -310,7 +311,8 @@ def _cmd_lti_pareto(ns, argv):
     front = np.array([w + list(vars(p.report).values()) for w, p in zip(weights, points)])
     csv = _textio.csv_text(["alpha1", "alpha2", "alpha3", "z1sq", "z2sq", "z3sq"],
                            front.reshape(-1, 6).T)
-    gains = _textio.dumps({f"point_{i}": p.gain.F for i, p in enumerate(points)}) + "\n"
+    gains = _textio.dumps_blocks({f"point_{i}": p.gain.F for i, p in enumerate(points)})
+    gains = itertools.chain(gains, ["\n"])  # written one point at a time
     config = {
         "L": ns.L,
         "grid": weights,

@@ -275,12 +275,11 @@ def _assemble_stats(U, X, flags, cfg: SimConfig) -> PathStats:
     horizon: per-batch values (means, second moments, variances, quantiles
     and tail indicators) are taken a group of about ``_L2_CHUNK`` samples of
     whole batches at a time, each batch reduced on its own.  The conditional
-    cells come from counts plus the backlog at spike periods.  Selection
-    (``_select``) comes last: the quantiles of U and the median of X are
-    taken in place, so this may reorder U and X, unless ``cfg.keep_series``
-    hands them to the caller; then each selection works on its own copy,
-    one at a time.  The batch quantiles select on a copy of each group in
-    the squares' scratch buffer.
+    cells come from ``_tail_cells``.  Selection (``_select``) comes last:
+    the quantiles of U and the median of X are taken in place, so this may
+    reorder U and X, unless ``cfg.keep_series`` hands them to the caller;
+    then each selection works on its own copy, one at a time.  The batch
+    quantiles select on a copy of each group in the squares' scratch buffer.
     """
     n = U.size
     mean_u, mean_x = float(np.mean(U)), float(np.mean(X))
@@ -335,22 +334,10 @@ def _assemble_stats(U, X, flags, cfg: SimConfig) -> PathStats:
     conditional = None
     if flags is not None:
         thr = max(thresholds) if thresholds else mean_u + 4.0 * np.sqrt(max(var_u, 0.0))
-        present = spikes = spikes_present = 0
-        x_at_spikes = []  # the backlog at spike periods, taken while X is in order
-        for lo in range(0, n, step):
-            spike, flex = U[lo:lo + step] > thr, flags[lo:lo + step] >= 2
-            present += np.count_nonzero(flex)
-            spikes += np.count_nonzero(spike)
-            spikes_present += np.count_nonzero(spike & flex)
-            x_at_spikes.append(X[lo:lo + step][spike])
-        med = _select(X if own else X.copy())
-        high = sum(np.count_nonzero(X[lo:lo + step] > med) for lo in range(0, n, step))
-        spikes_high = sum(np.count_nonzero(xs > med) for xs in x_at_spikes)
         try:
-            conditional = _tail_report(thr, n, present, high, spikes, spikes_present,
-                                       spikes_high)
+            conditional = _tail_cells(U, X if own else X.copy(), flags, thr)
         except InsufficientSamplesError:
-            conditional = None
+            pass
     quantiles = dict(zip(levels, _select(U if own else U.copy(), levels).tolist()))
 
     series = None
@@ -629,27 +616,35 @@ def conditional_tail_report(
     """Tail Pr(U > threshold) split by flexible presence and backlog level.
 
     Backlog conditioning splits at the empirical median of x.  Raises
+    InvalidParamsError unless the three arrays are 1-D of one length, and
     InsufficientSamplesError when any conditioning cell holds fewer than
     100 samples.  Cell standard errors are binomial (spike events at high
     thresholds are nearly independent).  The arguments are not modified.
     """
-    u = np.asarray(u, float)
-    flex = np.asarray(flex_present, bool)
-    x = np.asarray(x, float)
-    spike = u > threshold
-    high = x > _select(x.copy())
-    return _tail_report(
-        threshold, flex.size, np.count_nonzero(flex), np.count_nonzero(high),
-        np.count_nonzero(spike), np.count_nonzero(spike & flex),
-        np.count_nonzero(spike & high),
-    )
+    u, flex, x = np.asarray(u, float), np.asarray(flex_present, bool), np.asarray(x, float)
+    if u.ndim != 1 or flex.shape != u.shape or x.shape != u.shape:
+        raise InvalidParamsError(f"u, flex_present and x must be 1-D of one length; "
+                                 f"got shapes {u.shape}, {flex.shape} and {x.shape}")
+    return _tail_cells(u, x.copy(), np.left_shift(flex, 1, dtype=np.uint8), threshold)
 
 
-def _tail_report(threshold, n, present, high, spikes, spikes_present, spikes_high):
-    """The conditional cells from counts over n samples: flexible arrivals
-    present, backlog above its median, spikes, and spikes in each of those."""
-    n, present, high, spikes, spikes_present, spikes_high = map(
-        int, (n, present, high, spikes, spikes_present, spikes_high))
+def _tail_cells(U, X, flags, threshold) -> ConditionalTailReport:
+    """The spike cells of U > threshold: flexible arrival absent or present
+    (``flags`` >= 2 in simulate_l2's encoding) and backlog X above its median
+    or not.  Counts are taken ``_L2_CHUNK`` samples at a time while X is in
+    time order; then the median is selected in place, reordering X."""
+    n, step = U.size, _L2_CHUNK
+    present = spikes = spikes_present = 0
+    x_at_spikes = []
+    for lo in range(0, n, step):
+        spike, flex = U[lo:lo + step] > threshold, flags[lo:lo + step] >= 2
+        present += np.count_nonzero(flex)
+        spikes += np.count_nonzero(spike)
+        spikes_present += np.count_nonzero(spike & flex)
+        x_at_spikes.append(X[lo:lo + step][spike])
+    med = _select(X)
+    high = sum(np.count_nonzero(X[lo:lo + step] > med) for lo in range(0, n, step))
+    spikes_high = sum(np.count_nonzero(xs > med) for xs in x_at_spikes)
     cells = {
         "absent": (n - present, spikes - spikes_present),
         "present": (present, spikes_present),
@@ -672,8 +667,8 @@ def _tail_report(threshold, n, present, high, spikes, spikes_present, spikes_hig
         p_spike_present=probs["present"],
         p_spike_high_backlog=probs["high"],
         p_spike_low_backlog=probs["low"],
-        n_absent=cells["absent"][0],
-        n_present=present,
+        n_absent=int(n - present),
+        n_present=int(present),
         stderr_absent=errs["absent"],
         stderr_present=errs["present"],
         stderr_high_backlog=errs["high"],

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import oligosched as og
-from conftest import subprocess_env
+from conftest import subprocess_env, traced_peak
 from oligosched import _render, _textio
 from oligosched import cli
 from oligosched.cli import _build_parser, main
@@ -494,8 +494,13 @@ class TestTextRenderer:
             A32 = A.astype(np.float32)
         for arr in (A, A32, rng.integers(-10 ** 6, 10 ** 6, shape), A > 0, A.T):
             assert _textio.dumps(arr, level) == recursive_dumps_oracle(arr, level)
-        record = {"gain": A, "nested": {"rows": [A, np.arange(3)], "x": np.float64(-0.0)}}
+        record = {"gain": A, "nested": {"rows": [A, np.arange(3)], "x": np.float64(-0.0)},
+                  "empty": {}}
         assert _textio.dumps(record, level) == recursive_dumps_oracle(record, level)
+        blocks = list(_textio.dumps_blocks(record, level))
+        assert len(blocks) == len(record) + 1  # one per item, then the closing brace
+        assert "".join(blocks) == recursive_dumps_oracle(record, level)
+        assert list(_textio.dumps_blocks({}, level)) == ["{}"]
 
     def test_renderer_loads_on_first_array(self):
         # parsing _render is about 2 ms of start-up that --version and
@@ -593,6 +598,23 @@ class TestLtiCommands:
             data = json.loads(capsys.readouterr().out)
             J = float(np.sum(row[:3] ** 2 * row[3:]))
             assert data["weighted_objective"] == pytest.approx(J, rel=1e-12)
+
+    def test_pareto_gains_are_written_one_point_at_a_time(self, tmp_path, monkeypatch):
+        # at L = 14 the gains file holds 25 points of 105 x 105 gains, about
+        # 8 MB; writing it holds one point's text, not the whole file
+        points, trace_front = [], cli.trace_front
+
+        def cached(grid, ss):
+            if not points:
+                points.extend(trace_front(grid, ss))
+            return points
+
+        monkeypatch.setattr(cli, "trace_front", cached)
+        argv = ["lti", "pareto", "--L", "14", "--out", str(tmp_path / "front.csv")]
+        peak = traced_peak(lambda: main(argv), lambda: main(argv))
+        text = (tmp_path / "front.csv.gains.json").read_text()
+        assert text == _textio.dumps({f"point_{i}": p.gain.F for i, p in enumerate(points)}) + "\n"
+        assert peak < len(text) / 2
 
     def test_mpe_command(self, capsys):
         assert main(["lti", "mpe", "--L", "2"]) == 0

@@ -921,6 +921,14 @@ class TestConditionalTails:
         with pytest.raises(og.InsufficientSamplesError):
             og.conditional_tail_report(u, flex, u, 1.0)
 
+    @pytest.mark.parametrize("shapes", [((500,), (499,), (500,)), ((500,), (500,), (2, 500))],
+                             ids=["lengths", "2-D-x"])
+    def test_refuses_arrays_not_one_dimensional_of_one_length(self, shapes):
+        rng = np.random.default_rng(0)
+        u, flex, x = (rng.standard_normal(shape) for shape in shapes)
+        with pytest.raises(og.InvalidParamsError, match="1-D of one length"):
+            og.conditional_tail_report(u, flex > 0, x, 1.0)
+
 
 class TestInPlaceStatistics:
     """Without keep_series the statistics select quantiles and the median in
