@@ -33,7 +33,8 @@ def dumps(obj, _level: int = 0) -> str:
     A non-empty integer or float ndarray of one or more dimensions has its
     values rendered by ``_render.csv_rows`` as one column, then laid out
     by shape as nested lists; its text equals the per-value rendering
-    through ``fmt`` and ``str``.  Other ndarrays go through ``tolist``.
+    through ``fmt`` and ``str``.  Other ndarrays, 0-d ones included, go
+    through ``tolist``.
     """
     if obj is None:
         return "null"
@@ -53,7 +54,7 @@ def dumps(obj, _level: int = 0) -> str:
                 k = obj.shape[d]
                 items = [_list(items[i:i + k], _level + d) for i in range(0, len(items), k)]
             return items[0]
-        obj = obj.tolist()
+        return dumps(obj.tolist(), _level)
     if isinstance(obj, dict):
         return "".join(dumps_blocks(obj, _level))
     if isinstance(obj, (list, tuple)):

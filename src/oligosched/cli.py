@@ -25,6 +25,14 @@ vectorised ``log`` and ``sqrt``, whose SIMD paths can round differently on
 another CPU).
 ``_emit`` writes every record, file and manifest, ``--out`` first, so an
 unwritable ``--out`` leaves no file behind.
+
+Parsing imports no library module.  Each handler names the library
+objects it reads (``_uses``), and ``main`` binds just those into this
+module, importing their modules, once the command line is parsed; so
+``--version`` loads no library module and ``lti pareto`` loads
+``statespace``, ``pareto``, ``errors`` and the text writer.  A name bound
+here beforehand, by a tracer or a test, is kept and called; before any
+command runs, ``cli.<name>`` reads it from the package.
 """
 from __future__ import annotations
 
@@ -39,31 +47,43 @@ import time
 
 import numpy as np
 
-from . import __version__, _blas_threads, _textio
-from .analysis import efficiency, risk_upper_bound, stationary_moments
-from .errors import (
-    InvalidParamsError,
-    NotConvergedError,
-    OligoschedError,
-    UnstableError,
-)
-from .fixed_point import FixedPointConfig, PricingRule, marginal_cost_pricing, solve_mpe
-from .operator_design import OperatorWeights, optimize_pricing
-from .pareto import default_weight_grid, trace_front
-from .simulate import SimConfig, simulate_l2
-from .statespace import OutputWeights, build_state_space, h2_norms
-from .strategies import (
-    MarketParamsL2,
-    RiskSensitivity,
-    baseline_strategies,
-    congestion_strategy,
-    coop_strategy,
-    k_agent_strategy,
-    mpe_strategy,
-    risk_sensitive_strategy,
-)
+import oligosched as _pkg
 
-_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(MarketParamsL2))
+from . import __version__, _blas_threads
+
+# The library names every command reads: the errors ``main`` catches, the writer.
+_COMMON = ("InvalidParamsError", "NotConvergedError", "OligoschedError", "UnstableError",
+           "_textio")
+_ARCH = ("MarketParamsL2", "RiskSensitivity", "baseline_strategies", "congestion_strategy",
+         "coop_strategy", "k_agent_strategy", "mpe_strategy", "risk_sensitive_strategy")
+
+
+def _uses(*names):
+    """Mark a handler with the library names it and its helpers read."""
+
+    def mark(handler):
+        handler.uses = names
+        return handler
+
+    return mark
+
+
+def _bind(names) -> None:
+    """Bind each of ``names`` from the package into this module's globals,
+    unless it is bound already: a name a tracer or a test has replaced
+    stays replaced, and the handler calls the replacement."""
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            scope[name] = getattr(_pkg, name)
+
+
+def __getattr__(name):
+    """A library name no command has bound yet (PEP 562), so that
+    ``getattr(cli, name)`` and its replacement work before any command runs."""
+    if name in _pkg._MODULE_OF or name == "_textio":
+        return getattr(_pkg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_json(arg: str):
@@ -101,8 +121,9 @@ def _load_object(arg: str, what: str, keys) -> dict:
 
 
 def _parse_params(arg: str) -> MarketParamsL2:
-    data = _load_object(arg, "params", _PARAM_KEYS)
-    return MarketParamsL2(*_numbers([data[k] for k in _PARAM_KEYS], "params values"))
+    keys = tuple(f.name for f in dataclasses.fields(MarketParamsL2))
+    data = _load_object(arg, "params", keys)
+    return MarketParamsL2(*_numbers([data[k] for k in keys], "params values"))
 
 
 def _parse_arch(arch: str, p: MarketParamsL2):
@@ -171,6 +192,7 @@ def _emit(record, out, argv, config: dict, seed=None, files=(), **fields):
     _textio.atomic_write_text(outputs[0] + ".manifest.json", _textio.dumps(manifest) + "\n")
 
 
+@_uses(*_ARCH)
 def _cmd_l2_strategy(ns, argv):
     p = _parse_params(ns.params)
     s = _parse_arch(ns.arch, p)
@@ -178,6 +200,7 @@ def _cmd_l2_strategy(ns, argv):
     return 0
 
 
+@_uses(*_ARCH, "efficiency", "risk_upper_bound", "stationary_moments")
 def _cmd_l2_metrics(ns, argv):
     p = _parse_params(ns.params)
     s = _parse_arch(ns.arch, p)
@@ -196,6 +219,7 @@ def _cmd_l2_metrics(ns, argv):
     return 0
 
 
+@_uses(*_ARCH, "SimConfig", "simulate_l2")
 def _cmd_l2_simulate(ns, argv):
     p = _parse_params(ns.params)
     s = _parse_arch(ns.arch, p)
@@ -234,6 +258,7 @@ def _cmd_l2_simulate(ns, argv):
     return 0
 
 
+@_uses("build_state_space")
 def _cmd_lti_build(ns, argv):
     ss = build_state_space(ns.L)
     record = {"L": ss.L, "D_c": ss.D_c, "R1": ss.R1.astype(int), "R2": ss.R2.astype(int)}
@@ -241,6 +266,7 @@ def _cmd_lti_build(ns, argv):
     return 0
 
 
+@_uses("OutputWeights", "build_state_space", "h2_norms")
 def _cmd_lti_h2(ns, argv):
     gain = _load_json(ns.gain)
     D = len(gain) if isinstance(gain, list) else 0
@@ -260,6 +286,8 @@ def _cmd_lti_h2(ns, argv):
     return 0
 
 
+@_uses("FixedPointConfig", "PricingRule", "build_state_space",
+       "marginal_cost_pricing", "solve_mpe")
 def _cmd_lti_mpe(ns, argv):
     ss = build_state_space(ns.L)
     if ns.pricing is None:
@@ -295,6 +323,7 @@ def _cmd_lti_mpe(ns, argv):
     return 0
 
 
+@_uses("OutputWeights", "build_state_space", "default_weight_grid", "trace_front")
 def _cmd_lti_pareto(ns, argv):
     ss = build_state_space(ns.L)
     if ns.grid is None:
@@ -322,6 +351,7 @@ def _cmd_lti_pareto(ns, argv):
     return 0
 
 
+@_uses("OperatorWeights", "build_state_space", "optimize_pricing")
 def _cmd_lti_operator(ns, argv):
     ss = build_state_space(ns.L)
     seed = _seed_override(ns.seed)
@@ -367,11 +397,13 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--threshold", type=float, default=None, metavar="M")
         if name == "simulate":
             sp.add_argument("--horizon", type=int, required=True)
-            sp.add_argument("--burn-in", type=int, default=SimConfig.burn_in)
-            sp.add_argument("--replications", type=int, default=SimConfig.replications)
-            sp.add_argument("--seed", type=int, default=SimConfig.seed)
+            # SimConfig's defaults, spelled out so that parsing imports no
+            # library module (TestOptionSurface checks they agree)
+            sp.add_argument("--burn-in", type=int, default=0)
+            sp.add_argument("--replications", type=int, default=1)
+            sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--thresholds", default="")
-            sp.add_argument("--quantiles", default=",".join(map(str, SimConfig.quantile_levels)))
+            sp.add_argument("--quantiles", default="0.5,0.95,0.999")
             sp.add_argument("--nonneg", action="store_true")
             sp.add_argument("--series-csv", default=None)
 
@@ -393,9 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_lti_mpe)
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--pricing", default=None, help="JSON file or literal")
-    sp.add_argument("--tol", type=float, default=FixedPointConfig.tol)
-    sp.add_argument("--max-iter", type=int, default=FixedPointConfig.max_iter)
-    sp.add_argument("--damping", type=float, default=FixedPointConfig.damping)
+    sp.add_argument("--tol", type=float, default=1e-10)  # FixedPointConfig's defaults
+    sp.add_argument("--max-iter", type=int, default=2000)
+    sp.add_argument("--damping", type=float, default=0.5)
     sp.add_argument("--mode", default="jacobi", choices=["jacobi", "gs"])
     sp.add_argument("--out", default=None)
 
@@ -419,9 +451,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     global _T0
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    ap = _build_parser()
+    ns = _build_parser().parse_args(argv)
+    _bind(_COMMON + ns.handler.uses)
     try:
-        ns = ap.parse_args(argv)
         _T0 = time.perf_counter()
         return ns.handler(ns, argv)
     except (NotConvergedError, UnstableError) as exc:

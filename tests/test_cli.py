@@ -277,6 +277,14 @@ class TestL2Commands:
         with pytest.raises(TypeError, match="cannot serialize"):
             _textio.dumps({"obj": object()})
 
+    @pytest.mark.parametrize("value, spelled", [
+        (1.5, "1.5"), (0.1, "0.10000000000000001"), (float("nan"), "NaN"), (3, "3"),
+        (True, "true"),
+    ])
+    def test_dumps_zero_dim_array_is_its_scalar(self, value, spelled):
+        assert _textio.dumps(np.array(value)) == _textio.dumps(value) == spelled
+        assert _textio.dumps({"v": np.array(value)}) == '{\n  "v": ' + spelled + "\n}"
+
     @pytest.mark.parametrize("rows", [0, 3 * _textio._CSV_CHUNK])
     def test_atomic_write_round_trips_csv(self, tmp_path, rows):
         # 196,608 rows are over 4 MB, written as one block
