@@ -26,13 +26,10 @@ another CPU).
 ``_emit`` writes every record, file and manifest, ``--out`` first, so an
 unwritable ``--out`` leaves no file behind.
 
-Parsing imports no library module.  Each handler names the library
-objects it reads (``_uses``), and ``main`` binds just those into this
-module, importing their modules, once the command line is parsed; so
-``--version`` loads no library module and ``lti pareto`` loads
-``statespace``, ``pareto``, ``errors`` and the text writer.  A name bound
-here beforehand, by a tracer or a test, is kept and called; before any
-command runs, ``cli.<name>`` reads it from the package.
+Parsing imports no library module.  Every handler reads each library name
+as an attribute of this module (``_cli.<name>``), which ``__getattr__``
+takes from the package, so a command loads only the modules it runs, and a
+name a tracer or a test sets here is the one the handler calls.
 """
 from __future__ import annotations
 
@@ -45,42 +42,17 @@ import os
 import sys
 import time
 
-import numpy as np
-
 import oligosched as _pkg
 
 from . import __version__, _blas_threads
 
-# The library names every command reads: the errors ``main`` catches, the writer.
-_COMMON = ("InvalidParamsError", "NotConvergedError", "OligoschedError", "UnstableError",
-           "_textio")
-_ARCH = ("MarketParamsL2", "RiskSensitivity", "baseline_strategies", "congestion_strategy",
-         "coop_strategy", "k_agent_strategy", "mpe_strategy", "risk_sensitive_strategy")
-
-
-def _uses(*names):
-    """Mark a handler with the library names it and its helpers read."""
-
-    def mark(handler):
-        handler.uses = names
-        return handler
-
-    return mark
-
-
-def _bind(names) -> None:
-    """Bind each of ``names`` from the package into this module's globals,
-    unless it is bound already: a name a tracer or a test has replaced
-    stays replaced, and the handler calls the replacement."""
-    scope = globals()
-    for name in names:
-        if name not in scope:
-            scope[name] = getattr(_pkg, name)
+# This module, also when ``python -m`` runs it as ``__main__``.
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name):
-    """A library name no command has bound yet (PEP 562), so that
-    ``getattr(cli, name)`` and its replacement work before any command runs."""
+    """A library name nobody has set here (PEP 562), read from the package
+    on each use, so that ``cli.<name>`` can be replaced at any time."""
     if name in _pkg._MODULE_OF or name == "_textio":
         return getattr(_pkg, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -93,7 +65,7 @@ def _load_json(arg: str):
                 return json.load(fh)
         return json.loads(arg)
     except ValueError as exc:  # undecodable bytes or text
-        raise InvalidParamsError(str(exc)) from exc
+        raise _cli.InvalidParamsError(str(exc)) from exc
 
 
 def _numbers(arg, what: str, count: int | None = None, kind=float) -> tuple:
@@ -106,43 +78,43 @@ def _numbers(arg, what: str, count: int | None = None, kind=float) -> tuple:
             raise ValueError(f"{len(items)} given, {count} expected")
         return tuple(kind(v) for v in items)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidParamsError(f"{what} must be numbers: {exc}") from exc
+        raise _cli.InvalidParamsError(f"{what} must be numbers: {exc}") from exc
 
 
 def _load_object(arg: str, what: str, keys) -> dict:
     """The JSON object ``arg`` (file or literal), holding exactly ``keys``."""
     data = _load_json(arg)
     if not isinstance(data, dict):
-        raise InvalidParamsError(f"{what} must be a JSON object")
+        raise _cli.InvalidParamsError(f"{what} must be a JSON object")
     for kind, extra in (("unknown", set(data) - set(keys)), ("missing", set(keys) - set(data))):
         if extra:
-            raise InvalidParamsError(f"{kind} {what} keys: {sorted(extra)}")
+            raise _cli.InvalidParamsError(f"{kind} {what} keys: {sorted(extra)}")
     return data
 
 
-def _parse_params(arg: str) -> MarketParamsL2:
-    keys = tuple(f.name for f in dataclasses.fields(MarketParamsL2))
+def _parse_params(arg: str) -> _cli.MarketParamsL2:
+    keys = tuple(f.name for f in dataclasses.fields(_cli.MarketParamsL2))
     data = _load_object(arg, "params", keys)
-    return MarketParamsL2(*_numbers([data[k] for k in keys], "params values"))
+    return _cli.MarketParamsL2(*_numbers([data[k] for k in keys], "params values"))
 
 
-def _parse_arch(arch: str, p: MarketParamsL2):
+def _parse_arch(arch: str, p: _cli.MarketParamsL2):
     if arch == "nc":
-        return mpe_strategy(p)
+        return _cli.mpe_strategy(p)
     if arch == "coop":
-        return coop_strategy(p)
+        return _cli.coop_strategy(p)
     if arch == "naive":
-        return baseline_strategies()[0]
+        return _cli.baseline_strategies()[0]
     if arch == "none":
-        return baseline_strategies()[1]
+        return _cli.baseline_strategies()[1]
     if arch.startswith("k:"):
-        return k_agent_strategy(p, *_numbers(arch[2:], f"arch {arch!r}", 1, int))
+        return _cli.k_agent_strategy(p, *_numbers(arch[2:], f"arch {arch!r}", 1, int))
     if arch.startswith("rs:"):
-        rs = RiskSensitivity(*_numbers(arch[3:], f"arch {arch!r}", 2))
-        return risk_sensitive_strategy(p, rs)
+        rs = _cli.RiskSensitivity(*_numbers(arch[3:], f"arch {arch!r}", 2))
+        return _cli.risk_sensitive_strategy(p, rs)
     if arch.startswith("cong:"):
-        return congestion_strategy(p, *_numbers(arch[5:], f"arch {arch!r}", 1))
-    raise InvalidParamsError(
+        return _cli.congestion_strategy(p, *_numbers(arch[5:], f"arch {arch!r}", 1))
+    raise _cli.InvalidParamsError(
         f"unknown arch {arch!r}; expected nc|coop|naive|none|k:<K>|"
         f"rs:<theta>,<beta>|cong:<gamma>"
     )
@@ -169,30 +141,32 @@ def _emit(record, out, argv, config: dict, seed=None, files=(), **fields):
     OpenBLAS thread variable set, or "default"), any further ``fields`` and
     every file written.
     """
-    text = record if isinstance(record, str) else _textio.dumps(record) + "\n"
+    text = record if isinstance(record, str) else _cli._textio.dumps(record) + "\n"
     written = ([] if out is None else [(out, text)]) + list(files)
     for path, body in written:
-        _textio.atomic_write_text(path, body)
+        _cli._textio.atomic_write_text(path, body)
     if out is None:
         sys.stdout.write(text)
     outputs = [path for path, _ in written]
     if not outputs:
         return
+    import numpy
+
     manifest = {
         "command": ["oligosched", *argv],
         "config": config,
         "version": __version__,
-        "numpy": np.__version__,
+        "numpy": numpy.__version__,
         "seed": seed,
         "wall_clock_s": time.perf_counter() - _T0,
         "blas_threads": _blas_threads() or "default",
         **fields,
         "outputs": outputs,
     }
-    _textio.atomic_write_text(outputs[0] + ".manifest.json", _textio.dumps(manifest) + "\n")
+    _cli._textio.atomic_write_text(outputs[0] + ".manifest.json",
+                                   _cli._textio.dumps(manifest) + "\n")
 
 
-@_uses(*_ARCH)
 def _cmd_l2_strategy(ns, argv):
     p = _parse_params(ns.params)
     s = _parse_arch(ns.arch, p)
@@ -200,31 +174,29 @@ def _cmd_l2_strategy(ns, argv):
     return 0
 
 
-@_uses(*_ARCH, "efficiency", "risk_upper_bound", "stationary_moments")
 def _cmd_l2_metrics(ns, argv):
     p = _parse_params(ns.params)
     s = _parse_arch(ns.arch, p)
     result = {
         "strategy": vars(s),
-        "moments": vars(stationary_moments(s, p)),
-        "efficiency": efficiency(s, p),
+        "moments": vars(_cli.stationary_moments(s, p)),
+        "efficiency": _cli.efficiency(s, p),
     }
     if ns.threshold is not None:
         try:
-            bound = vars(risk_upper_bound(s, p, ns.threshold))
-        except OligoschedError as exc:
+            bound = vars(_cli.risk_upper_bound(s, p, ns.threshold))
+        except _cli.OligoschedError as exc:
             bound = {"error": str(exc)}
         result["risk_bound"] = {"M": ns.threshold, **bound}
     _emit(result, ns.out, argv, {"arch": ns.arch, "params": vars(p), "M": ns.threshold})
     return 0
 
 
-@_uses(*_ARCH, "SimConfig", "simulate_l2")
 def _cmd_l2_simulate(ns, argv):
     p = _parse_params(ns.params)
     s = _parse_arch(ns.arch, p)
     seed = _seed_override(ns.seed)
-    cfg = SimConfig(
+    cfg = _cli.SimConfig(
         horizon=ns.horizon,
         burn_in=ns.burn_in,
         replications=ns.replications,
@@ -234,7 +206,7 @@ def _cmd_l2_simulate(ns, argv):
         quantile_levels=_numbers(ns.quantiles, "--quantiles"),
         keep_series=ns.series_csv is not None,
     )
-    stats = simulate_l2(s, p, cfg)
+    stats = _cli.simulate_l2(s, p, cfg)
     result = {"strategy": vars(s), **vars(stats)}
     del result["conditional"], result["series"]
     for key in ("quantiles", "tail_probs"):
@@ -243,7 +215,7 @@ def _cmd_l2_simulate(ns, argv):
         result["conditional"] = {k: v for k, v in vars(stats.conditional).items()
                                  if k == "threshold" or k.startswith("p_spike")}
     files = [] if ns.series_csv is None else [
-        (ns.series_csv, _textio.csv_blocks(list(stats.series), list(stats.series.values())))]
+        (ns.series_csv, _cli._textio.csv_blocks(list(stats.series), list(stats.series.values())))]
     config = {
         "arch": ns.arch,
         "params": vars(p),
@@ -258,26 +230,24 @@ def _cmd_l2_simulate(ns, argv):
     return 0
 
 
-@_uses("build_state_space")
 def _cmd_lti_build(ns, argv):
-    ss = build_state_space(ns.L)
+    ss = _cli.build_state_space(ns.L)
     record = {"L": ss.L, "D_c": ss.D_c, "R1": ss.R1.astype(int), "R2": ss.R2.astype(int)}
     _emit(record, ns.out, argv, {"L": ns.L})
     return 0
 
 
-@_uses("OutputWeights", "build_state_space", "h2_norms")
 def _cmd_lti_h2(ns, argv):
     gain = _load_json(ns.gain)
     D = len(gain) if isinstance(gain, list) else 0
     L = math.isqrt(2 * D)  # D = L(L+1)/2 rows
     if D == 0 or L * (L + 1) // 2 != D:
-        raise InvalidParamsError("gain must be a JSON list of L(L+1)/2 rows")
-    ss = build_state_space(L)
-    rep = h2_norms(gain, ss)
+        raise _cli.InvalidParamsError("gain must be a JSON list of L(L+1)/2 rows")
+    ss = _cli.build_state_space(L)
+    rep = _cli.h2_norms(gain, ss)
     result = {"L": L, **vars(rep)}
     if ns.alpha:
-        w = OutputWeights.normalized(*_numbers(ns.alpha, "--alpha", 3))
+        w = _cli.OutputWeights.normalized(*_numbers(ns.alpha, "--alpha", 3))
         result["alpha"] = [w.alpha1, w.alpha2, w.alpha3]
         result["weighted_objective"] = (
             w.alpha1 ** 2 * rep.z1sq + w.alpha2 ** 2 * rep.z2sq + w.alpha3 ** 2 * rep.z3sq
@@ -286,21 +256,19 @@ def _cmd_lti_h2(ns, argv):
     return 0
 
 
-@_uses("FixedPointConfig", "PricingRule", "build_state_space",
-       "marginal_cost_pricing", "solve_mpe")
 def _cmd_lti_mpe(ns, argv):
-    ss = build_state_space(ns.L)
+    ss = _cli.build_state_space(ns.L)
     if ns.pricing is None:
-        pricing = marginal_cost_pricing(ss)
+        pricing = _cli.marginal_cost_pricing(ss)
     else:
-        pricing = PricingRule(**_load_object(ns.pricing, "pricing", ("q1", "q2")))
-    cfg = FixedPointConfig(
+        pricing = _cli.PricingRule(**_load_object(ns.pricing, "pricing", ("q1", "q2")))
+    cfg = _cli.FixedPointConfig(
         tol=ns.tol,
         max_iter=ns.max_iter,
         damping=ns.damping,
         sweep={"jacobi": "jacobi", "gs": "gauss-seidel"}[ns.mode],
     )
-    sol = solve_mpe(pricing, ss, cfg)
+    sol = _cli.solve_mpe(pricing, ss, cfg)
     result = {
         "L": ns.L,
         "gain": sol.gain.F,
@@ -323,24 +291,25 @@ def _cmd_lti_mpe(ns, argv):
     return 0
 
 
-@_uses("OutputWeights", "build_state_space", "default_weight_grid", "trace_front")
 def _cmd_lti_pareto(ns, argv):
-    ss = build_state_space(ns.L)
+    ss = _cli.build_state_space(ns.L)
     if ns.grid is None:
-        grid = default_weight_grid()
+        grid = _cli.default_weight_grid()
     else:
         data = _load_json(ns.grid)
         if not isinstance(data, list) or not all(isinstance(t, list) for t in data):
-            raise InvalidParamsError("grid must be a JSON list of three-number lists")
-        grid = [OutputWeights.normalized(*_numbers(t, "grid", 3)) for t in data]
-    points = trace_front(grid, ss)
+            raise _cli.InvalidParamsError("grid must be a JSON list of three-number lists")
+        grid = [_cli.OutputWeights.normalized(*_numbers(t, "grid", 3)) for t in data]
+    points = _cli.trace_front(grid, ss)
     if not points:
-        raise NotConvergedError(f"no weight of the {len(grid)}-weight grid synthesized")
+        raise _cli.NotConvergedError(f"no weight of the {len(grid)}-weight grid synthesized")
+    import numpy as np
+
     weights = [list(vars(p.weights).values()) for p in points]
     front = np.array([w + list(vars(p.report).values()) for w, p in zip(weights, points)])
-    csv = _textio.csv_text(["alpha1", "alpha2", "alpha3", "z1sq", "z2sq", "z3sq"],
-                           front.reshape(-1, 6).T)
-    gains = _textio.dumps_blocks({f"point_{i}": p.gain.F for i, p in enumerate(points)})
+    csv = _cli._textio.csv_text(["alpha1", "alpha2", "alpha3", "z1sq", "z2sq", "z3sq"],
+                                front.T)
+    gains = _cli._textio.dumps_blocks({f"point_{i}": p.gain.F for i, p in enumerate(points)})
     gains = itertools.chain(gains, ["\n"])  # written one point at a time
     config = {
         "L": ns.L,
@@ -351,15 +320,14 @@ def _cmd_lti_pareto(ns, argv):
     return 0
 
 
-@_uses("OperatorWeights", "build_state_space", "optimize_pricing")
 def _cmd_lti_operator(ns, argv):
-    ss = build_state_space(ns.L)
+    ss = _cli.build_state_space(ns.L)
     seed = _seed_override(ns.seed)
-    res = optimize_pricing(
-        OperatorWeights(ns.alpha1, ns.alpha2), ss, budget=ns.budget, seed=seed
+    res = _cli.optimize_pricing(
+        _cli.OperatorWeights(ns.alpha1, ns.alpha2), ss, budget=ns.budget, seed=seed
     )
     if res.gain is None:
-        raise NotConvergedError(
+        raise _cli.NotConvergedError(
             f"no finite objective in {res.evaluations} evaluations; "
             f"failures: {res.failures}"
         )
@@ -452,14 +420,13 @@ def main(argv=None) -> int:
     global _T0
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     ns = _build_parser().parse_args(argv)
-    _bind(_COMMON + ns.handler.uses)
     try:
         _T0 = time.perf_counter()
         return ns.handler(ns, argv)
-    except (NotConvergedError, UnstableError) as exc:
+    except (_cli.NotConvergedError, _cli.UnstableError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
-    except (OligoschedError, OSError) as exc:
+    except (_cli.OligoschedError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 

@@ -838,6 +838,25 @@ class TestOutputConvention:
         assert manifest["numpy"] == np.__version__
 
 
+class TestModuleEntry:
+    """Under ``python -m oligosched.cli`` the module runs as ``__main__``; the
+    handlers and ``main`` read the library's names, error classes included,
+    off that module."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["l2", "strategy", "--arch", "bogus", "--params", PARAMS], 2,
+         "validation error: unknown arch 'bogus'"),
+        (["lti", "pareto", "--L", "2", "--grid", "[[1,0,1]]", "--out", "f.csv"], 3,
+         "convergence failure: no weight of the 1-weight grid synthesized"),
+    ], ids=["l2-strategy", "lti-pareto"])
+    def test_errors_map_to_exit_codes(self, tmp_path, argv, code, message):
+        proc = subprocess.run([sys.executable, "-m", "oligosched.cli", *argv],
+                              env=subprocess_env(), cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr[-500:]
+        assert message in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -78,6 +78,12 @@ class TestSubcommandImports:
                 f"try:\n    rc = main({argv!r})\nexcept SystemExit as exc:\n    rc = exc.code")
         assert _loaded_after(code, cwd=tmp_path) == (0, sorted(modules))
 
+    def test_parsing_loads_no_numpy(self):
+        code = ("import sys\nimport oligosched.cli\nafter_import = 'numpy' in sys.modules\n"
+                "try:\n    oligosched.cli.main(['--version'])\nexcept SystemExit:\n    pass\n"
+                "print(after_import, 'numpy' in sys.modules)")
+        assert _fresh(code) == "False False"
+
 
 class TestTracedNames:
     """The benchmark's tracer replaces library names at ``oligosched.cli``
@@ -105,6 +111,19 @@ class TestTracedNames:
         code = ("import oligosched.cli as c, oligosched.simulate as s; "
                 "print(c.simulate_l2 is s.simulate_l2, 'simulate_l2' in vars(c))")
         assert _fresh(code) == "True False"
+
+    def test_cli_keeps_no_name_after_a_command(self):
+        # a command reads library names off the module without binding them,
+        # so a name set after a first command is the one the second calls
+        argv = ["l2", "simulate", "--arch", "nc", "--params", PARAMS, "--horizon", "300"]
+        code = ("import oligosched.cli as c, oligosched.simulate as s\n"
+                f"c.main({argv!r})\n"
+                "kept = c.simulate_l2 is s.simulate_l2, 'simulate_l2' in vars(c)\n"
+                "calls = []\n"
+                "c.simulate_l2 = lambda *a: calls.append(a) or s.simulate_l2(*a)\n"
+                f"c.main({argv!r})\n"
+                "print(*kept, len(calls))")
+        assert _fresh(code) == "True False 1"
 
     def test_cli_refuses_other_names(self):
         for name in ("nope", "__path__", "simulate"):
