@@ -5,8 +5,12 @@ text around them.  Arrays (CSV columns, and the values of a numeric
 ndarray in ``dumps`` as one column) are rendered in numpy, not one Python
 call per value.  Each value becomes a fixed-width ``uint8`` field plus a
 keep mask; the fields of a row and its separators are laid side by side,
-and one boolean compaction turns ``ROWS`` rows into text, so the
-temporaries are sized by ``ROWS``, not by the array.
+and one boolean compaction turns a chunk of rows into text.  On w workers
+(the CPUs the process may use, at most ``_MAX_WORKERS``) a chunk holds
+``ROWS // w`` rows and w chunks render side by side, on threads since
+numpy releases the GIL; so ``ROWS`` rows are in flight, the temporaries
+are sized by ``ROWS``, not by the array or by w, and the text does not
+depend on w.
 
 Fast path for a float v with 1e-4 <= |v| < 1e16, exactly the nonzero
 magnitudes ``%.17g`` writes in fixed notation.  With X the decimal
@@ -28,11 +32,14 @@ the per-value rendering.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from ._textio import fmt
 
-ROWS = 16384  # rows per compaction
+ROWS = 16384  # rows rendered at once, over all workers
+_MAX_WORKERS = 16  # so that a chunk holds at least ROWS // 16 = 1,024 rows
 _FLOAT_WIDTH = 24  # "-", 22 columns for "0.000" and 17 digits, 1 for the fallback
 _POW10 = 10.0 ** np.arange(23)  # exact doubles up to 1e22
 _E16, _E17 = 10 ** 16, 10 ** 17
@@ -190,7 +197,9 @@ def _compact(pieces: list, n: int) -> str:
             _int_fill(piece, data[:, cols], keep[:, cols])
         else:
             _float_fill(piece, data[:, cols], keep[:, cols])
-    return str(np.compress(keep.ravel(), data.ravel()), "ascii")
+    # the kept bytes of a row run in a few contiguous fields, where a boolean
+    # index beats np.compress' index array (on a random mask it is 4-5x slower)
+    return str(data.ravel()[keep.ravel()], "ascii")
 
 
 def _constant(s: str) -> tuple[np.ndarray, np.ndarray]:
@@ -199,16 +208,42 @@ def _constant(s: str) -> tuple[np.ndarray, np.ndarray]:
     return data, np.ones(data.shape, bool)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def csv_rows(columns) -> list[str]:
     """The CSV lines of equal-length integer or float arrays ``columns``,
-    ``ROWS`` rows per string, each line ending with a newline."""
+    one string per chunk of rows, each line ending with a newline.
+
+    With w the usable CPUs (at most ``_MAX_WORKERS``), a chunk holds
+    ``ROWS // w`` rows and up to w chunks render side by side on a thread
+    pool that lives for this call, so ``ROWS`` rows are in flight whatever
+    w is and no thread outlives the call; the parts come back in row order
+    and their text does not depend on w.  One chunk, or one CPU, renders
+    in the calling thread, starting no thread.  An exception in any chunk
+    reaches the caller.
+    """
     n = len(columns[0]) if len(columns) else 0
+    cpus = min(_cpus(), _MAX_WORKERS)
+    size = ROWS // cpus
     comma, newline = _constant(","), _constant("\n")
-    parts = []
-    for start in range(0, n, ROWS):
+
+    def chunk(start: int) -> str:
         pieces = []
         for col in columns:
-            pieces += [col[start:start + ROWS], comma]
+            pieces += [col[start:start + size], comma]
         pieces[-1] = newline
-        parts.append(_compact(pieces, min(ROWS, n - start)))
-    return parts
+        return _compact(pieces, min(size, n - start))
+
+    starts = range(0, n, size)
+    workers = min(cpus, len(starts))
+    if workers <= 1:
+        return [chunk(start) for start in starts]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(chunk, starts))

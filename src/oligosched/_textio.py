@@ -9,8 +9,8 @@ rendered by ``_render`` in numpy, byte for byte as the per-value
 parsing it costs about 2 ms of start-up that a process writing no array
 never needs.  Long output is produced one block at a time (``csv_blocks``
 one block of rows, ``dumps_blocks`` one dict item) and streamed by
-``atomic_write_text``, so a write holds one block in memory, never the
-whole text.
+``atomic_write_text``, so a write holds one block in memory, plus the
+temporaries of rendering ``_render.ROWS`` rows, never the whole text.
 """
 from __future__ import annotations
 

@@ -1,28 +1,12 @@
 """Command-line surface tying the library together.
 
-Subcommand tree:
-
-    l2 strategy   print {a, b, g} for a chosen market architecture
-    l2 metrics    closed-form moments / welfare / tail bound as JSON
-    l2 simulate   Monte Carlo path statistics (JSON) + optional series CSV
-    lti build     print the R1/R2 matrices for a given L as JSON
-    lti h2        H2 report of a gain given as a JSON matrix
-    lti mpe       equilibrium gain under a linear pricing rule
-    lti pareto    trace the three-way front over a weight grid
-    lti operator  optimize the pricing rule for the operator objective
-
-Exit codes: 0 success, 2 validation error (a malformed argument or a typed
-library refusal), 3 convergence failure; any other exception is a bug and
-ends in a traceback (exit 1).  The environment variable OLIGO_SEED
-overrides any configured seed.  Every file-writing command also writes
-``<out>.manifest.json`` (atomically; ``<first file>.manifest.json`` when
-the record goes to stdout) recording the command line, resolved
-configuration, library version, numpy version, seed, wall-clock time,
-the OpenBLAS thread count, and every file the command wrote; re-running
-the recorded command with that thread count, on the same numpy build and
-CPU, reproduces the outputs byte for byte (normal draws go through numpy's
-vectorised ``log`` and ``sqrt``, whose SIMD paths can round differently on
-another CPU).
+``_HELP``, the description ``oligosched --help`` prints, lists the
+subcommands, the exit codes, the ``OLIGO_SEED`` override and what each
+manifest records.  Manifests are written atomically, and re-running the
+recorded command with the recorded OpenBLAS thread count, on the same
+numpy build and CPU, reproduces the outputs byte for byte (normal draws go
+through numpy's vectorised ``log`` and ``sqrt``, whose SIMD paths can
+round differently on another CPU).
 ``_emit`` writes every record, file and manifest, ``--out`` first, so an
 unwritable ``--out`` leaves no file behind.
 
@@ -45,6 +29,31 @@ import time
 import oligosched as _pkg
 
 from . import __version__, _blas_threads
+
+_HELP = """\
+Dynamic-oligopoly load scheduling: markets, equilibria and gain synthesis.
+
+subcommands:
+  l2 strategy   print {a, b, g} for a chosen market architecture
+  l2 metrics    closed-form moments / welfare / tail bound as JSON
+  l2 simulate   Monte Carlo path statistics (JSON) + optional series CSV
+  lti build     print the R1/R2 matrices for a given L as JSON
+  lti h2        H2 report of a gain given as a JSON matrix
+  lti mpe       equilibrium gain under a linear pricing rule
+  lti pareto    trace the three-way front over a weight grid
+  lti operator  optimize the pricing rule for the operator objective
+
+Exit codes: 0 success, 2 validation error (a malformed argument or a typed
+library refusal), 3 convergence failure, 1 a bug (with a traceback).
+
+OLIGO_SEED, when set, overrides any configured seed.
+
+Every file-writing command also writes <out>.manifest.json, or
+<first file>.manifest.json when the record goes to stdout.  It records the
+command line, the resolved configuration, the library and numpy versions,
+the seed, the wall-clock time, the OpenBLAS thread count and every file
+the command wrote.
+"""
 
 # This module, also when ``python -m`` runs it as ``__main__``.
 _cli = sys.modules[__name__]
@@ -347,7 +356,8 @@ def _cmd_lti_operator(ns, argv):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="oligosched", description=__doc__)
+    ap = argparse.ArgumentParser(prog="oligosched", description=_HELP,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="group", required=True)
 

@@ -13,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -542,6 +543,83 @@ class TestTextRenderer:
         assert len(sizes) == 8
         assert peak < 6 * max(sizes) < sum(sizes)
 
+    @staticmethod
+    def chunk_edge_columns(workers):
+        """(t, U, i) rows past two CSV blocks, with nan, +-inf, -0, 1e-5,
+        1e16 and integers beyond 1e16 on both sides of every chunk edge of
+        ``workers`` workers and every block edge, seen from csv_text (the
+        chunks count from row 0) and from csv_blocks (from each block)."""
+        size, block = _render.ROWS // workers, _textio._CSV_CHUNK
+        n = block + 2 * _render.ROWS + 5
+        rng = np.random.default_rng(workers)
+        t = np.arange(n)
+        U = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n)
+        i = rng.integers(-10 ** 6, 10 ** 6, n)
+        edges = {s + k for s in range(0, n, block) for k in range(0, block, size)}
+        for edge in edges | set(range(size, n, size)):
+            if 3 <= edge <= n - 3:
+                U[edge - 3:edge + 3] = [np.nan, 1e-5, -0.0, np.inf, 1e16, -np.inf]
+                i[edge - 2:edge + 2] = [10 ** 16, -10 ** 17 - 3, 2 ** 62, -1]
+        return t, U, i
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_worker_count_leaves_bytes_unchanged(self, monkeypatch, workers):
+        monkeypatch.setattr(_render, "_cpus", lambda: workers)
+        t, U, i = self.chunk_edge_columns(workers)
+        self.assert_csv_matches((t, U, np.round(U), i, (t % 4).astype(np.uint8)), by_row=False)
+        m = 2 * _render.ROWS + 8
+        assert _textio.dumps(U[:m].reshape(-1, 4)) == recursive_dumps_oracle(U[:m].reshape(-1, 4))
+        assert _textio.dumps(i[:m]) == recursive_dumps_oracle(i[:m])
+
+    def test_streaming_working_set_is_bounded_on_eight_workers(self, monkeypatch):
+        monkeypatch.setattr(_render, "_cpus", lambda: 8)
+        self.test_streaming_working_set_is_bounded()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_chunk_leaves_target_untouched(self, tmp_path, monkeypatch, workers):
+        # the failing chunk lies in the second block, after the first is written
+        monkeypatch.setattr(_render, "_cpus", lambda: workers)
+        real = _render._float_fill
+
+        def fill(v, data, keep):
+            if np.any(v == 123.25):
+                raise ArithmeticError("chunk failed")
+            real(v, data, keep)
+
+        monkeypatch.setattr(_render, "_float_fill", fill)
+        n = 2 * _textio._CSV_CHUNK
+        U = np.linspace(0.0, 1.0, n)
+        U[_textio._CSV_CHUNK + _render.ROWS + 5] = 123.25
+        path = tmp_path / "series.csv"
+        path.write_text("old contents\n")
+        with pytest.raises(ArithmeticError, match="chunk failed"):
+            _textio.atomic_write_text(str(path), _textio.csv_blocks(["t", "U"], (np.arange(n), U)))
+        assert path.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["series.csv"]
+
+    def test_pool_lives_for_one_call(self, monkeypatch):
+        # chunks render off the calling thread, and every pool thread has
+        # ended when csv_text returns; a single chunk renders in the caller
+        monkeypatch.setattr(_render, "_cpus", lambda: 2)
+        real, threads = _render._compact, []
+
+        def compact(pieces, n):
+            threads.append(threading.current_thread())
+            return real(pieces, n)
+
+        monkeypatch.setattr(_render, "_compact", compact)
+        before = threading.active_count()
+        U = np.random.default_rng(3).standard_normal(3 * _render.ROWS)
+        text = _textio.csv_text(None, [U])
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(threads) == 6 and threading.main_thread() not in threads
+        assert 1 <= len(set(threads)) <= 2
+        assert text == "".join(_textio.fmt(u) + "\n" for u in U.tolist())
+        del threads[:]
+        _textio.csv_text(None, [U[:_render.ROWS // 2]])
+        assert threads == [threading.main_thread()]
+
 
 class TestLtiCommands:
     def test_build_matches_construction(self, tmp_path, capsys):
@@ -915,6 +993,12 @@ def _option_table(parser, prefix=()):
 class TestOptionSurface:
     def test_matches_table(self):
         assert _option_table(_build_parser()) == OPTION_SURFACE
+
+    def test_help_describes_exit_codes_seed_and_manifest(self):
+        text = _build_parser().format_help()
+        assert "Exit codes" in text and "OLIGO_SEED" in text and "manifest.json" in text
+        for internal in ("_emit", "__getattr__", "_cli."):
+            assert internal not in text, internal
 
     def test_defaults_are_library_defaults(self):
         ap = _build_parser()

@@ -78,6 +78,15 @@ class TestSubcommandImports:
                 f"try:\n    rc = main({argv!r})\nexcept SystemExit as exc:\n    rc = exc.code")
         assert _loaded_after(code, cwd=tmp_path) == (0, sorted(modules))
 
+    @pytest.mark.parametrize("command", ["lti mpe", "l2 simulate --series-csv"])
+    def test_small_outputs_start_no_thread_pool(self, command, tmp_path):
+        # their arrays are one chunk of rows, rendered in the calling thread
+        argv = SUBCOMMAND_MODULES[command][0]
+        code = ("import sys, threading\nfrom oligosched.cli import main\n"
+                f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n"
+                "print('concurrent.futures' in sys.modules, threading.active_count())")
+        assert _fresh(code, cwd=tmp_path) == "False 1"
+
     def test_parsing_loads_no_numpy(self):
         code = ("import sys\nimport oligosched.cli\nafter_import = 'numpy' in sys.modules\n"
                 "try:\n    oligosched.cli.main(['--version'])\nexcept SystemExit:\n    pass\n"
