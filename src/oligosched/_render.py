@@ -5,12 +5,14 @@ text around them.  Arrays (CSV columns, and the values of a numeric
 ndarray in ``dumps`` as one column) are rendered in numpy, not one Python
 call per value.  Each value becomes a fixed-width ``uint8`` field plus a
 keep mask; the fields of a row and its separators are laid side by side,
-and one boolean compaction turns a chunk of rows into text.  On w workers
-(the CPUs the process may use, at most ``_MAX_WORKERS``) a chunk holds
-``ROWS // w`` rows and w chunks render side by side, on threads since
-numpy releases the GIL; so ``ROWS`` rows are in flight, the temporaries
-are sized by ``ROWS``, not by the array or by w, and the text does not
-depend on w.
+and one boolean compaction turns a chunk of rows into text.  ``csv_rows``
+yields the chunks' text in row order as one stream.  On w workers (the
+CPUs the process may use, at most ``_MAX_WORKERS``) a chunk holds
+``ROWS // w`` rows, and one thread pool that lives as long as the stream
+renders w chunks side by side (numpy releases the GIL), at most 2w chunks
+ahead of the consumer.  So ``ROWS`` rows render at once and at most
+``2 * ROWS`` rows of text wait to be consumed: the working set is sized by
+``ROWS``, not by the array or by w, and the text does not depend on w.
 
 Fast path for a float v with 1e-4 <= |v| < 1e16, exactly the nonzero
 magnitudes ``%.17g`` writes in fixed notation.  With X the decimal
@@ -33,13 +35,15 @@ the per-value rendering.
 from __future__ import annotations
 
 import os
+from collections import deque
+from collections.abc import Iterator
 
 import numpy as np
 
 from ._textio import fmt
 
-ROWS = 16384  # rows rendered at once, over all workers
-_MAX_WORKERS = 16  # so that a chunk holds at least ROWS // 16 = 1,024 rows
+ROWS = 24576  # rows rendered at once, over all workers
+_MAX_WORKERS = 16  # so that a chunk holds at least ROWS // 16 = 1,536 rows
 _FLOAT_WIDTH = 24  # "-", 22 columns for "0.000" and 17 digits, 1 for the fallback
 _POW10 = 10.0 ** np.arange(23)  # exact doubles up to 1e22
 _E16, _E17 = 10 ** 16, 10 ** 17
@@ -124,8 +128,14 @@ def _float_fill(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
     hi, N = np.divmod(N, 10 ** 8)
     np.divmod(hi, 10000, out=(groups[:, 2], groups[:, 3]))
     np.divmod(N, 10000, out=(groups[:, 4], groups[:, 5]))
+    del a, step, N, hi  # each temporary goes once used: they size a chunk's working set
+    last = np.take(_LAST[0], groups[:, 2])
+    for k in (1, 2, 3):
+        np.maximum(last, np.take(_LAST[k], groups[:, 2 + k]), out=last)
+    last[zero] = 0
     digits = np.empty(6 * n + 1, np.uint32)
     np.take(_DIGITS4, groups.ravel(), out=digits[:-1], mode="clip")
+    del groups
     digits[-1] = _DIGITS4[0]
     digits = digits.view(np.uint8)
     # column c is digit byte c + 1 of the row (z shifted one column right)
@@ -138,10 +148,7 @@ def _float_fill(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
     field[:, 0] = 45
     field[np.arange(n), 6 + x] = 46
     data[...] = field
-    last = np.take(_LAST[0], groups[:, 2])
-    for k in (1, 2, 3):
-        np.maximum(last, np.take(_LAST[k], groups[:, 2 + k]), out=last)
-    last[zero] = 0
+    del digits, shifted, field
     keep[...] = np.take(_KEEP, 17 * (x + 4) + last, axis=0)
     keep[:, 0] = np.signbit(v)
     _spelled(rows, strings, data, keep)
@@ -216,17 +223,20 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def csv_rows(columns) -> list[str]:
+def csv_rows(columns) -> Iterator[str]:
     """The CSV lines of equal-length integer or float arrays ``columns``,
-    one string per chunk of rows, each line ending with a newline.
+    one string per chunk of rows in row order, each line ending with a
+    newline.
 
     With w the usable CPUs (at most ``_MAX_WORKERS``), a chunk holds
-    ``ROWS // w`` rows and up to w chunks render side by side on a thread
-    pool that lives for this call, so ``ROWS`` rows are in flight whatever
-    w is and no thread outlives the call; the parts come back in row order
-    and their text does not depend on w.  One chunk, or one CPU, renders
-    in the calling thread, starting no thread.  An exception in any chunk
-    reaches the caller.
+    ``ROWS // w`` rows.  One thread pool of w workers renders the chunks
+    while the caller consumes them and lives as long as this stream: it
+    runs at most ``2 * w`` chunks ahead of the caller, so ``ROWS`` rows
+    render at once and at most ``2 * ROWS`` rows of text wait, however
+    long the columns are.  The text does not depend on w.  One chunk, or
+    one CPU, renders in the calling thread, starting no thread.  An
+    exception in any chunk reaches the caller; once the stream ends, fails
+    or is closed, no pool thread is left running.
     """
     n = len(columns[0]) if len(columns) else 0
     cpus = min(_cpus(), _MAX_WORKERS)
@@ -243,7 +253,17 @@ def csv_rows(columns) -> list[str]:
     starts = range(0, n, size)
     workers = min(cpus, len(starts))
     if workers <= 1:
-        return [chunk(start) for start in starts]
+        yield from map(chunk, starts)
+        return
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(chunk, starts))
+    pool = ThreadPoolExecutor(workers)
+    try:
+        ahead = deque()
+        for start in starts:
+            ahead.append(pool.submit(chunk, start))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

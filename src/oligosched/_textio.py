@@ -7,10 +7,14 @@ values of arrays (CSV columns and numeric ndarrays in ``dumps``) are
 rendered by ``_render`` in numpy, byte for byte as the per-value
 ``%.17g``/``%d`` spelling.  ``_render`` is imported on first use, since
 parsing it costs about 2 ms of start-up that a process writing no array
-never needs.  Long output is produced one block at a time (``csv_blocks``
-one block of rows, ``dumps_blocks`` one dict item) and streamed by
-``atomic_write_text``, so a write holds one block in memory, plus the
-temporaries of rendering ``_render.ROWS`` rows, never the whole text.
+never needs.  Long output is produced as a stream of blocks and written
+by ``atomic_write_text`` as they come: ``csv_blocks`` yields the header
+line, then the chunks of rows that ``_render.csv_rows`` renders on every
+usable CPU while earlier chunks are written, so a CSV write holds at most
+``2 * _render.ROWS`` rows of text plus the temporaries of rendering
+``_render.ROWS`` rows; ``dumps_blocks`` yields one dict item at a time.
+Neither holds the whole text, and the bytes do not depend on the CPU
+count.
 """
 from __future__ import annotations
 
@@ -90,8 +94,10 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
 
     ``text`` is one string or an iterable of strings written in order, such
     as ``csv_blocks``; an iterable is consumed while the file is written, so
-    peak memory is one block, not the whole text.  If writing or the
-    iterable raises, the temp file is removed and ``path`` is left as it was.
+    memory holds what the iterable keeps in flight, not the whole text.  If
+    writing or the iterable raises, the temp file is removed, an iterable
+    with a ``close`` method (a generator) is closed, so that a render pool
+    behind it has stopped, and ``path`` is left as it was.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-oligosched-")
@@ -103,10 +109,9 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if hasattr(text, "close"):
+            text.close()
         raise
-
-
-_CSV_CHUNK = 65536  # rows per block of csv_blocks
 
 
 def csv_text(header: list[str] | None, columns) -> str:
@@ -116,18 +121,18 @@ def csv_text(header: list[str] | None, columns) -> str:
     The rows are rendered by ``_render.csv_rows`` (its module docstring
     gives the fast path, why it is exact, and the per-value fallback),
     after the header line unless ``header`` is None; each line ends with a
-    newline.
+    newline.  The text is ``csv_blocks`` joined.
     """
+    return "".join(csv_blocks(header, columns))
+
+
+def csv_blocks(header: list[str] | None, columns) -> Iterator[str]:
+    """``csv_text`` as a stream: the header line (unless ``header`` is
+    None), then each chunk of rows of ``_render.csv_rows`` in row order,
+    rendered on every usable CPU at most ``2 * _render.ROWS`` rows ahead of
+    the consumer, which writes one chunk while later ones render; the text
+    does not depend on the CPU count."""
     from . import _render
-    parts = [] if header is None else [",".join(header) + "\n"]
-    return "".join(parts + _render.csv_rows(columns))
-
-
-def csv_blocks(header: list[str], columns) -> Iterator[str]:
-    """``csv_text`` of successive ``_CSV_CHUNK``-row slices of ``columns``,
-    the header on the first block only; joined, the blocks equal
-    ``csv_text(header, columns)``.  With no rows it yields the header line."""
-    n = len(columns[0]) if len(columns) else 0
-    yield csv_text(header, [col[:_CSV_CHUNK] for col in columns])
-    for i in range(_CSV_CHUNK, n, _CSV_CHUNK):
-        yield csv_text(None, [col[i:i + _CSV_CHUNK] for col in columns])
+    if header is not None:
+        yield ",".join(header) + "\n"
+    yield from _render.csv_rows(columns)

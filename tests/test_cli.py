@@ -14,6 +14,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -28,6 +29,25 @@ from oligosched.cli import _build_parser, main
 
 PARAMS = '{"q1":1,"q2":0.75,"mu1":0,"mu2":0,"sigma1":1,"sigma2":1}'
 PD_PARAMS = '{"q1":0.6,"q2":0.6,"mu1":15,"mu2":15,"sigma1":6,"sigma2":6}'
+THIRD = _render.ROWS // 3  # rows per chunk on three workers (8,192)
+
+
+def assert_same_text(text, expected):
+    """``text == expected``, failing fast: on a mismatch it reports the two
+    lengths and the first differing offset with 40 characters of context
+    either side, where pytest's rewritten ``==`` would build a difflib
+    diff of megabytes of text, which can run for minutes."""
+    if text != expected:
+        at, hi = 0, min(len(text), len(expected))  # bisect the common prefix
+        while at < hi:
+            mid = (at + hi + 1) // 2
+            if text[:mid] == expected[:mid]:
+                at = mid
+            else:
+                hi = mid - 1
+        around = slice(max(0, at - 40), at + 40)
+        pytest.fail(f"texts differ: lengths {len(text)} and {len(expected)}, first at offset "
+                    f"{at}: {text[around]!r} != {expected[around]!r}")
 
 
 def row_csv_oracle(header, rows):
@@ -39,12 +59,14 @@ def row_csv_oracle(header, rows):
 
 
 def single_string_csv_oracle(header, columns):
-    """The former csv_text: every block formatted, then joined in one string."""
+    """The former csv_text: each block of 65,536 rows formatted by one
+    ``%`` format, then joined in one string."""
+    block = 65536
     line = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns)
     lines = [",".join(header)]
-    for i in range(0, len(columns[0]), _textio._CSV_CHUNK):
-        block = list(zip(*(col[i:i + _textio._CSV_CHUNK].tolist() for col in columns)))
-        text = "\n".join([line] * len(block)) % tuple(itertools.chain(*block))
+    for i in range(0, len(columns[0]), block):
+        block_rows = list(zip(*(col[i:i + block].tolist() for col in columns)))
+        text = "\n".join([line] * len(block_rows)) % tuple(itertools.chain(*block_rows))
         lines.append(text.replace("nan", "NaN").replace("inf", "Infinity"))
     lines.append("")
     return "\n".join(lines)
@@ -245,7 +267,7 @@ class TestL2Commands:
         assert list(record["quantiles"]) == [f"{q:g}" for q in levels]
 
     def test_series_csv_columns_match_row_text(self):
-        n = _textio._CSV_CHUNK + 1000  # a full block and a partial one
+        n = 8 * THIRD + 1000  # full chunks and a partial one
         rng = np.random.default_rng(3)
         t = np.arange(n)
         U = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
@@ -258,7 +280,7 @@ class TestL2Commands:
         header = ["t", "U", "x_sum", "o_flags"]
         text = _textio.csv_text(header, (t, U, x, flags))
         rows = zip(t.tolist(), U.tolist(), x.tolist(), flags.tolist())
-        assert text == row_csv_oracle(header, rows)
+        assert_same_text(text, row_csv_oracle(header, rows))
         lines = text.splitlines()
         assert lines[2:7] == ["1,-0,-0,1", "2,3,21,2", "3,-42,-294,3",
                               "4,1e-300,0,0",
@@ -286,9 +308,9 @@ class TestL2Commands:
         assert _textio.dumps(np.array(value)) == _textio.dumps(value) == spelled
         assert _textio.dumps({"v": np.array(value)}) == '{\n  "v": ' + spelled + "\n}"
 
-    @pytest.mark.parametrize("rows", [0, 3 * _textio._CSV_CHUNK])
+    @pytest.mark.parametrize("rows", [0, 3 * 65536])
     def test_atomic_write_round_trips_csv(self, tmp_path, rows):
-        # 196,608 rows are over 4 MB, written as one block
+        # 196,608 rows are over 4 MB, written as one string
         U = np.random.default_rng(4).standard_normal(rows)
         text = _textio.csv_text(["t", "U"], (np.arange(rows), U))
         assert len(text) > 4e6 or rows == 0
@@ -296,16 +318,18 @@ class TestL2Commands:
         _textio.atomic_write_text(str(path), text)
         assert path.read_bytes() == text.encode()
 
-    @pytest.mark.parametrize("rows", [0, 1, _textio._CSV_CHUNK, _textio._CSV_CHUNK + 1,
-                                      3 * _textio._CSV_CHUNK])
-    def test_streamed_csv_matches_single_string_at_block_boundaries(self, tmp_path, rows):
-        chunk = _textio._CSV_CHUNK
+    @pytest.mark.parametrize("rows", [0, 1, 8 * THIRD, 8 * THIRD + 1, 24 * THIRD])
+    def test_streamed_csv_matches_single_string_at_block_boundaries(self, tmp_path,
+                                                                    monkeypatch, rows):
+        # on three workers the streamed blocks are the header line, then one
+        # block per chunk of THIRD rows, each equal to its rows' oracle text
+        monkeypatch.setattr(_render, "_cpus", lambda: 3)
         rng = np.random.default_rng(rows)
         t = np.arange(rows)
         U = rng.standard_normal(rows)
         x = np.round(5.0 * U)
         special = [np.nan, np.inf, -np.inf, -0.0]
-        for edge in range(chunk, rows, chunk):  # both sides of each boundary
+        for edge in range(THIRD, rows, THIRD):  # both sides of each chunk edge
             after = min(4, rows - edge)
             U[edge - 4:edge + after] = special + special[::-1][:after]
             x[edge - 4:edge + after] = special[::-1] + special[:after]
@@ -316,14 +340,19 @@ class TestL2Commands:
         _textio.atomic_write_text(str(path), _textio.csv_blocks(header, columns))
         streamed = path.read_text()
         rows_iter = zip(t.tolist(), U.tolist(), x.tolist(), flags.tolist())
-        assert streamed == row_csv_oracle(header, rows_iter)
-        assert streamed == single_string_csv_oracle(header, columns)
-        assert streamed == _textio.csv_text(header, columns)
+        oracle = row_csv_oracle(header, rows_iter)
+        assert_same_text(streamed, oracle)
+        assert_same_text(streamed, single_string_csv_oracle(header, columns))
+        assert_same_text(streamed, _textio.csv_text(header, columns))
         blocks = list(_textio.csv_blocks(header, columns))
-        assert len(blocks) == max(1, -(-rows // chunk))
-        if rows > chunk:
-            assert blocks[0].endswith(f"\n{chunk - 1},-0,NaN,{(chunk - 1) % 3}\n")
-            assert blocks[1].startswith(f"{chunk},-0,NaN,{chunk % 3}\n")
+        lines = oracle.splitlines(keepends=True)
+        assert len(blocks) == 1 + -(-rows // THIRD)
+        assert blocks[0] == lines[0]
+        for k, block in enumerate(blocks[1:]):
+            assert_same_text(block, "".join(lines[1 + k * THIRD:1 + (k + 1) * THIRD]))
+        if rows > THIRD:
+            assert blocks[1].endswith(f"\n{THIRD - 1},-0,NaN,{(THIRD - 1) % 3}\n")
+            assert blocks[2].startswith(f"{THIRD},-0,NaN,{THIRD % 3}\n")
 
     def test_failing_stream_leaves_target_untouched(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -430,9 +459,9 @@ class TestTextRenderer:
         header = [f"c{k}" for k in range(len(columns))]
         text = _textio.csv_text(header, columns)
         if by_row:
-            assert text == row_csv_oracle(header, zip(*(col.tolist() for col in columns)))
-        assert text == single_string_csv_oracle(header, columns)
-        assert "".join(_textio.csv_blocks(header, columns)) == text
+            assert_same_text(text, row_csv_oracle(header, zip(*(col.tolist() for col in columns))))
+        assert_same_text(text, single_string_csv_oracle(header, columns))
+        assert_same_text("".join(_textio.csv_blocks(header, columns)), text)
 
     def test_adversarial_doubles(self):
         U = adversarial_doubles()
@@ -480,14 +509,16 @@ class TestTextRenderer:
         if column.dtype.kind != "b":  # bool arrays stay true/false in JSON
             assert _textio.dumps(column) == recursive_dumps_oracle(column)
 
-    @pytest.mark.parametrize("rows", [0, 1, 2, _render.ROWS - 1, _render.ROWS,
-                                      _render.ROWS + 1, 2 * _render.ROWS + 3,
-                                      _textio._CSV_CHUNK - 1, _textio._CSV_CHUNK + 1])
-    def test_sub_block_and_block_boundaries(self, rows):
+    @pytest.mark.parametrize("rows", [0, 1, 2, 2 * THIRD - 1, 2 * THIRD, 2 * THIRD + 1,
+                                      4 * THIRD + 3, 8 * THIRD - 1, 8 * THIRD + 1])
+    def test_sub_block_and_block_boundaries(self, monkeypatch, rows):
+        # on three workers: chunk edges every THIRD rows, ROWS = 3 * THIRD
+        # rows rendered at once, and the stream 6 chunks ahead of its consumer
+        monkeypatch.setattr(_render, "_cpus", lambda: 3)
         rng = np.random.default_rng(rows)
         t = np.arange(rows)
         U = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 20, rows)
-        for edge in (_render.ROWS, _textio._CSV_CHUNK):
+        for edge in (2 * THIRD, 3 * THIRD, 4 * THIRD, 6 * THIRD, 8 * THIRD):
             U[max(0, edge - 2):edge + 2] = [np.nan, -0.0, 1e300, -np.inf][:len(U[edge - 2:edge + 2])]
         self.assert_csv_matches((t, U, np.round(U), (t % 4).astype(np.uint8)))
 
@@ -524,11 +555,10 @@ class TestTextRenderer:
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["False", "False", "True"]
 
-    def test_streaming_working_set_is_bounded(self):
-        # eight blocks of text, about 16 MB in all, are written through a
-        # working set of a few blocks: the rendering's temporaries depend on
-        # the sub-block size, not on the length of the series
-        n = 8 * _textio._CSV_CHUNK
+    @staticmethod
+    def working_set_peak(n):
+        """Traced peak bytes of streaming the 4-column CSV of ``n`` series
+        rows; the columns are made before tracing starts."""
         rng = np.random.default_rng(8)
         t = np.arange(n)
         U = 15.0 + 8.0 * rng.standard_normal(n)
@@ -536,27 +566,43 @@ class TestTextRenderer:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            sizes = [len(b) for b in _textio.csv_blocks(["t", "U", "x_sum", "o_flags"], columns)]
+            size = sum(len(b) for b in _textio.csv_blocks(["t", "U", "x_sum", "o_flags"], columns))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(sizes) == 8
-        assert peak < 6 * max(sizes) < sum(sizes)
+        assert size > n * 30  # the text itself is ~32 bytes a row
+        return peak
+
+    def assert_working_set_bounded(self, monkeypatch, workers):
+        # about 16 and 33 MB of text are written through a working set of at
+        # most 12 MB, the former bound of six 65,536-row blocks of text: the
+        # rendering's temporaries and the text rendered ahead depend on
+        # ROWS, not on the length of the series or the worker count
+        monkeypatch.setattr(_render, "_cpus", lambda: workers)
+        short, long = self.working_set_peak(8 * 65536), self.working_set_peak(16 * 65536)
+        assert short < 12e6 and long < 12e6, (short, long)
+        assert long < short + 1e6, (short, long)
+
+    def test_streaming_working_set_is_bounded(self, monkeypatch):
+        self.assert_working_set_bounded(monkeypatch, 1)
+        self.assert_working_set_bounded(monkeypatch, 2)
+
+    def test_streaming_working_set_is_bounded_on_eight_workers(self, monkeypatch):
+        self.assert_working_set_bounded(monkeypatch, 8)
 
     @staticmethod
     def chunk_edge_columns(workers):
-        """(t, U, i) rows past two CSV blocks, with nan, +-inf, -0, 1e-5,
-        1e16 and integers beyond 1e16 on both sides of every chunk edge of
-        ``workers`` workers and every block edge, seen from csv_text (the
-        chunks count from row 0) and from csv_blocks (from each block)."""
-        size, block = _render.ROWS // workers, _textio._CSV_CHUNK
-        n = block + 2 * _render.ROWS + 5
+        """(t, U, i) rows of more than 2 * ``workers`` chunks, so that the
+        stream runs its full render-ahead, with nan, +-inf, -0, 1e-5, 1e16
+        and integers beyond 1e16 on both sides of every chunk edge of
+        ``workers`` workers."""
+        size = _render.ROWS // workers
+        n = 3 * _render.ROWS + 5
         rng = np.random.default_rng(workers)
         t = np.arange(n)
         U = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n)
         i = rng.integers(-10 ** 6, 10 ** 6, n)
-        edges = {s + k for s in range(0, n, block) for k in range(0, block, size)}
-        for edge in edges | set(range(size, n, size)):
+        for edge in range(size, n, size):
             if 3 <= edge <= n - 3:
                 U[edge - 3:edge + 3] = [np.nan, 1e-5, -0.0, np.inf, 1e16, -np.inf]
                 i[edge - 2:edge + 2] = [10 ** 16, -10 ** 17 - 3, 2 ** 62, -1]
@@ -568,16 +614,40 @@ class TestTextRenderer:
         t, U, i = self.chunk_edge_columns(workers)
         self.assert_csv_matches((t, U, np.round(U), i, (t % 4).astype(np.uint8)), by_row=False)
         m = 2 * _render.ROWS + 8
-        assert _textio.dumps(U[:m].reshape(-1, 4)) == recursive_dumps_oracle(U[:m].reshape(-1, 4))
-        assert _textio.dumps(i[:m]) == recursive_dumps_oracle(i[:m])
+        assert_same_text(_textio.dumps(U[:m].reshape(-1, 4)),
+                         recursive_dumps_oracle(U[:m].reshape(-1, 4)))
+        assert_same_text(_textio.dumps(i[:m]), recursive_dumps_oracle(i[:m]))
 
-    def test_streaming_working_set_is_bounded_on_eight_workers(self, monkeypatch):
-        monkeypatch.setattr(_render, "_cpus", lambda: 8)
-        self.test_streaming_working_set_is_bounded()
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_slow_consumer_gets_every_chunk_in_order(self, monkeypatch, workers):
+        # the consumer sleeps on every block while the pool renders ahead;
+        # it still gets each chunk once, in row order, and the pool starts
+        # no chunk more than 2 * workers ahead of it
+        monkeypatch.setattr(_render, "_cpus", lambda: workers)
+        real, started = _render._compact, []
+
+        def compact(pieces, n):
+            started.append(n)
+            return real(pieces, n)
+
+        monkeypatch.setattr(_render, "_compact", compact)
+        t, U, _ = self.chunk_edge_columns(workers)
+        columns = (t, U, np.round(U), (t % 4).astype(np.uint8))
+        header = ["t", "U", "x_sum", "o_flags"]
+        blocks = []
+        for block in _textio.csv_blocks(header, columns):
+            assert len(started) <= len(blocks) + 2 * workers
+            blocks.append(block)
+            time.sleep(0.01)
+        assert len(blocks) == 1 + -(-len(t) // (_render.ROWS // workers)) == 1 + len(started)
+        text = "".join(blocks)
+        assert_same_text(text, row_csv_oracle(header, zip(*(col.tolist() for col in columns))))
+        assert_same_text(text, _textio.csv_text(header, columns))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_chunk_leaves_target_untouched(self, tmp_path, monkeypatch, workers):
-        # the failing chunk lies in the second block, after the first is written
+        # the failing chunk lies past the first 2 * ROWS rows, after the
+        # first chunks are written
         monkeypatch.setattr(_render, "_cpus", lambda: workers)
         real = _render._float_fill
 
@@ -587,15 +657,46 @@ class TestTextRenderer:
             real(v, data, keep)
 
         monkeypatch.setattr(_render, "_float_fill", fill)
-        n = 2 * _textio._CSV_CHUNK
+        n = 4 * _render.ROWS
         U = np.linspace(0.0, 1.0, n)
-        U[_textio._CSV_CHUNK + _render.ROWS + 5] = 123.25
+        U[2 * _render.ROWS + THIRD + 5] = 123.25
         path = tmp_path / "series.csv"
         path.write_text("old contents\n")
         with pytest.raises(ArithmeticError, match="chunk failed"):
             _textio.atomic_write_text(str(path), _textio.csv_blocks(["t", "U"], (np.arange(n), U)))
         assert path.read_text() == "old contents\n"
         assert os.listdir(tmp_path) == ["series.csv"]
+
+    @pytest.mark.parametrize("fails", ["chunk", "write"])
+    def test_failed_write_stops_the_render_pool(self, tmp_path, monkeypatch, fails):
+        # a chunk that raises ends the stream itself; a write that fails
+        # leaves it suspended with chunks rendered ahead, and
+        # atomic_write_text closes it: either way the pool threads have
+        # ended when the error reaches the caller, though the caller still
+        # holds the stream
+        monkeypatch.setattr(_render, "_cpus", lambda: 3)
+        real = _render._compact
+
+        def compact(pieces, n):
+            text = real(pieces, n)
+            if text.startswith(f"{3 * THIRD},"):
+                if fails == "chunk":
+                    raise ArithmeticError("chunk failed")
+                return "\ud800"  # a lone surrogate: no codec can write it
+            return text
+
+        monkeypatch.setattr(_render, "_compact", compact)
+        n = 4 * _render.ROWS
+        path = tmp_path / "series.csv"
+        path.write_text("old contents\n")
+        before = threading.active_count()
+        stream = _textio.csv_blocks(["t", "U"], (np.arange(n), np.linspace(0.0, 1.0, n)))
+        with pytest.raises(ArithmeticError if fails == "chunk" else UnicodeEncodeError):
+            _textio.atomic_write_text(str(path), stream)
+        assert threading.active_count() == before
+        assert path.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["series.csv"]
+        assert next(stream, None) is None
 
     def test_pool_lives_for_one_call(self, monkeypatch):
         # chunks render off the calling thread, and every pool thread has
