@@ -3,9 +3,10 @@
 This module renders values only; ``_textio`` lays out the CSV and JSON
 text around them.  Arrays (CSV columns, and the values of a numeric
 ndarray in ``dumps`` as one column) are rendered in numpy, not one Python
-call per value.  Each value becomes a fixed-width ``uint8`` field plus a
-keep mask; the fields of a row and its separators are laid side by side,
-and one boolean compaction turns a chunk of rows into text.  ``csv_rows``
+call per value.  No byte of the text is 0, so each value becomes a
+fixed-width ``uint8`` field in which a zero byte marks a byte the text
+drops; the fields of a row and its separators are laid side by side in one
+array per chunk, and its nonzero bytes are the chunk's text.  ``csv_rows``
 yields the chunks' text in row order as one stream.  On w workers (the
 CPUs the process may use, at most ``_MAX_WORKERS``) a chunk holds
 ``ROWS // w`` rows, and one thread pool that lives as long as the stream
@@ -62,23 +63,21 @@ _LAST = [np.where(_position, _position + 4 * k, 0).astype(np.uint8) for k in ran
 # the units digit at i = 4 + x, the point at 5 + x, then z[i - 1]; it keeps
 # columns 4 + min(x, 0) .. (5 + last if last > x else 4 + x).
 # _INTEGER[x + 4] is 255 on the columns taken from z unshifted, and
-# _KEEP[17 * (x + 4) + last] marks the columns kept.
+# _KEEP[17 * (x + 4) + last] is 255 on column 0 and the columns kept, else 0.
 _c = np.arange(_FLOAT_WIDTH)
 _x = np.arange(-4, 16)[:, None, None]
 _last = np.arange(17)[None, :, None]
 _INTEGER = np.where(_c <= 5 + _x[:, 0], 255, 0).astype(np.uint8)
-_KEEP = ((_c >= 5 + np.minimum(_x, 0)) & (_c <= np.where(_last > _x, 6 + _last, 5 + _x))
-         ).reshape(-1, _FLOAT_WIDTH)
+_KEEP = np.uint8(255) * ((_c == 0) | (_c >= 5 + np.minimum(_x, 0))
+                         & (_c <= np.where(_last > _x, 6 + _last, 5 + _x))).reshape(-1, _c.size)
 del _digits, _position, _c, _x, _last
 
 
-def _spelled(rows: np.ndarray, strings: list[str], data: np.ndarray, keep: np.ndarray) -> None:
-    """Overwrite the fields at ``rows`` with ``strings``, left-aligned."""
+def _spelled(rows: np.ndarray, strings: list[str], data: np.ndarray) -> None:
+    """Overwrite the fields at ``rows`` with ``strings``, left-aligned, zero padded."""
     if strings:
         spelled = np.array(strings, dtype=f"S{data.shape[1]}").view(np.uint8)
-        spelled = spelled.reshape(len(strings), data.shape[1])
-        data[rows] = spelled
-        keep[rows] = spelled != 0
+        data[rows] = spelled.reshape(len(strings), data.shape[1])
 
 
 def _scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -99,9 +98,9 @@ def _scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return p.astype(np.int64) + np.rint(e).astype(np.int64)
 
 
-def _float_fill(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
+def _float_fill(v: np.ndarray, data: np.ndarray) -> None:
     """``%.17g`` fields of the values ``v`` as float64 (nan, inf renamed)
-    into ``(len(v), _FLOAT_WIDTH)`` views."""
+    into a ``(len(v), _FLOAT_WIDTH)`` view, 0 in the bytes dropped."""
     v = np.asarray(v, dtype=np.float64)
     n = len(v)
     a = np.abs(v)
@@ -145,13 +144,11 @@ def _float_fill(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
     field &= np.take(_INTEGER, x + 4, axis=0).ravel()
     field ^= shifted
     field = field.reshape(n, _FLOAT_WIDTH)
-    field[:, 0] = 45
+    field[:, 0] = 45 * np.signbit(v)
     field[np.arange(n), 6 + x] = 46
-    data[...] = field
+    np.bitwise_and(field, np.take(_KEEP, 17 * (x + 4) + last, axis=0), out=data)
     del digits, shifted, field
-    keep[...] = np.take(_KEEP, 17 * (x + 4) + last, axis=0)
-    keep[:, 0] = np.signbit(v)
-    _spelled(rows, strings, data, keep)
+    _spelled(rows, strings, data)
 
 
 def _int_width(v: np.ndarray) -> int:
@@ -161,9 +158,9 @@ def _int_width(v: np.ndarray) -> int:
     return 1 + 4 * (5 if m >= _E16 else -(-len(str(m)) // 4))
 
 
-def _int_fill(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
-    """``%d`` fields of the integer (or bool) values ``v`` into
-    ``(len(v), _int_width(v))`` views: "-" in column 0, then the digits."""
+def _int_fill(v: np.ndarray, data: np.ndarray) -> None:
+    """``%d`` fields of the integer (or bool) values ``v`` into a ``(len(v),
+    _int_width(v))`` view: "-" or 0, then the digits with 0 for leading zeros."""
     n, width = data.shape
     slow = (v >= _E16) | (v <= -_E16) if v.dtype.itemsize == 8 else np.zeros(n, bool)
     rows = np.flatnonzero(slow)
@@ -171,48 +168,50 @@ def _int_fill(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
     a = np.abs(np.where(slow, 0, v).astype(np.int64))
     ngroups = (width - 1) // 4
     col = np.arange(4 * ngroups)
-    keep[:, 0] = v < 0
-    keep[:, 1:] = np.take(col >= 4 * ngroups - 1 - col[:, None],
-                          np.searchsorted(_INT_POW, a, side="right"), axis=0)
+    mask = np.take(np.uint8(255) * (col >= 4 * ngroups - 1 - col[:, None]),
+                   np.searchsorted(_INT_POW, a, side="right"), axis=0)
     groups = np.empty((n, ngroups), np.intp)
     for j in range(ngroups - 1, 0, -1):
         a, groups[:, j] = np.divmod(a, 10000)
     groups[:, 0] = a
-    data[:, 0] = 45
-    data[:, 1:] = np.take(_DIGITS4, groups).view(np.uint8).reshape(n, 4 * ngroups)
-    _spelled(rows, strings, data, keep)
+    data[:, 0] = 45 * (v < 0)
+    np.bitwise_and(np.take(_DIGITS4, groups).view(np.uint8).reshape(n, 4 * ngroups), mask,
+                   out=data[:, 1:])
+    _spelled(rows, strings, data)
 
 
 def _compact(pieces: list, n: int) -> str:
-    """Text of ``n`` rows, each the kept bytes of ``pieces`` side by side.
+    """Text of ``n`` rows, each the nonzero bytes of ``pieces`` side by side.
 
-    A piece is an array of ``n`` values, rendered as ``%d`` fields for
+    A piece is a 1-D array of ``n`` values, rendered as ``%d`` fields for
     integer and bool dtypes and as ``%.17g`` fields of float64 otherwise,
-    or a ``(data, keep)`` pair of ``(1, w)`` or ``(n, w)`` arrays.
+    or a 2-D ``uint8`` array of 1 or ``n`` rows of bytes.  All pieces fill
+    one ``(n, W)`` array; a zero byte in it marks a byte the text drops,
+    since no byte of the text is 0.
     """
-    widths = [p[0].shape[1] if isinstance(p, tuple)
+    widths = [p.shape[1] if p.ndim == 2
               else _int_width(p) if p.dtype.kind in "iub" else _FLOAT_WIDTH for p in pieces]
     data = np.empty((n, sum(widths)), np.uint8)
-    keep = np.empty((n, sum(widths)), bool)
     start = 0
     for piece, width in zip(pieces, widths):
         cols = slice(start, start + width)
         start += width
-        if isinstance(piece, tuple):
-            data[:, cols], keep[:, cols] = piece
+        if piece.ndim == 2:
+            data[:, cols] = piece
         elif piece.dtype.kind in "iub":
-            _int_fill(piece, data[:, cols], keep[:, cols])
+            _int_fill(piece, data[:, cols])
         else:
-            _float_fill(piece, data[:, cols], keep[:, cols])
-    # the kept bytes of a row run in a few contiguous fields, where a boolean
-    # index beats np.compress' index array (on a random mask it is 4-5x slower)
-    return str(data.ravel()[keep.ravel()], "ascii")
+            _float_fill(piece, data[:, cols])
+    # a zero byte marks a dropped one; the nonzero bytes of a row run in a few
+    # contiguous fields, where a boolean index beats np.compress' index array
+    # (on a random mask it is 4-5x slower)
+    data = data.ravel()
+    return str(data[data != 0], "ascii")
 
 
-def _constant(s: str) -> tuple[np.ndarray, np.ndarray]:
-    """A ``(data, keep)`` piece spelling ``s`` on every row."""
-    data = np.frombuffer(s.encode("ascii"), np.uint8)[None, :]
-    return data, np.ones(data.shape, bool)
+def _constant(s: str) -> np.ndarray:
+    """A ``(1, len(s))`` piece spelling ``s`` on every row (a zero byte would be dropped)."""
+    return np.frombuffer(s.encode("ascii"), np.uint8)[None, :]
 
 
 def _cpus() -> int:

@@ -155,40 +155,37 @@ class _RowPlan:
 
     Each row (l, tau) has terms k = 1..tau-1, and each term reads two
     vectors of V[k-1] = [w; S] M^(k-1): a_k (V row 0) and b_k (V row
-    1 + j).  Gathers list all a-terms, then all b-terms, so ``swap``
-    pairs each vector with its partner.
+    1 + j).  Gathers list all a-terms, then all b-terms, and pair each
+    vector with its partner's entry p = pos(l, tau - 1), so R1 e_i = e_p.
     """
 
     rows: np.ndarray  # slots computed, in slot order
     depth: int  # V[0 .. depth-1] are needed
-    power: np.ndarray  # per vector: k - 1
-    vec: np.ndarray  # per vector: 0 for a_k, 1 + j for b_k
-    shifted: np.ndarray  # per vector: p = pos(l, tau - 1), so R1 e_i = e_p
-    swap: np.ndarray  # index of the partner vector
+    vectors: np.ndarray  # per vector: its row in V reshaped to (depth * (D + 1), D)
+    partners: np.ndarray  # per vector: its partner's entry p in V flattened
     row_p: tuple  # (row index, p) per row
     owner: np.ndarray  # (rows, vectors), 0/1: the row a vector sums into
 
 
 def _plan(ss: StateSpace, rows) -> _RowPlan:
-    owner_of, power, slot, shifted, row_p = [], [], [], [], []
+    D = ss.D_c
+    owner_of, a, b, p, row_p = [], [], [], [], []
     for r, i in enumerate(rows):
         l, tau = ss.pairs[i]
         row_p.append(ss.position(l, tau - 1))
         for k in range(1, tau):
             owner_of.append(r)
-            power.append(k - 1)
-            slot.append(1 + ss.position(l, tau - k))
-            shifted.append(row_p[-1])
-    T = len(power)
+            a.append((k - 1) * (D + 1))  # a_k: row 0 of V[k-1]
+            b.append(a[-1] + 1 + ss.position(l, tau - k))  # b_k: row 1 + j
+            p.append(row_p[-1])
+    T = len(a)
     owner = np.zeros((len(rows), 2 * T))
     owner[owner_of * 2, np.arange(2 * T)] = 1.0
     return _RowPlan(
         np.array(rows, dtype=np.intp),
-        max(power, default=0) + 1,
-        np.array(power * 2, dtype=np.intp),
-        np.array([0] * T + slot, dtype=np.intp),
-        np.array(shifted * 2, dtype=np.intp),
-        np.roll(np.arange(2 * T), T),
+        max(a, default=0) // (D + 1) + 1,
+        np.array(a + b, dtype=np.intp),
+        np.array(b + a, dtype=np.intp) * D + np.array(p * 2, dtype=np.intp),
         (np.arange(len(rows)), np.array(row_p, dtype=np.intp)),
         owner,
     )
@@ -218,9 +215,8 @@ def _best_response_rows(S: np.ndarray, q1, q2, ss: StateSpace, plan: _RowPlan):
     V[0, 1:] = S
     for m in range(1, plan.depth):
         np.matmul(V[m - 1], M, out=V[m])
-    ab = V[plan.power, plan.vec]  # a_k and b_k
-    ab_p = V[plan.power, plan.vec, plan.shifted]  # alpha_k and beta_k
-    partner = ab_p[plan.swap]
+    ab = V.reshape(-1, D)[plan.vectors]  # a_k and b_k
+    partner = V.ravel()[plan.partners]  # the partner's beta_k or alpha_k
     left = plan.owner @ (partner[:, None] * ab)
     c = left[plan.row_p]  # left[r, p] sums alpha_k beta_k + beta_k alpha_k
     q2i = q2[plan.rows]

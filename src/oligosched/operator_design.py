@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rngstreams
 from .errors import (
     FixedPointUnstableError,
     InvalidParamsError,
@@ -252,12 +251,14 @@ def optimize_pricing(
     count = 1
     baseline_val = best_val  # inf when the baseline's equilibrium fails
 
-    gen = rngstreams.stream(seed, 0)
     start_idx = 0
     while count < budget:
         if start_idx == 0:
             x0 = baseline_theta.copy()
         else:
+            if start_idx == 1:  # numpy.random loads only once a restart runs
+                from . import rngstreams
+                gen = rngstreams.stream(seed, 0)
             x0 = np.clip(
                 baseline_theta + 0.25 * gen.standard_normal(2 * D), -_BOX, _BOX
             )

@@ -63,7 +63,7 @@ SUBCOMMAND_MODULES = {
                       "--budget", "3"],
                      PKG + ["oligosched._render", "oligosched.fixed_point",
                             "oligosched.operator_design", "oligosched.pareto",
-                            "oligosched.rngstreams", "oligosched.statespace"]),
+                            "oligosched.statespace"]),
 }
 
 
