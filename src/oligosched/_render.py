@@ -5,8 +5,9 @@ text around them.  Arrays (CSV columns, and the values of a numeric
 ndarray in ``dumps`` as one column) are rendered in numpy, not one Python
 call per value.  No byte of the text is 0, so each value becomes a
 fixed-width ``uint8`` field in which a zero byte marks a byte the text
-drops; the fields of a row and its separators are laid side by side in one
-array per chunk, and its nonzero bytes are the chunk's text.  ``csv_rows``
+drops.  ``_compact`` takes a chunk's columns and lays each row's fields
+side by side in one array, writing a comma after each field and a newline
+after the last; its nonzero bytes are the chunk's text.  ``csv_rows``
 yields the chunks' text in row order as one stream.  On w workers (the
 CPUs the process may use, at most ``_MAX_WORKERS``) a chunk holds
 ``ROWS // w`` rows, and one thread pool that lives as long as the stream
@@ -180,38 +181,26 @@ def _int_fill(v: np.ndarray, data: np.ndarray) -> None:
     _spelled(rows, strings, data)
 
 
-def _compact(pieces: list, n: int) -> str:
-    """Text of ``n`` rows, each the nonzero bytes of ``pieces`` side by side.
-
-    A piece is a 1-D array of ``n`` values, rendered as ``%d`` fields for
-    integer and bool dtypes and as ``%.17g`` fields of float64 otherwise,
-    or a 2-D ``uint8`` array of 1 or ``n`` rows of bytes.  All pieces fill
-    one ``(n, W)`` array; a zero byte in it marks a byte the text drops,
-    since no byte of the text is 0.
+def _compact(columns, n: int) -> str:
+    """Text of ``n`` CSV rows of the 1-D arrays ``columns``, each value
+    rendered as a ``%d`` field for integer and bool dtypes and as a
+    ``%.17g`` field of float64 otherwise, with a comma after each field and
+    a newline after the last.  All fields fill one ``(n, W)`` array; a zero
+    byte in it marks a byte the text drops, since no byte of the text is 0.
     """
-    widths = [p.shape[1] if p.ndim == 2
-              else _int_width(p) if p.dtype.kind in "iub" else _FLOAT_WIDTH for p in pieces]
-    data = np.empty((n, sum(widths)), np.uint8)
+    widths = [_int_width(c) if c.dtype.kind in "iub" else _FLOAT_WIDTH for c in columns]
+    data = np.empty((n, sum(widths) + len(widths)), np.uint8)
     start = 0
-    for piece, width in zip(pieces, widths):
-        cols = slice(start, start + width)
-        start += width
-        if piece.ndim == 2:
-            data[:, cols] = piece
-        elif piece.dtype.kind in "iub":
-            _int_fill(piece, data[:, cols])
-        else:
-            _float_fill(piece, data[:, cols])
+    for col, width in zip(columns, widths):
+        (_int_fill if col.dtype.kind in "iub" else _float_fill)(col, data[:, start:start + width])
+        data[:, start + width] = 44  # ","
+        start += width + 1
+    data[:, -1] = 10  # "\n"
     # a zero byte marks a dropped one; the nonzero bytes of a row run in a few
     # contiguous fields, where a boolean index beats np.compress' index array
     # (on a random mask it is 4-5x slower)
     data = data.ravel()
     return str(data[data != 0], "ascii")
-
-
-def _constant(s: str) -> np.ndarray:
-    """A ``(1, len(s))`` piece spelling ``s`` on every row (a zero byte would be dropped)."""
-    return np.frombuffer(s.encode("ascii"), np.uint8)[None, :]
 
 
 def _cpus() -> int:
@@ -240,14 +229,9 @@ def csv_rows(columns) -> Iterator[str]:
     n = len(columns[0]) if len(columns) else 0
     cpus = min(_cpus(), _MAX_WORKERS)
     size = ROWS // cpus
-    comma, newline = _constant(","), _constant("\n")
 
     def chunk(start: int) -> str:
-        pieces = []
-        for col in columns:
-            pieces += [col[start:start + size], comma]
-        pieces[-1] = newline
-        return _compact(pieces, min(size, n - start))
+        return _compact([col[start:start + size] for col in columns], min(size, n - start))
 
     starts = range(0, n, size)
     workers = min(cpus, len(starts))

@@ -114,8 +114,8 @@ class FixedPointConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise InvalidParamsError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise InvalidParamsError("max_iter must be >= 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InvalidParamsError("max_iter must be an integer >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise InvalidParamsError("damping must lie in (0, 1]")
         if self.sweep not in ("jacobi", "gauss-seidel"):

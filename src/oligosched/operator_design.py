@@ -218,8 +218,10 @@ def optimize_pricing(
     smallest coefficient vector.  A failed inner solve costs the simplex
     _PENALTY; the result reports it as an objective of inf (gain None).
     """
-    if budget < 1:
-        raise InvalidParamsError("budget must be >= 1")
+    if not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise InvalidParamsError("budget must be an integer >= 1")
+    if not isinstance(seed, (int, np.integer)):
+        raise InvalidParamsError("seed must be an integer")
     D = ss.D_c
     failures = dict.fromkeys(
         ("singular-row", "not-converged", "unstable", "not-an-equilibrium"), 0)

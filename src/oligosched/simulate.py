@@ -72,12 +72,14 @@ class SimConfig:
     keep_series: bool = False
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise InvalidParamsError("horizon must be positive")
-        if not 0 <= self.burn_in < self.horizon:
-            raise InvalidParamsError("burn_in must satisfy 0 <= burn_in < horizon")
-        if self.replications < 1:
-            raise InvalidParamsError("replications must be >= 1")
+        if not isinstance(self.horizon, (int, np.integer)) or self.horizon <= 0:
+            raise InvalidParamsError("horizon must be a positive integer")
+        if not isinstance(self.burn_in, (int, np.integer)) or not 0 <= self.burn_in < self.horizon:
+            raise InvalidParamsError("burn_in must be an integer with 0 <= burn_in < horizon")
+        if not isinstance(self.replications, (int, np.integer)) or self.replications < 1:
+            raise InvalidParamsError("replications must be an integer >= 1")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise InvalidParamsError("seed must be an integer")
         if any(not 0.0 < q < 1.0 for q in self.quantile_levels):
             raise InvalidParamsError("quantile levels must lie strictly in (0, 1)")
         if not np.all(np.isfinite(self.tail_thresholds)):
@@ -645,32 +647,15 @@ def _tail_cells(U, X, flags, threshold) -> ConditionalTailReport:
     med = _select(X)
     high = sum(np.count_nonzero(X[lo:lo + step] > med) for lo in range(0, n, step))
     spikes_high = sum(np.count_nonzero(xs > med) for xs in x_at_spikes)
-    cells = {
-        "absent": (n - present, spikes - spikes_present),
-        "present": (present, spikes_present),
-        "high": (high, spikes_high),
-        "low": (n - high, spikes - spikes_high),
-    }
-    probs = {}
-    errs = {}
-    for name, (size, hits) in cells.items():
+    fields = {"threshold": float(threshold), "n_absent": n - present, "n_present": present}
+    for name, size, hits in (("absent", n - present, spikes - spikes_present),
+                             ("present", present, spikes_present),
+                             ("high_backlog", high, spikes_high),
+                             ("low_backlog", n - high, spikes - spikes_high)):
         if size < 100:
+            cell = name.removesuffix("_backlog")
             raise InsufficientSamplesError(
-                f"conditioning cell {name!r} has only {size} samples (< 100)"
-            )
-        ph = float(hits / size)
-        probs[name] = ph
-        errs[name] = float(np.sqrt(ph * (1.0 - ph) / size))
-    return ConditionalTailReport(
-        threshold=float(threshold),
-        p_spike_absent=probs["absent"],
-        p_spike_present=probs["present"],
-        p_spike_high_backlog=probs["high"],
-        p_spike_low_backlog=probs["low"],
-        n_absent=int(n - present),
-        n_present=int(present),
-        stderr_absent=errs["absent"],
-        stderr_present=errs["present"],
-        stderr_high_backlog=errs["high"],
-        stderr_low_backlog=errs["low"],
-    )
+                f"conditioning cell {cell!r} has only {size} samples (< 100)")
+        p = fields[f"p_spike_{name}"] = float(hits / size)
+        fields[f"stderr_{name}"] = float(np.sqrt(p * (1.0 - p) / size))
+    return ConditionalTailReport(**fields)

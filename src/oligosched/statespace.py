@@ -72,7 +72,7 @@ def _allocate(what: str, shape, dtype=float, zero: bool = False) -> np.ndarray:
 
 def build_state_space(L: int) -> StateSpace:
     """Construct the slot ordering and the shift/injection matrices."""
-    if L < 1:
+    if not isinstance(L, (int, np.integer)) or L < 1:
         raise InvalidParamsError(f"L={L!r} must be a positive integer")
     D = L * (L + 1) // 2
     # the matrices come first, so a size beyond memory fails before the loops

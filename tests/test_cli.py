@@ -626,9 +626,9 @@ class TestTextRenderer:
         monkeypatch.setattr(_render, "_cpus", lambda: workers)
         real, started = _render._compact, []
 
-        def compact(pieces, n):
+        def compact(cols, n):
             started.append(n)
-            return real(pieces, n)
+            return real(cols, n)
 
         monkeypatch.setattr(_render, "_compact", compact)
         t, U, _ = self.chunk_edge_columns(workers)
@@ -677,8 +677,8 @@ class TestTextRenderer:
         monkeypatch.setattr(_render, "_cpus", lambda: 3)
         real = _render._compact
 
-        def compact(pieces, n):
-            text = real(pieces, n)
+        def compact(cols, n):
+            text = real(cols, n)
             if text.startswith(f"{3 * THIRD},"):
                 if fails == "chunk":
                     raise ArithmeticError("chunk failed")
@@ -704,9 +704,9 @@ class TestTextRenderer:
         monkeypatch.setattr(_render, "_cpus", lambda: 2)
         real, threads = _render._compact, []
 
-        def compact(pieces, n):
+        def compact(cols, n):
             threads.append(threading.current_thread())
-            return real(pieces, n)
+            return real(cols, n)
 
         monkeypatch.setattr(_render, "_compact", compact)
         before = threading.active_count()
@@ -1182,8 +1182,9 @@ def _nan_params(**values):
 
 
 class TestNonFiniteInputs:
-    """NaN and infinity are refused where each value enters the library,
-    and the CLI reports them as validation errors."""
+    """NaN, infinity and counts or seeds that are not integers are refused
+    where each value enters the library, and the CLI reports them as
+    validation errors."""
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: og.OperatorWeights(INF, 1.0), id="OperatorWeights-inf"),
@@ -1217,6 +1218,20 @@ class TestNonFiniteInputs:
                      id="ArrivalSpec-sigma-nan"),
         pytest.param(lambda: og.ArrivalSpec(q=(0.5, 0.5)).resolved(3),
                      id="ArrivalSpec-q-wrong-length"),
+        pytest.param(lambda: og.SimConfig(horizon=1e4), id="SimConfig-horizon-float"),
+        pytest.param(lambda: og.SimConfig(horizon=10, burn_in=1.0), id="SimConfig-burn_in-float"),
+        pytest.param(lambda: og.SimConfig(horizon=10, replications=2.0),
+                     id="SimConfig-replications-float"),
+        pytest.param(lambda: og.SimConfig(horizon=10, seed=1.5), id="SimConfig-seed-float"),
+        pytest.param(lambda: og.build_state_space(2.0), id="build_state_space-L-float"),
+        pytest.param(lambda: og.FixedPointConfig(max_iter=10.5),
+                     id="FixedPointConfig-max_iter-float"),
+        pytest.param(lambda: og.optimize_pricing(og.OperatorWeights(1.0, 1.0),
+                                                 og.build_state_space(2), budget=10.5),
+                     id="optimize_pricing-budget-float"),
+        pytest.param(lambda: og.optimize_pricing(og.OperatorWeights(1.0, 1.0),
+                                                 og.build_state_space(2), budget=1, seed=3.7),
+                     id="optimize_pricing-seed-float"),
     ])
     def test_library_raises_invalid_params(self, make):
         with pytest.raises(og.InvalidParamsError):

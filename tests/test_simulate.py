@@ -908,18 +908,26 @@ class TestConditionalTails:
         flex = rng.permutation(np.arange(n) < present)
         spike, med = u > 0.8, np.median(x)
         rep = og.conditional_tail_report(u, flex, x, 0.8)
-        for got, mask in ((rep.p_spike_absent, ~flex), (rep.p_spike_present, flex),
-                          (rep.p_spike_high_backlog, x > med),
-                          (rep.p_spike_low_backlog, x <= med)):
-            assert bits(got) == bits(float(spike[mask].mean()))
+        for got, err, mask in ((rep.p_spike_absent, rep.stderr_absent, ~flex),
+                               (rep.p_spike_present, rep.stderr_present, flex),
+                               (rep.p_spike_high_backlog, rep.stderr_high_backlog, x > med),
+                               (rep.p_spike_low_backlog, rep.stderr_low_backlog, x <= med)):
+            p = float(spike[mask].mean())
+            assert bits(got) == bits(p)
+            assert bits(err) == bits(float(np.sqrt(p * (1 - p) / np.count_nonzero(mask))))
         assert (rep.n_absent, rep.n_present) == (n - present, present)
 
-    def test_insufficient_samples(self):
+    # the low cell holds at least half the samples, and n >= 200 whenever the
+    # absent and present cells pass, so it is never the one refused
+    @pytest.mark.parametrize("cell", ["absent", "present", "high"])
+    def test_insufficient_samples(self, cell):
         u = np.random.default_rng(0).standard_normal(500)
-        flex = np.zeros(500, dtype=bool)
-        flex[:10] = True  # present cell has only 10 samples
-        with pytest.raises(og.InsufficientSamplesError):
-            og.conditional_tail_report(u, flex, u, 1.0)
+        flex = np.arange(500) < {"absent": 490, "present": 10, "high": 250}[cell]
+        # ten samples above the median of x leave the high cell 10 samples
+        x = (np.arange(500) >= 490).astype(float) if cell == "high" else u
+        with pytest.raises(og.InsufficientSamplesError,
+                           match=f"^conditioning cell '{cell}' has only 10 samples \\(< 100\\)$"):
+            og.conditional_tail_report(u, flex, x, 1.0)
 
     @pytest.mark.parametrize("shapes", [((500,), (499,), (500,)), ((500,), (500,), (2, 500))],
                              ids=["lengths", "2-D-x"])
