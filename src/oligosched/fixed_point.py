@@ -313,7 +313,7 @@ def solve_mpe(
                 f"no fixed point within {cfg.max_iter} sweeps (tol {cfg.tol:g})",
                 residuals,
             )
-    gain = FeedbackGain(F, ss)
+    gain = FeedbackGain(F)
     den = _best_response_rows(F, pricing.q1, pricing.q2, ss, _row_plans(ss.L)[0])[1]
     min_den = float(den.min(initial=np.inf))  # inf at L = 1: no such row
     try:

@@ -10,11 +10,11 @@ large finite penalty instead of aborting the simplex.  The Nelder-Mead is
 this module's own ``minimize``: importing scipy's for it cost 0.65-0.70 s
 and 42 MB per process, more than the search's own work.
 
-No pricing beats the scalar average-cost LQ bound L p, p the positive root
-of p^2 - alpha2 p - alpha1 alpha2 = 0: the aggregate backlog X obeys
-X' = X - U + W with var W = L under unit deadline rows (``pareto``'s bound
-at r = alpha1).  It is attained exactly when every column of the gain sums
-to K = p/(alpha1 + p); the result reports its gap to that bound.
+No pricing beats ``statespace._lq_bound`` at r = alpha1, q = alpha2, the
+scalar LQ bound on the aggregate backlog X' = X - U + W, var W = L, under
+unit deadline rows: L p, or alpha1 + alpha2 with K = 1 at L = 1, where every
+pricing gives the gain [[1]].  It is attained exactly when every column of
+the gain sums to K; the result reports its gap to that bound.
 """
 from __future__ import annotations
 
@@ -30,9 +30,8 @@ from .errors import (
     SingularRowError,
 )
 from .fixed_point import FixedPointConfig, PricingRule, solve_mpe
-from .pareto import _scalar_riccati
 # unused here; perfbench/child.py TARGETS and TestPerfbenchLookups look solve_lyapunov up here
-from .statespace import FeedbackGain, StateSpace, _h2_readout, solve_lyapunov
+from .statespace import FeedbackGain, StateSpace, _h2_readout, _lq_bound, solve_lyapunov
 
 _PENALTY = 1e12
 _BOX = 5.0  # every pricing coefficient is held in [-_BOX, _BOX]
@@ -148,7 +147,7 @@ class OperatorResult:
     # stops a solve mid-sweep)
     failures: dict
     inner_sweeps: int
-    # the scalar LQ bound L p, objective - lower_bound, and the largest
+    # the scalar LQ bound, objective - lower_bound, and the largest
     # |e'F - K| over the gain's columns (NaN without a gain)
     lower_bound: float
     gap: float
@@ -269,10 +268,9 @@ def optimize_pricing(
         if start_idx > 16:
             break
 
-    p = _scalar_riccati(weights.alpha1, weights.alpha2)
-    lower_bound = ss.L * p
+    lower_bound, K = _lq_bound(weights.alpha1, weights.alpha2, ss.L)
     colsum_dev = (float("nan") if best_gain is None else
-                  float(np.max(np.abs(best_gain.F.sum(axis=0) - p / (weights.alpha1 + p)))))
+                  float(np.max(np.abs(best_gain.F.sum(axis=0) - K))))
     return OperatorResult(
         pricing=theta_to_pricing(best_theta),
         gain=best_gain,

@@ -11,13 +11,12 @@ a3^2 z3sq.  Its optimum is in closed form.  Write a_k = alpha_k^2 and
 r = a1 a3/(a1 + a3).  The aggregate backlog X = e'x obeys X' = X - U - Z3 + W,
 with U = e'F x the demand, Z3 = e_L'(I - F)x the mismatch and var W = L,
 and a1 U^2 + a3 Z3^2 >= r (U + Z3)^2 by Cauchy-Schwarz.  So J is at least
-L p, where p, the positive root of p^2 - a2 p - r a2 = 0, is the cost per
-unit noise variance of the scalar average-cost LQ problem in X (Bertsekas,
-Dynamic Programming and Optimal Control I, 2017, sec. 4.1).  A gain that is
-constant on the deadline/flexible blocks attains it: its column sums give
-U = k_u X and Z3 = k_z X, the LQ-optimal V = U + Z3 = K X with K = p/(r + p)
-split as k_u = K a3/(a1 + a3) and k_z = K - k_u.  L = 1 has no flexible
-slot and is the scalar case F = a3/(a1 + a3), J = a2 + r.
+L p, p the cost per unit noise variance of the scalar average-cost LQ
+problem in X under the stage cost a2 X^2 + r V^2 (``statespace._lq_bound``).
+A gain constant on the deadline/flexible blocks attains it: its column
+sums give U = k_u X and Z3 = k_z X, the LQ-optimal V = U + Z3 = K X with
+K = p/(r + p) split as k_u = K a3/(a1 + a3) and k_z = K - k_u.  L = 1 has
+no flexible slot and is the scalar case K = 1, F = a3/(a1 + a3), J = a2 + r.
 
 The gain is certified, not trusted, by two certificates: the doubling
 solve of its Gramian Q_F certifies the closed loop stable, and the gap
@@ -25,7 +24,6 @@ between J and the bound certifies it globally optimal, and so stationary.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,6 +36,7 @@ from .statespace import (
     OutputWeights,
     StateSpace,
     _as_matrix,
+    _lq_bound,
     _solve_dlyap,
     h2_norms,
     solve_lyapunov,
@@ -75,12 +74,6 @@ def _plant_outputs(weights: OutputWeights, ss: StateSpace):
     return C1, D12
 
 
-def _scalar_riccati(r: float, q: float) -> float:
-    """Positive root p of p^2 - q p - r q = 0: the average cost per unit noise
-    variance of X' = X - V + W under the stage cost q X^2 + r V^2."""
-    return 0.5 * (q + math.sqrt(q * q + 4.0 * r * q))
-
-
 def objective_and_gradient(F, weights: OutputWeights, ss: StateSpace):
     """Scalarized H2 objective and its exact gradient in F.
 
@@ -116,8 +109,7 @@ def synthesize(weights: OutputWeights, ss: StateSpace) -> ParetoPoint:
     a1, a2, a3 = weights.alpha1 ** 2, weights.alpha2 ** 2, weights.alpha3 ** 2
     s = a1 + a3
     r = a1 * a3 / s if s > 0.0 else 0.0
-    p = _scalar_riccati(r, a2)
-    K = p / (r + p) if ss.L > 1 and r + p > 0.0 else 1.0
+    bound, K = _lq_bound(r, a2, ss.L)
     if K == 0.0:
         raise UnstableError(f"alpha2 = 0 and r = {r!r} > 0 give loop gain K = 0")
     k_u = K * a3 / s if s > 0.0 else K
@@ -126,7 +118,6 @@ def synthesize(weights: OutputWeights, ss: StateSpace) -> ParetoPoint:
     block = (np.arange(ss.D_c) >= ss.L).astype(int)  # 0 deadline, 1 flexible
     size = np.array([ss.L, ss.D_c - ss.L])
     F = C[block[:, None], block] / size[block][:, None]
-    bound = a2 + r if ss.L == 1 else ss.L * p
     rep = h2_norms(F, ss)
     J = a1 * rep.z1sq + a2 * rep.z2sq + a3 * rep.z3sq
     gap = J - bound
@@ -134,7 +125,7 @@ def synthesize(weights: OutputWeights, ss: StateSpace) -> ParetoPoint:
         raise NotConvergedError(
             f"closed-form gain has J = {J!r}, a gap of {gap:.3e} to its bound {bound!r}"
         )
-    return ParetoPoint(weights, FeedbackGain(F, ss), rep, J, bound, gap)
+    return ParetoPoint(weights, FeedbackGain(F), rep, J, bound, gap)
 
 
 def trace_front(weights_list, ss: StateSpace) -> list[ParetoPoint]:

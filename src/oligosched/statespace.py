@@ -19,6 +19,7 @@ demand e'F Q F'e, aggregate backlog e'Q e, and deadline mismatch
 Pareto synthesis minimizes.  Every Lyapunov equation, at any dimension, is
 solved by Smith's doubling iteration and certified by its residual and a
 spectral bound below 1 - ``_STABILITY_MARGIN``, the one margin of every gain.
+``_lq_bound`` is the one scalar LQ bound under both design problems.
 """
 from __future__ import annotations
 
@@ -109,7 +110,6 @@ class FeedbackGain:
     """Static feedback u(t) = F x(t); ``solve_lyapunov`` certifies its stability."""
 
     F: np.ndarray
-    ss: StateSpace
 
 
 def _unit_deadline_rows(F: np.ndarray, L: int) -> np.ndarray:
@@ -223,6 +223,16 @@ def _h2_readout(Fm: np.ndarray, Q: np.ndarray, ss: StateSpace) -> H2Report:
     return H2Report(max(z1, 0.0), max(z2, 0.0), max(z3, 0.0))
 
 
+def _lq_bound(r: float, q: float, L: int) -> tuple[float, float]:
+    """(bound, K): least average cost of X' = X - V + W, var W = L, at stage cost
+    q X^2 + r V^2, and its gain V = K X: L p and p/(r + p) (1 if r + p = 0), p the
+    larger root of p^2 - q p - r q = 0 (Bertsekas, DP and Optimal Control I, 4.1)."""
+    if L == 1:  # no flexible slot: each load leaves on arrival, V = X
+        return q + r, 1.0
+    p = 0.5 * (q + math.sqrt(q * q + 4.0 * r * q))
+    return L * p, p / (r + p) if r + p > 0.0 else 1.0
+
+
 def h2_norms(F, ss: StateSpace) -> H2Report:
     """Squared H2 norms of the three outputs under feedback F; the mismatch
     row e_L'(I - F) is the backlog that agents leave at their deadline.
@@ -238,7 +248,7 @@ def h2_norms(F, ss: StateSpace) -> H2Report:
 
 def make_f_dl_projection(F, ss: StateSpace) -> FeedbackGain:
     """Copy of F with every deadline row replaced by its own unit row."""
-    return FeedbackGain(_unit_deadline_rows(_as_matrix(F, ss), ss.L), ss)
+    return FeedbackGain(_unit_deadline_rows(_as_matrix(F, ss), ss.L))
 
 
 def make_f_alpha(alpha: float, ss: StateSpace) -> FeedbackGain:
@@ -249,7 +259,7 @@ def make_f_alpha(alpha: float, ss: StateSpace) -> FeedbackGain:
     D = ss.D_c
     F = np.full((D, D), -alpha / (D - 1) if D > 1 else 0.0)
     np.fill_diagonal(F, 1.0)
-    return FeedbackGain(F, ss)
+    return FeedbackGain(F)
 
 
 def make_f_br(delta: float, ss: StateSpace) -> FeedbackGain:
@@ -264,7 +274,7 @@ def make_f_br(delta: float, ss: StateSpace) -> FeedbackGain:
     D = ss.D_c
     F = np.full((D, D), -delta / (D - 1) if D > 1 else 0.0)
     np.fill_diagonal(F, 1.0 - delta)
-    return FeedbackGain(_unit_deadline_rows(F, ss.L), ss)
+    return FeedbackGain(_unit_deadline_rows(F, ss.L))
 
 
 def br_demand_volatility_approx(delta: float, L: int) -> float:

@@ -919,6 +919,20 @@ class TestLtiCommands:
         assert telemetry["gap"] == objective - telemetry["lower_bound"]
         assert telemetry["colsum_dev"] > 0.0
 
+    @pytest.mark.parametrize("a1, a2", [("1", "1"), ("0.3", "2")])
+    def test_operator_single_slot_meets_its_bound(self, tmp_path, a1, a2):
+        # at L = 1 every pricing gives the gain [[1]], whose objective
+        # alpha1 + alpha2 is the bound itself
+        out = tmp_path / "operator.json"
+        assert main(["lti", "operator", "--L", "1", "--alpha1", a1, "--alpha2", a2,
+                     "--budget", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["objective"] == float(a1) + float(a2)
+        telemetry = json.loads(
+            (tmp_path / "operator.json.manifest.json").read_text()
+        )["telemetry"]
+        assert telemetry["lower_bound"] == float(a1) + float(a2)
+        assert telemetry["gap"] == 0.0 and telemetry["colsum_dev"] == 0.0
+
     def test_operator_without_finite_objective_exits_3(self, capsys):
         # at L = 9 the marginal-cost equilibrium does not converge in 600 sweeps
         argv = ["lti", "operator", "--L", "9", "--alpha1", "1", "--alpha2", "1",
@@ -1170,6 +1184,28 @@ class TestDependencies:
             deps = tomllib.load(fh)["project"]["dependencies"]
         declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps}
         assert third_party == declared == {"numpy"}
+
+    # (module, name): why src/ imports the name without using it
+    UNUSED_IMPORTS = {
+        ("operator_design", "solve_lyapunov"):
+            "perfbench/child.py TARGETS and TestPerfbenchLookups look it up there",
+    }
+
+    def test_every_imported_name_is_used(self):
+        # a name bound by an import, at module level or inside a function,
+        # must be read somewhere in its module
+        unused = set()
+        for path in sorted((ROOT / "src" / "oligosched").glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            bound = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound.update(a.asname or a.name for a in node.names)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused.update((path.stem, name) for name in bound - used)
+        assert unused == set(self.UNUSED_IMPORTS)
 
 
 NAN = float("nan")

@@ -9,7 +9,7 @@ import pytest
 
 import oligosched as og
 from conftest import spectral_radius
-from oligosched import fixed_point, operator_design, pareto
+from oligosched import fixed_point, operator_design
 
 # An L = 3 pricing whose equilibrium (35 sweeps of the search's inner
 # solve) has spectral radius within 1e-9 of 1: its certificate fails.
@@ -162,7 +162,8 @@ class TestOperatorObjective:
             val = og.evaluate_pricing(pricing, w, ss)[0]
             if math.isfinite(val):
                 finite += 1
-                bound = L * pareto._scalar_riccati(w.alpha1, w.alpha2)
+                a1, a2 = w.alpha1, w.alpha2
+                bound = L * 0.5 * (a2 + math.sqrt(a2 * a2 + 4.0 * a1 * a2))
                 assert val >= bound * (1.0 - 1e-12)
         assert finite >= 50
 
@@ -189,10 +190,51 @@ class TestOperatorBound:
         assert res.lower_bound == pytest.approx(1.5 * (1.0 + math.sqrt(5.0)), rel=1e-15)
         assert res.gap > 0.0
 
+    @pytest.mark.parametrize("a1, a2", [(1.0, 1.0), (0.3, 2.0), (2.0, 0.0)])
+    def test_single_slot_meets_its_bound(self, a1, a2):
+        # L = 1 has no flexible slot: every pricing gives the gain [[1]], whose
+        # objective alpha1 + alpha2 is the bound, with K = 1
+        res = og.optimize_pricing(og.OperatorWeights(a1, a2), og.build_state_space(1),
+                                  budget=20)
+        assert np.array_equal(res.gain.F, [[1.0]])
+        assert res.lower_bound == a1 + a2 == res.objective
+        assert res.gap == 0.0 and res.colsum_dev == 0.0
+
     def test_no_gain_reports_nan_deviation(self):
         res = og.optimize_pricing(og.OperatorWeights(1.0, 1.0), og.build_state_space(9),
                                   budget=1)
         assert res.gap == math.inf and math.isnan(res.colsum_dev)
+
+
+class TestSharedBound:
+    """The Pareto synthesis and the operator's pricing report one scalar LQ
+    bound: L p for L >= 2, p the positive root of p^2 - q p - r q = 0, with
+    loop gain K = p/(r + p), and q + r with K = 1 at L = 1.  The synthesis
+    has q = a2 and r = a1 a3/(a1 + a3) in its squared weights, the operator
+    q = alpha2 and r = alpha1."""
+
+    @staticmethod
+    def closed_form(r, q, L):
+        if L == 1:
+            return q + r, 1.0
+        p = 0.5 * (q + math.sqrt(q * q + 4.0 * r * q))
+        return L * p, p / (r + p)
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_both_designs_report_the_closed_form(self, L):
+        ss = og.build_state_space(L)
+        for m, ratio in [(0.1, 0.3), (0.5, 1.0), (0.9, 10.0), (0.3, 100.0)]:
+            w = og.OutputWeights.normalized(m, 1.0 - m, ratio)
+            a1, a2, a3 = w.alpha1 ** 2, w.alpha2 ** 2, w.alpha3 ** 2
+            bound = self.closed_form(a1 * a3 / (a1 + a3), a2, L)[0]
+            assert og.synthesize(w, ss).lower_bound == pytest.approx(bound, rel=1e-15)
+        for a1, a2 in [(1.0, 1.0), (0.3, 2.0), (2.0, 0.1)]:
+            res = og.optimize_pricing(og.OperatorWeights(a1, a2), ss, budget=1)
+            bound, K = self.closed_form(a1, a2, L)
+            assert res.lower_bound == pytest.approx(bound, rel=1e-15)
+            if res.gain is not None:
+                dev = np.max(np.abs(res.gain.F.sum(axis=0) - K))
+                assert res.colsum_dev == pytest.approx(dev, abs=1e-15)
 
 
 class TestOptimizePricing:

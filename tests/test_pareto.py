@@ -1,4 +1,6 @@
 """Scalarized H2 synthesis and the three-way tradeoff front."""
+import math
+
 import numpy as np
 import pytest
 
@@ -303,7 +305,7 @@ class TestSynthesize:
                     block = pt.gain.F[rows, cols]
                     assert np.all(block == block[0, 0])
             _, a2, _, r = squared_weights(w)
-            p = pareto._scalar_riccati(r, a2)
+            p = 0.5 * (a2 + math.sqrt(a2 * a2 + 4.0 * r * a2))
             assert p > 0.0 and p * p - a2 * p - r * a2 == pytest.approx(0.0, abs=1e-14)
             assert pt.lower_bound == L * p
             assert pt.gap == pt.objective - pt.lower_bound

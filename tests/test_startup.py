@@ -62,8 +62,7 @@ SUBCOMMAND_MODULES = {
     "lti operator": (["lti", "operator", "--L", "2", "--alpha1", "1", "--alpha2", "1",
                       "--budget", "3"],
                      PKG + ["oligosched._render", "oligosched.fixed_point",
-                            "oligosched.operator_design", "oligosched.pareto",
-                            "oligosched.statespace"]),
+                            "oligosched.operator_design", "oligosched.statespace"]),
 }
 
 
