@@ -4,9 +4,9 @@ The operator minimizes alpha1 * e'F Q F'e + alpha2 * e'Q e where F is the
 equilibrium gain induced by the pricing rule and Q its closed-loop
 Gramian.  Only the program itself is given analytically, so the search is
 a derivative-free multi-start Nelder-Mead over the 2*D_c pricing
-coefficients, always seeded with marginal-cost pricing so the result never
-falls behind that baseline.  Failed inner equilibrium solves receive a
-large finite penalty instead of aborting the simplex.  The Nelder-Mead is
+coefficients whose first vertex is marginal-cost pricing, so the result
+never falls behind that baseline.  Failed inner equilibrium solves receive
+a large finite penalty instead of aborting the simplex.  The Nelder-Mead is
 this module's own ``minimize``: importing scipy's for it cost 0.65-0.70 s
 and 42 MB per process, more than the search's own work.
 
@@ -14,7 +14,7 @@ No pricing beats ``statespace._lq_bound`` at r = alpha1, q = alpha2, the
 scalar LQ bound on the aggregate backlog X' = X - U + W, var W = L, under
 unit deadline rows: L p, or alpha1 + alpha2 with K = 1 at L = 1, where every
 pricing gives the gain [[1]].  It is attained exactly when every column of
-the gain sums to K; the result reports its gap to that bound.
+the gain sums to K; the search stops there and reports its gap to it.
 """
 from __future__ import annotations
 
@@ -36,15 +36,18 @@ from .statespace import FeedbackGain, StateSpace, _h2_readout, _lq_bound, solve_
 _PENALTY = 1e12
 _BOX = 5.0  # every pricing coefficient is held in [-_BOX, _BOX]
 # the search stops once the simplex spans at most _XATOL in every
-# coordinate and its values at most _FATOL
+# coordinate and its values at most _FATOL; the whole search stops once its
+# best gain's column sums are within _CERTIFIED of K
 _XATOL = 1e-6
 _FATOL = 1e-10
+_CERTIFIED = 1e-12
 # inner equilibrium solve of every search evaluation
 _SEARCH_FP_CFG = FixedPointConfig(tol=1e-9, max_iter=600)
 
 
-class _BudgetSpent(Exception):
-    """The search asked for an evaluation beyond ``maxfev``."""
+class _Stop(Exception):
+    """Ends ``minimize`` past ``maxfev``, or from its objective; every
+    evaluation so far counts."""
 
 
 def minimize(fun, x0, maxfev: int) -> int:
@@ -52,10 +55,11 @@ def minimize(fun, x0, maxfev: int) -> int:
 
     Coefficients adapt to the dimension n (Gao & Han, Comput. Optim. Appl.
     51, 2012); points are clipped into [-_BOX, _BOX], and initial vertices
-    above it are first reflected in.  Stops within _XATOL and _FATOL or at
-    ``maxfev`` evaluations, wherever that falls.  The steps are those of
-    scipy 1.17's ``minimize(method="Nelder-Mead", bounds=..., options=
-    {"adaptive": True})`` (a test checks so); the caller tracks the best point.
+    above it are first reflected in; x0 is evaluated first.  Stops within
+    _XATOL and _FATOL, at ``maxfev`` evaluations or when fun raises _Stop,
+    wherever that falls.  The steps are those of scipy 1.17's ``minimize(
+    method="Nelder-Mead", bounds=..., options={"adaptive": True})`` (a test
+    checks so); the caller tracks the best point.
     """
     n = len(x0)
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
@@ -64,7 +68,7 @@ def minimize(fun, x0, maxfev: int) -> int:
     def f(x):
         nonlocal count
         if count >= maxfev:
-            raise _BudgetSpent
+            raise _Stop
         count += 1
         return fun(x.copy())
 
@@ -115,7 +119,7 @@ def minimize(fun, x0, maxfev: int) -> int:
                         fsim[j] = f(sim[j])
             order = np.argsort(fsim)
             sim, fsim = sim[order], fsim[order]
-    except _BudgetSpent:
+    except _Stop:
         pass
     return count
 
@@ -209,19 +213,21 @@ def optimize_pricing(
 ) -> OperatorResult:
     """Multi-start Nelder-Mead over the 2*D_c pricing coefficients.
 
-    Starts from marginal-cost pricing and seeded perturbations of it,
-    capping total objective evaluations at ``budget``; coefficients are
-    constrained to [-_BOX, _BOX].  Returns the best finite evaluation of the
-    search; the baseline is evaluated first, so the returned objective
-    never exceeds it.  Ties are broken toward the lexicographically
-    smallest coefficient vector.  A failed inner solve costs the simplex
-    _PENALTY; the result reports it as an objective of inf (gain None).
+    Starts from marginal-cost pricing, then from seeded perturbations of it:
+    at most 17 starts and ``budget`` objective evaluations, coefficients in
+    [-_BOX, _BOX].  Returns the best finite evaluation; the baseline is the
+    first, so the returned objective never exceeds it.  Stops once the best
+    gain's column sums are within _CERTIFIED of K, where it meets the bound.
+    Ties are broken toward the lexicographically smallest coefficient
+    vector.  A failed inner solve costs the simplex _PENALTY; the result
+    reports it as an objective of inf (gain None).
     """
     if not isinstance(budget, (int, np.integer)) or budget < 1:
         raise InvalidParamsError("budget must be an integer >= 1")
     if not isinstance(seed, (int, np.integer)):
         raise InvalidParamsError("seed must be an integer")
     D = ss.D_c
+    lower_bound, K = _lq_bound(weights.alpha1, weights.alpha2, ss.L)
     failures = dict.fromkeys(
         ("singular-row", "not-converged", "unstable", "not-an-equilibrium"), 0)
     sweeps = 0
@@ -229,48 +235,41 @@ def optimize_pricing(
     def theta_to_pricing(theta):
         return PricingRule(theta[:D], theta[D:])
 
-    # The best finite evaluation, the baseline until one succeeds; minimize
+    # The best finite evaluation and the first one, the baseline; minimize
     # reports only how many points it evaluated.
     baseline_theta = np.concatenate([np.zeros(D), np.ones(D)])
-    best_val, best_theta, best_gain = np.inf, baseline_theta, None
+    best_val, best_theta, best_gain, baseline_val = np.inf, baseline_theta, None, None
+
+    def colsum_dev():  # the largest |e'F - K| over the best gain's columns
+        return np.nan if best_gain is None else float(np.max(np.abs(best_gain.F.sum(0) - K)))
 
     def objective(theta):
-        nonlocal sweeps, best_val, best_theta, best_gain
-        val, diag = evaluate_pricing(
-            theta_to_pricing(theta), weights, ss, _SEARCH_FP_CFG
-        )
+        nonlocal sweeps, best_val, best_theta, best_gain, baseline_val
+        val, diag = evaluate_pricing(theta_to_pricing(theta), weights, ss, _SEARCH_FP_CFG)
         sweeps += diag.get("iterations", 0)
+        if baseline_val is None:  # inf when the baseline's equilibrium fails
+            baseline_val = val
         if diag["status"] != "ok":
             failures[diag["status"]] += 1
         if not np.isfinite(val):
             return _PENALTY
         if val < best_val or (val == best_val and tuple(theta) < tuple(best_theta)):
             best_val, best_theta, best_gain = val, theta.copy(), diag["solution"].gain
+            if colsum_dev() <= _CERTIFIED:
+                raise _Stop
         return val
 
-    objective(baseline_theta)
-    count = 1
-    baseline_val = best_val  # inf when the baseline's equilibrium fails
-
-    start_idx = 0
-    while count < budget:
-        if start_idx == 0:
-            x0 = baseline_theta.copy()
-        else:
-            if start_idx == 1:  # numpy.random loads only once a restart runs
+    count, x0 = 0, baseline_theta
+    for start in range(17):
+        if count >= budget or colsum_dev() <= _CERTIFIED:
+            break
+        if start >= 1:
+            if start == 1:  # numpy.random loads only once a restart runs
                 from . import rngstreams
                 gen = rngstreams.stream(seed, 0)
-            x0 = np.clip(
-                baseline_theta + 0.25 * gen.standard_normal(2 * D), -_BOX, _BOX
-            )
+            x0 = np.clip(baseline_theta + 0.25 * gen.standard_normal(2 * D), -_BOX, _BOX)
         count += minimize(objective, x0, budget - count)
-        start_idx += 1
-        if start_idx > 16:
-            break
 
-    lower_bound, K = _lq_bound(weights.alpha1, weights.alpha2, ss.L)
-    colsum_dev = (float("nan") if best_gain is None else
-                  float(np.max(np.abs(best_gain.F.sum(axis=0) - K))))
     return OperatorResult(
         pricing=theta_to_pricing(best_theta),
         gain=best_gain,
@@ -281,5 +280,5 @@ def optimize_pricing(
         inner_sweeps=sweeps,
         lower_bound=lower_bound,
         gap=float(best_val) - lower_bound,
-        colsum_dev=colsum_dev,
+        colsum_dev=colsum_dev(),
     )

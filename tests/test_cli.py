@@ -933,6 +933,22 @@ class TestLtiCommands:
         assert telemetry["lower_bound"] == float(a1) + float(a2)
         assert telemetry["gap"] == 0.0 and telemetry["colsum_dev"] == 0.0
 
+    def test_benchmark_operator_run_spends_its_budget(self, tmp_path):
+        # perfbench's equilibrium workload runs this command and requires 500
+        # evaluations: its best gain stays short of the bound, so the search's
+        # stop on the column-sum certificate must not end it early
+        out = tmp_path / "operator.json"
+        assert main(["lti", "operator", "--L", "3", "--alpha1", "1", "--alpha2", "1",
+                     "--budget", "500", "--seed", "5", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        telemetry = json.loads(
+            (tmp_path / "operator.json.manifest.json").read_text()
+        )["telemetry"]
+        assert data["evaluations"] == 500
+        assert np.isfinite(data["objective"])
+        assert data["objective"] <= data["baseline_objective"]
+        assert telemetry["colsum_dev"] > 1e-12
+
     def test_operator_without_finite_objective_exits_3(self, capsys):
         # at L = 9 the marginal-cost equilibrium does not converge in 600 sweeps
         argv = ["lti", "operator", "--L", "9", "--alpha1", "1", "--alpha2", "1",

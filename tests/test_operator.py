@@ -200,6 +200,34 @@ class TestOperatorBound:
         assert res.lower_bound == a1 + a2 == res.objective
         assert res.gap == 0.0 and res.colsum_dev == 0.0
 
+    @pytest.mark.parametrize("a1, a2", [(1.0, 1.0), (0.3, 2.0)])
+    def test_single_slot_stops_at_its_first_evaluation(self, a1, a2):
+        # the baseline's gain [[1]] meets the bound, so no budget is spent past it
+        res = og.optimize_pricing(og.OperatorWeights(a1, a2), og.build_state_space(1),
+                                  budget=500)
+        assert res.evaluations == 1
+        assert res.objective == res.baseline_objective == a1 + a2
+        assert res.gap == 0.0 and res.colsum_dev == 0.0
+
+    def test_search_stops_once_its_gain_is_certified(self, ss2, monkeypatch):
+        # a looser certificate ends the search inside a Nelder-Mead run, and
+        # the evaluation that met it is counted
+        real = operator_design.evaluate_pricing
+        values = []
+
+        def recording(*args, **kwargs):
+            val, diag = real(*args, **kwargs)
+            values.append(val)
+            return val, diag
+
+        monkeypatch.setattr(operator_design, "evaluate_pricing", recording)
+        monkeypatch.setattr(operator_design, "_CERTIFIED", 0.1)
+        res = og.optimize_pricing(og.OperatorWeights(1.0, 1.0), ss2, budget=500, seed=11)
+        assert 1 < len(values) == res.evaluations < 500
+        assert res.objective == min(values) == values[-1]
+        assert res.colsum_dev <= 0.1 < og.optimize_pricing(
+            og.OperatorWeights(1.0, 1.0), ss2, budget=1).colsum_dev
+
     def test_no_gain_reports_nan_deviation(self):
         res = og.optimize_pricing(og.OperatorWeights(1.0, 1.0), og.build_state_space(9),
                                   budget=1)
@@ -263,6 +291,22 @@ class TestOptimizePricing:
         assert np.array_equal(a.pricing.q1, b.pricing.q1)
         assert np.array_equal(a.pricing.q2, b.pricing.q2)
         assert a.evaluations == b.evaluations
+
+    @pytest.mark.parametrize("L, budget, seed", [(2, 150, 11), (3, 500, 5)])
+    def test_no_pricing_is_evaluated_twice(self, L, budget, seed, monkeypatch):
+        # the baseline is the first start's first vertex, not a separate solve
+        real = operator_design.evaluate_pricing
+        seen = []
+
+        def recording(pricing, *args, **kwargs):
+            seen.append(pricing.q1.tobytes() + pricing.q2.tobytes())
+            return real(pricing, *args, **kwargs)
+
+        monkeypatch.setattr(operator_design, "evaluate_pricing", recording)
+        res = og.optimize_pricing(og.OperatorWeights(1.0, 1.0), og.build_state_space(L),
+                                  budget=budget, seed=seed)
+        assert len(seen) == res.evaluations == budget
+        assert len(set(seen)) == budget
 
     def test_reported_objective_reproducible_from_pricing(self, ss2):
         w = og.OperatorWeights(1.0, 1.0)
@@ -341,8 +385,8 @@ class TestOptimizePricing:
 
     def test_restart_search_runs_and_repeats(self, ss2, monkeypatch):
         # at budget 1000 the first search meets its tolerances after 397
-        # evaluations, and a second starts from a seeded perturbation of
-        # marginal-cost pricing
+        # evaluations, its first the baseline, and a second starts from a
+        # seeded perturbation of marginal-cost pricing
         real = operator_design.minimize
         starts, nfev = [], []
 
@@ -361,7 +405,7 @@ class TestOptimizePricing:
         assert np.array_equal(starts[1], np.clip(
             baseline + 0.25 * gen.standard_normal(6), -operator_design._BOX, operator_design._BOX
         ))
-        assert nfev == [397, 602]
+        assert nfev == [397, 603]
         assert a.evaluations == 1000
         b = og.optimize_pricing(w, ss2, budget=1000, seed=0)
         assert a.objective == b.objective == 3.2360679774997987

@@ -562,6 +562,22 @@ class TestGeneralSimulator:
             )
             assert abs(getattr(sg, field) - getattr(sl, field)) <= err
 
+    def test_l2_encoding_follows_the_dedicated_path(self, ss2):
+        # at one seed both simulators draw the same arrivals and loads, so
+        # the L = 2 encoding of the equilibrium strategy (g = 0 at mu = 0)
+        # retraces simulate_l2's demand period by period; x_sum is not
+        # compared, as the general simulator's counts the fresh flexible load
+        p = params(q1=0.7, q2=0.7)
+        s = og.mpe_strategy(p)
+        assert s.g == 0.0
+        F = np.eye(3)
+        F[2] = [-s.a, -s.a, s.b]
+        cfg = og.SimConfig(horizon=100_000, seed=7, keep_series=True)
+        ul = og.simulate_l2(s, p, cfg).series["U"]
+        ug = og.simulate_general(F, ss2, og.ArrivalSpec(q=(0.7, 0.7)), cfg).series["U"]
+        assert ul.shape == ug.shape == (100_000,)
+        assert np.max(np.abs(ug - ul)) <= 1e-12 * np.max(np.abs(ul))
+
     def test_everyone_arrives_matches_gramian(self, ss5):
         br = og.make_f_br(0.3, ss5)
         rep = og.h2_norms(br, ss5)
